@@ -123,12 +123,6 @@ class EmpiricalCdf:
             raise ValueError("cannot build a CDF from an empty sample set")
         self.sorted_rho = samples
 
-    def eval(self, x: float) -> float:
-        return cdf_eval(self, x)
-
-    def quantile(self, q: float) -> float:
-        return quantile(self, q)
-
 
 def sample_loo(params: LooParams, size: int, rng: np.random.Generator) -> np.ndarray:
     """Draw envelope samples |direct + diffuse| for one state."""
@@ -157,9 +151,10 @@ def generate_series(
     dt = model.sample_frame_m / model.speed_mps
     n_samples = int(np.ceil(duration_s / dt))
     # sample index -> state epoch index, by distance travelled
-    epoch_of = (
-        np.arange(n_samples, dtype=np.int64) * model.sample_frame_m // model.state_frame_m
-    ).astype(np.int64)
+    epoch_of = np.arange(n_samples, dtype=np.float64)
+    epoch_of *= model.sample_frame_m
+    epoch_of //= model.state_frame_m
+    epoch_of = epoch_of.astype(np.int64)
     n_epochs = int(epoch_of[-1]) + 1
 
     cum = np.cumsum(model.transition_matrix, axis=1)
@@ -174,17 +169,36 @@ def generate_series(
     for k in range(1, n_epochs):
         states[k] = int(np.searchsorted(cum[states[k - 1]], u[k]))
 
+    # Long calibration series make every n_samples array count, so
+    # temporaries are freed as soon as they are used and updated in place.
     per_sample_state = states[epoch_of]
+    del epoch_of
     alpha = np.array([s.alpha_db for s in model.states])[per_sample_state]
     psi = np.array([s.psi_db for s in model.states])[per_sample_state]
-    mp_lin = (10.0 ** (np.array([s.mp_db for s in model.states]) / 10.0))[per_sample_state]
+    direct = rng.normal(alpha, psi)
+    del alpha, psi
+    direct /= 20.0
+    np.power(10.0, direct, out=direct)
+    mp_lin = 10.0 ** (np.array([s.mp_db for s in model.states]) / 10.0)
+    sigma = np.sqrt(mp_lin / 2.0)[per_sample_state]
 
-    direct = 10.0 ** (rng.normal(alpha, psi) / 20.0)
-    sigma = np.sqrt(mp_lin / 2.0)
-    diffuse = sigma * (rng.standard_normal(n_samples) + 1j * rng.standard_normal(n_samples))
-    rho = np.abs(direct + diffuse)
+    # diffuse = sigma * (re + 1j * im), real part drawn first
+    diffuse = np.empty(n_samples, dtype=np.complex128)
+    draw = rng.standard_normal(n_samples)
+    diffuse.real = draw
+    rng.standard_normal(out=draw)
+    diffuse.imag = draw
+    del draw
+    diffuse *= sigma
+    del sigma
+    diffuse += direct
+    del direct
+    # np.abs, not np.hypot: the two can differ in the last bit
+    rho = np.abs(diffuse)
+    del diffuse
 
-    time_s = np.arange(n_samples) * dt
+    time_s = np.arange(n_samples, dtype=np.float64)
+    time_s *= dt
     return AttenuationSeries(time_s=time_s, rho=rho, sample_dt_s=dt, state=per_sample_state)
 
 

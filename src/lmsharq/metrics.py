@@ -13,16 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from lmsharq.errors import DataError
-from lmsharq.fec import DATA_BITS, CodeSpec
 from lmsharq.sim import RunLog, SimConfig
 
 
-def efficiency(log: RunLog, spec: CodeSpec | None = None) -> float:
+def efficiency(log: RunLog) -> float:
     """Delivered data bits per transmitted channel symbol."""
     if log.total_symbols == 0:
         raise DataError("empty run log: no symbols were transmitted")
-    data_bits = spec.data_bits if spec is not None else DATA_BITS
-    return data_bits * log.decoded / log.total_symbols
+    return log.data_bits * log.decoded / log.total_symbols
 
 
 def delay(n_bits_total: int, n_transmissions: int, config: SimConfig) -> float:

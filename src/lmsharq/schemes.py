@@ -80,6 +80,10 @@ class StaticBitTable:
     def __len__(self):
         return len(self.n_sent)
 
+    def bits(self, state: CodewordState, j: int) -> int:
+        """Bits of transmission j, whatever the codeword has received."""
+        return next_burst_classical(self, j)
+
 
 class Transmission(NamedTuple):
     start_time_s: float
@@ -87,7 +91,7 @@ class Transmission(NamedTuple):
     rho_applied: float
 
 
-@dataclass
+@dataclass(slots=True)
 class CodewordState:
     """Receiver-side bookkeeping for one codeword."""
 
@@ -124,12 +128,23 @@ def mi_update(
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     mi_burst = mi_of(mi_table, rho * rho * es_n0_ref_linear)
+    fold_burst(state, start_time_s, bits_sent, rho, mi_burst)
+    return state
+
+
+def fold_burst(
+    state: CodewordState, start_time_s: float, bits_sent: int, rho: float, mi_burst: float
+) -> None:
+    """Fold a burst of known per-bit MI into the bit-weighted mean, unchecked.
+
+    The arithmetic behind mi_update, for callers that already validated
+    the burst and looked up its MI.
+    """
     n_prev = state.n_total_sent
     n_new = n_prev + bits_sent
     state.mi_acc_per_bit = (n_prev * state.mi_acc_per_bit + bits_sent * mi_burst) / n_new
     state.n_total_sent = n_new
     state.transmissions.append(Transmission(start_time_s, bits_sent, rho))
-    return state
 
 
 def conditional_prob(table: DecodingProbTable, j: int) -> float:
@@ -187,6 +202,25 @@ def adaptive_bits_needed(
     deficit = spec.mi_budget - state.n_total_sent * state.mi_acc_per_bit
     bits = _ceil_to_symbol(deficit / mi_needed_per_bit)
     return min(bits, remaining)
+
+
+@dataclass(frozen=True)
+class AdaptivePolicy:
+    """Adaptive sizing against per-round MI thresholds fixed for a run.
+
+    mi_needed_per_bit[j - 1] is the threshold of transmission j, from
+    mi_needed at that round's conditional decoding probability.
+    """
+
+    spec: CodeSpec
+    mi_needed_per_bit: tuple
+
+    def __len__(self):
+        return len(self.mi_needed_per_bit)
+
+    def bits(self, state: CodewordState, j: int) -> int:
+        """Bits of transmission j for the MI this codeword has received."""
+        return adaptive_bits_needed(state, self.spec, self.mi_needed_per_bit[j - 1])
 
 
 def next_burst_classical(table: StaticBitTable, j: int) -> int:

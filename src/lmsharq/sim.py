@@ -10,28 +10,30 @@ has arrived take priority over new codewords.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from lmsharq.channel import EmpiricalCdf, LmsModel, empirical_cdf, generate_series
+from lmsharq.channel import (
+    AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
+)
 from lmsharq.errors import ConfigError
-from lmsharq.fec import CodeSpec, is_decodable
-from lmsharq.mi import MiTable, db_to_linear
+from lmsharq.fec import DATA_BITS, CodeSpec, is_decodable
+from lmsharq.mi import MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     PROB_PRESETS,
     STATIC_PRESETS,
+    AdaptivePolicy,
     CodewordState,
     DecodingProbTable,
     SchemeExhausted,
     StaticBitTable,
-    adaptive_bits_needed,
     build_enhanced_table,
     conditional_prob,
+    fold_burst,
     mi_needed,
-    mi_update,
-    next_burst_classical,
+    mi_update,  # noqa: F401  bound here for bench/spans.py, which wraps it by name
 )
 
 SCHEMES = ("classical", "enhanced", "adaptive")
@@ -96,6 +98,7 @@ class RunLog:
     total_bits: int
     total_symbols: int
     effective_max_transmissions: int
+    data_bits: int = DATA_BITS
 
     @property
     def generated(self) -> int:
@@ -104,10 +107,6 @@ class RunLog:
     @property
     def decoded(self) -> int:
         return sum(1 for c in self.codewords if c.decoded)
-
-
-def _degenerate_clear_sky_cdf() -> EmpiricalCdf:
-    return EmpiricalCdf(sorted_rho=np.array([1.0]))
 
 
 def calibration_cdf(model: LmsModel, config: SimConfig) -> EmpiricalCdf:
@@ -123,11 +122,20 @@ def run(
     mi_table: MiTable,
     cdf: Optional[EmpiricalCdf] = None,
 ) -> RunLog:
-    """Simulate one configuration. Deterministic for a fixed config."""
+    """Simulate one configuration. Deterministic for a fixed config.
+
+    Each burst sees the channel sample active at its start. The per-bit
+    MI of every sample and the policy's per-round thresholds are computed
+    once per run, with the same float operations as a per-burst mi_of,
+    so the results do not depend on the precomputation.
+    """
     if config.clear_sky:
-        series = None
+        # one unfaded sample that stays active for the whole run
+        series = AttenuationSeries(
+            time_s=np.zeros(1), rho=np.ones(1), sample_dt_s=config.duration_s
+        )
         if cdf is None:
-            cdf = _degenerate_clear_sky_cdf()
+            cdf = empirical_cdf(series)
     else:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
@@ -141,27 +149,22 @@ def run(
     probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
 
     if config.scheme == "classical":
-        bit_table = StaticBitTable(STATIC_PRESETS[config.static_preset])
-        if sum(bit_table.n_sent) > spec.mother_codeword_bits:
+        policy = StaticBitTable(STATIC_PRESETS[config.static_preset])
+        if sum(policy.n_sent) > spec.mother_codeword_bits:
             raise ConfigError("static bit table exceeds the mother codeword")
     elif config.scheme == "enhanced":
-        bit_table = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
+        policy = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
     else:
-        bit_table = None
+        policy = AdaptivePolicy(spec, tuple(
+            mi_needed(cdf, conditional_prob(probs, j), es_n0_lin, mi_table)[1]
+            for j in range(1, min(config.max_transmissions, len(probs)) + 1)
+        ))
+    horizon = min(config.max_transmissions, len(policy))
+    first_bits = policy.bits(CodewordState(id=-1), 1)
 
-    if bit_table is not None:
-        horizon = min(config.max_transmissions, len(bit_table))
-    else:
-        horizon = min(config.max_transmissions, len(probs))
-
-    def first_bits() -> int:
-        if bit_table is not None:
-            return next_burst_classical(bit_table, 1)
-        p1 = conditional_prob(probs, 1)
-        _, mi_1 = mi_needed(cdf, p1, es_n0_lin, mi_table)
-        return adaptive_bits_needed(CodewordState(id=-1), spec, mi_1)
-
-    adaptive_first = first_bits()
+    dt = series.sample_dt_s
+    rho_samples = series.rho.tolist()
+    mi_samples = mi_of(mi_table, series.rho * series.rho * es_n0_lin).tolist()
 
     t = 0.0
     next_id = 0
@@ -174,19 +177,16 @@ def run(
         if pending and pending[0][0] <= t:
             _, cw, bits = pending.popleft()
         else:
-            cw = CodewordState(id=next_id)
-            bits = adaptive_first
-            airtime = bits / config.bit_rate_bps
-            if t + airtime > config.duration_s:
-                break
-            next_id += 1
-            in_flight[cw.id] = cw
+            cw, bits = None, first_bits
         airtime = bits / config.bit_rate_bps
         if t + airtime > config.duration_s:
             break
+        if cw is None:
+            cw = in_flight[next_id] = CodewordState(id=next_id)
+            next_id += 1
 
-        rho = 1.0 if config.clear_sky else series.rho_at(t)
-        mi_update(cw, bits, rho, es_n0_lin, mi_table, start_time_s=t)
+        k = int(t / dt)  # the sample AttenuationSeries.rho_at(t) reads
+        fold_burst(cw, t, bits, rho_samples[k], mi_samples[k])
         total_bits += bits
         j = cw.n_transmissions
         receive_time = t + airtime + config.t_propag_s
@@ -201,12 +201,7 @@ def run(
             del in_flight[cw.id]
         else:
             try:
-                if bit_table is not None:
-                    bits_next = next_burst_classical(bit_table, j + 1)
-                else:
-                    p_next = conditional_prob(probs, j + 1)
-                    _, mi_next = mi_needed(cdf, p_next, es_n0_lin, mi_table)
-                    bits_next = adaptive_bits_needed(cw, spec, mi_next)
+                bits_next = policy.bits(cw, j + 1)
             except SchemeExhausted:
                 completed.append(cw)
                 del in_flight[cw.id]
@@ -224,6 +219,7 @@ def run(
         total_bits=total_bits,
         total_symbols=total_bits // 2,
         effective_max_transmissions=horizon,
+        data_bits=spec.data_bits,
     )
 
 

@@ -1,5 +1,7 @@
 """Markov-switched Loo channel: generation, CDF and quantile behavior."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -59,6 +61,32 @@ def test_generation_is_deterministic_per_seed(its_model):
     assert np.array_equal(a.rho, b.rho)
     assert np.array_equal(a.state, b.state)
     assert not np.array_equal(a.rho, c.rho)
+
+
+# sha256 of rho.tobytes() and state.tobytes() for 60 s at seed 1, recorded
+# on x86-64 with NumPy 2.4 before generate_series was rewritten to work in
+# place. Any change to the draw order or the float operations shows here.
+SERIES_DIGESTS = {
+    "its": (
+        "0cc5a03aafb476237cbcedbee3432f36e87f38450865e17be896623bad38bef2",
+        "7dd9c464c7f55069b61429eaab68f6c9067c64e2566c40b78b408f7ac9a259d2",
+    ),
+    "open": (
+        "041f32b28cc1371e5f9e8bb92be934e1fab1700df6dc5d5df25552154863bb69",
+        "1731fe34121ddad3d44d6114b2f70ef4a64dfae71ccf34d3a79c35a3938728a4",
+    ),
+}
+
+
+@pytest.mark.parametrize("env", sorted(SERIES_DIGESTS))
+def test_series_bytes_are_pinned(env, its_model, open_model):
+    model = its_model if env == "its" else open_model
+    series = generate_series(model, 60.0, seed=1)
+    got = (
+        hashlib.sha256(series.rho.tobytes()).hexdigest(),
+        hashlib.sha256(series.state.tobytes()).hexdigest(),
+    )
+    assert got == SERIES_DIGESTS[env]
 
 
 def test_duration_covers_the_travelled_distance(its_model):

@@ -146,3 +146,19 @@ def test_unfaded_fixed_scheme_hits_the_single_burst_rate(code_spec, mi_table):
     log = run(cfg, None, code_spec, mi_table)
     assert log.generated > 500
     assert efficiency(log) == PEAK_EFFICIENCY
+
+
+def test_efficiency_counts_the_data_bits_of_the_run_code(
+    its_model, its_calib_cdf, code_spec, mi_table
+):
+    from fractions import Fraction
+
+    from lmsharq.fec import CodeSpec
+    from lmsharq.sim import run
+
+    half = CodeSpec(4460, 26760, Fraction(1, 6), code_spec.mi_req_per_bit)
+    cfg = SimConfig(environment="its", es_n0_ref_db=10.0, duration_s=60.0)
+    log = run(cfg, its_model, half, mi_table, cdf=its_calib_cdf)
+    m = RunMetrics.from_log(log)
+    assert log.decoded > 0
+    assert m.efficiency_bits_per_symbol == 4460 * log.decoded / log.total_symbols

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lmsharq.channel import AttenuationSeries
+from lmsharq.channel import AttenuationSeries, generate_series
 from lmsharq.errors import ConfigError
 from lmsharq.fec import is_decodable
 from lmsharq.metrics import RunMetrics
@@ -25,6 +25,14 @@ def its_run(its_model, its_calib_cdf, code_spec, mi_table):
 def classical_run(its_model, its_calib_cdf, code_spec, mi_table):
     cfg = SimConfig(
         scheme="classical", environment="its", es_n0_ref_db=10.0, duration_s=120.0
+    )
+    return run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+
+
+@pytest.fixture(scope="module")
+def enhanced_run(its_model, its_calib_cdf, code_spec, mi_table):
+    cfg = SimConfig(
+        scheme="enhanced", environment="its", es_n0_ref_db=10.0, duration_s=120.0
     )
     return run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
 
@@ -132,6 +140,25 @@ def test_decode_verdicts_replay_exactly(which, its_run, classical_run, code_spec
             assert not any(verdicts)
         checked += 1
     assert checked == log.generated
+
+
+@pytest.mark.parametrize("which", ["its_run", "classical_run", "enhanced_run"])
+def test_bursts_replay_bit_for_bit_from_the_series(which, request, its_model, mi_table):
+    """Each burst sees the sample active at its start, and the accumulated
+    MI is the fold of a scalar mi_of per burst, to the last bit."""
+    log = request.getfixturevalue(which)
+    cfg = log.config
+    series = generate_series(its_model, cfg.duration_s, cfg.seed)
+    es = float(db_to_linear(cfg.es_n0_ref_db))
+    for cw in list(log.codewords) + list(log.censored):
+        acc, n = 0.0, 0
+        for tr in cw.transmissions:
+            rho = float(series.rho[int(tr.start_time_s / series.sample_dt_s)])
+            assert tr.rho_applied.hex() == rho.hex()
+            n_new = n + tr.bits_sent
+            acc = (n * acc + tr.bits_sent * mi_of(mi_table, rho * rho * es)) / n_new
+            n = n_new
+        assert cw.mi_acc_per_bit.hex() == acc.hex()
 
 
 def test_burst_totals_reconcile(its_run):
