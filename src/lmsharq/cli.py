@@ -192,7 +192,8 @@ def cmd_sweep(args) -> int:
     seeds = [int(s) for s in args.seeds.split(",") if s]
     if not schemes or not es_list or not seeds:
         raise ConfigError("schemes, esn0 and seeds must all be non-empty")
-    logs = sweep(config, es_list, schemes, seeds)
+    model, spec, mi_table = _prepared(config)
+    logs = sweep(config, es_list, schemes, seeds, model, spec=spec, mi_table=mi_table)
     n_bins = config.max_transmissions
     _write_rows(Path(args.out), _sweep_header(n_bins), (_metric_row(lg, n_bins) for lg in logs))
     print(f"wrote {len(logs)} rows to {args.out}")
@@ -215,17 +216,20 @@ def cmd_figures(args) -> int:
     out = Path(args.out_dir) / f"{args.which}.csv"
     es_list = _parse_es_list(args.esn0)
     base = SimConfig(environment=recipe["env"], seed=args.seed)
+    model, spec, mi_table = _prepared(base)
     n_bins = base.max_transmissions
     rows = []
     if "probs" in recipe:
         header = _sweep_header(n_bins) + ("probs",)
         for preset in recipe["probs"]:
             cfg = replace(base, probs_preset=preset)
-            for log in sweep(cfg, es_list, recipe["schemes"], [args.seed]):
+            for log in sweep(cfg, es_list, recipe["schemes"], [args.seed], model,
+                             spec=spec, mi_table=mi_table):
                 rows.append(_metric_row(log, n_bins) + [preset])
     else:
         header = _sweep_header(n_bins)
-        for log in sweep(base, es_list, recipe["schemes"], [args.seed]):
+        for log in sweep(base, es_list, recipe["schemes"], [args.seed], model,
+                         spec=spec, mi_table=mi_table):
             rows.append(_metric_row(log, n_bins))
     _write_rows(out, header, rows)
     print(f"wrote {len(rows)} rows to {out}")

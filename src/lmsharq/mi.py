@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import logsumexp
 
 from lmsharq.errors import ConfigError
 
@@ -27,6 +26,10 @@ DEFAULT_SEED = 20177
 
 MIN_SAMPLES = 10_000
 TARGET_STD_ERROR = 1e-3
+
+# samples per block of the MI estimator; its (4, block) work arrays stay
+# in cache
+_BLOCK = 1 << 14
 
 # unit-energy QPSK constellation
 _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
@@ -70,17 +73,66 @@ class MiTable:
             raise ValueError("only QPSK (2 bits per symbol) is supported")
 
 
+def _logsumexp_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(sum(exp(rows), axis=0)) of finite rows into `out`; overwrites `rows`.
+
+    Does the float operations of scipy.special.logsumexp's finite path:
+    the terms tied for the column maximum leave the sum, the others are
+    shifted by that maximum, exponentiated and added in row order, and
+    the tie count m comes back in as log1p(s / m) + log(m).
+    """
+    a_max = np.max(rows, axis=0)
+    keep = np.empty(a_max.shape, dtype=bool)
+    m = np.full_like(a_max, len(rows))
+    for r in rows:
+        np.not_equal(r, a_max, out=keep)
+        m -= keep
+        r -= a_max
+        np.exp(r, out=r)
+        r *= keep
+    s = rows[0]
+    for r in rows[1:]:
+        s += r
+    # m >= 1, so s / m leaves a zero sum at zero
+    s /= m
+    np.log1p(s, out=out)
+    out += np.log(m, out=m)
+    out += a_max
+    return out
+
+
 def _mc_mi_per_bit(snr_linear: float, samples: int, rng: np.random.Generator):
     """One grid point: Monte Carlo per-bit MI estimate and its std error."""
-    sym = _QPSK[rng.integers(0, 4, size=samples)]
-    scale = np.sqrt(0.5 / snr_linear)
-    noise = scale * (rng.standard_normal(samples) + 1j * rng.standard_normal(samples))
-    y = sym + noise
-    # log p(y|x_j) up to a common constant, for every constellation point
-    d2 = np.abs(y[:, None] - _QPSK[None, :]) ** 2
-    expo = snr_linear * (np.abs(noise)[:, None] ** 2 - d2)
-    integrand = np.log2(4.0) - logsumexp(expo, axis=1) / np.log(2.0)
-    per_bit = integrand / MODULATION_BITS
+    # draw order: symbols, then the real and the imaginary noise parts
+    sent = rng.integers(0, 4, size=samples)
+    noise = np.empty(samples, dtype=complex)
+    noise.real = rng.standard_normal(samples)
+    noise.imag = rng.standard_normal(samples)
+    noise *= np.sqrt(0.5 / snr_linear)
+    per_bit = np.empty(samples)
+    # log p(y|x_j) up to a common constant, one row per constellation
+    # point, over blocks of samples that stay in cache
+    expo = np.empty((_QPSK.size, _BLOCK))
+    y = np.empty(_BLOCK, dtype=complex)
+    d = np.empty(_BLOCK, dtype=complex)
+    noise2 = np.empty(_BLOCK)
+    for lo in range(0, samples, _BLOCK):
+        hi = min(lo + _BLOCK, samples)
+        k = hi - lo
+        rows, n2, yb, db = expo[:, :k], noise2[:k], y[:k], d[:k]
+        np.abs(noise[lo:hi], out=n2)
+        np.square(n2, out=n2)
+        np.add(_QPSK.take(sent[lo:hi], out=yb), noise[lo:hi], out=yb)
+        for point, r in zip(_QPSK, rows):
+            np.abs(np.subtract(yb, point, out=db), out=r)
+            np.square(r, out=r)
+            np.subtract(n2, r, out=r)
+            r *= snr_linear
+        out = _logsumexp_rows(rows, per_bit[lo:hi])
+        # integrand log2(4) - lse / ln 2 bits per symbol, then per coded bit
+        out /= np.log(2.0)
+        np.subtract(np.log2(4.0), out, out=out)
+        out /= MODULATION_BITS
     return float(np.mean(per_bit)), float(np.std(per_bit) / np.sqrt(samples))
 
 

@@ -17,7 +17,7 @@ from lmsharq import fec
 from lmsharq.channel import LmsModel, load_model
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec
-from lmsharq.mi import MiTable, build_mi_table, load_mi_csv
+from lmsharq.mi import MiTable, load_mi_csv
 
 ASSETS_ENV_VAR = "LMSHARQ_ASSETS"
 ENVIRONMENTS = ("its", "open")
@@ -56,15 +56,21 @@ _mi_cache: dict[str, MiTable] = {}
 
 
 def default_mi_table() -> MiTable:
-    """The shipped MI table, or a fresh default build when absent.
+    """The MI table of the asset directory.
 
-    Rebuilding with default settings reproduces the shipped file
-    bit for bit; `lmsharq mi-table` refreshes the cache on disk.
+    A directory without one is an error, not a cue for a Monte Carlo
+    rebuild; `lmsharq mi-table --out <dir>/qpsk_mi.csv` writes the default
+    table, which reproduces the shipped file bit for bit.
     """
     key = str(assets_dir())
     if key not in _mi_cache:
         path = Path(key) / MI_TABLE_ASSET
-        _mi_cache[key] = load_mi_csv(path) if path.exists() else build_mi_table()
+        if not path.is_file():
+            raise FileNotFoundError(
+                f"no MI table at {path}; create it with "
+                f"`lmsharq mi-table --out {path}`"
+            )
+        _mi_cache[key] = load_mi_csv(path)
     return _mi_cache[key]
 
 

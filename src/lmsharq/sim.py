@@ -229,25 +229,19 @@ def sweep(
     schemes,
     seeds,
     model: Optional[LmsModel] = None,
-    spec: Optional[CodeSpec] = None,
-    mi_table: Optional[MiTable] = None,
+    *,
+    spec: CodeSpec,
+    mi_table: MiTable,
 ) -> list[RunLog]:
     """Cross-product of schemes, Es/N0 points and seeds, in stable order.
 
     Runs sharing a seed share the channel realization, which makes
-    scheme comparisons paired. The channel model, code spec and MI
-    table default to the shipped assets.
+    scheme comparisons paired. `model` may be None only for clear sky.
     """
-    from lmsharq import presets
-
-    if mi_table is None:
-        mi_table = presets.default_mi_table()
-    if spec is None:
-        spec = presets.default_code_spec(mi_table)
-    if model is None and not base_config.clear_sky:
-        model = presets.load_environment(base_config.environment)
     cdf = None
     if not base_config.clear_sky:
+        if model is None:
+            raise ConfigError("a channel model is required unless clear_sky is set")
         cdf = calibration_cdf(model, base_config)
 
     logs = []

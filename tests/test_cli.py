@@ -69,6 +69,23 @@ def test_missing_environment_maps_to_exit_three(tmp_path, capsys):
     assert "missing file or asset" in capsys.readouterr().err
 
 
+def test_missing_mi_table_is_an_error_not_a_rebuild(tmp_path, monkeypatch, capsys):
+    from lmsharq import mi, presets
+
+    for name in ("its.ini", presets.WER_CURVE_ASSET):
+        (tmp_path / name).write_bytes((presets.assets_dir() / name).read_bytes())
+
+    def no_rebuild(*args, **kwargs):
+        raise AssertionError("the MI table was rebuilt")
+
+    monkeypatch.setattr(mi, "build_mi_table", no_rebuild)
+    monkeypatch.setattr(presets, "build_mi_table", no_rebuild, raising=False)
+    monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(tmp_path))
+    code = main(["run", "--esn0", "10", "--duration-s", "1"])
+    assert code == 3
+    assert f"lmsharq mi-table --out {tmp_path / presets.MI_TABLE_ASSET}" in capsys.readouterr().err
+
+
 def test_malformed_curve_maps_to_exit_four(tmp_path, capsys):
     bad = tmp_path / "curve.csv"
     bad.write_text("foo,bar\n1,2\n")

@@ -1,12 +1,16 @@
 """Per-bit MI table: construction, interpolation, inversion."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from oracles import ORACLE_MI_PER_BIT, ORACLE_POINTS_DB, bisection_mi_inverse
 from lmsharq.errors import ConfigError
 from lmsharq.mi import (
     MiTable,
+    _logsumexp_rows,
     build_mi_table,
     db_to_linear,
     linear_to_db,
@@ -53,6 +57,49 @@ def test_build_deterministic_for_fixed_seed():
     b = build_mi_table(es_n0_min_db=19.0, es_n0_max_db=20.0, points=5, samples=20_000, seed=11)
     assert np.array_equal(a.es_n0_linear, b.es_n0_linear)
     assert np.array_equal(a.mi_per_bit, b.mi_per_bit)
+
+
+def _tie_rows(rng, ties):
+    """Rows whose column maximum is shared by exactly `ties` of the four."""
+    rows = rng.normal(scale=3.0, size=(4, 5000))
+    top = rows.max(axis=0) + rng.uniform(0.0, 2.0, size=5000)
+    for col in range(rows.shape[1]):
+        rows[rng.permutation(4)[:ties], col] = top[col]
+    return rows
+
+
+@pytest.mark.parametrize("case", ["random", "wide", "tie2", "tie3", "tie4", "underflow", "tie2-underflow"])
+def test_logsumexp_rows_matches_scipy_bit_for_bit(case):
+    rng = np.random.default_rng(12)
+    if case == "random":
+        rows = rng.normal(scale=5.0, size=(4, 20000))
+    elif case == "wide":
+        rows = rng.normal(scale=1e3, size=(4, 20000))
+    elif case.startswith("tie"):
+        rows = _tie_rows(rng, int(case[3]))
+        assert np.all((rows == rows.max(axis=0)).sum(axis=0) == int(case[3]))
+    else:
+        # every term but the maximum's underflows to 0 in exp(a - a_max)
+        rows = rng.uniform(-2000.0, -1000.0, size=(4, 5000))
+        rows[0] = rng.normal(size=5000)
+        if case == "tie2-underflow":
+            rows[2] = rows[0]
+    expected = logsumexp(rows.T, axis=1)
+    got = _logsumexp_rows(rows.copy(), np.empty(rows.shape[1]))
+    assert got.tobytes() == expected.tobytes()
+
+
+# sha256 of es_n0_linear.tobytes() + mi_per_bit.tobytes() for three
+# default-grid points mid-curve at seed 1, recorded on x86-64 with NumPy 2.4
+# from the estimator that called scipy.special.logsumexp. Any change to the
+# draw order or the float operations shows here.
+MI_SLICE_DIGEST = "6cab1c705174dec16cc8365cb9d1916f4d4afcabfe8d0b7526afbd9cfa651bf5"
+
+
+def test_mi_slice_bytes_are_pinned():
+    table = build_mi_table(es_n0_min_db=-0.25, es_n0_max_db=0.25, points=3, seed=1)
+    got = hashlib.sha256(table.es_n0_linear.tobytes() + table.mi_per_bit.tobytes()).hexdigest()
+    assert got == MI_SLICE_DIGEST
 
 
 def test_curve_limits(mi_table):
