@@ -133,6 +133,50 @@ def sample_loo(params: LooParams, size: int, rng: np.random.Generator) -> np.nda
     return np.abs(direct + diffuse)
 
 
+def _markov_walk(cum: np.ndarray, u: np.ndarray, first: int) -> np.ndarray:
+    """States of a chain that starts in `first` and then, at epoch k, moves
+    from state s to searchsorted(cum[s], u[k]).
+
+    Each row's successor of every epoch comes from one vectorised
+    searchsorted, with the same comparisons as a per-step call, so the
+    walk itself only follows Python lists.
+    """
+    succ = [np.searchsorted(row, u).tolist() for row in cum]
+    states = [first]
+    s = first
+    for k in range(1, len(u)):
+        s = succ[s][k]
+        states.append(s)
+    return np.array(states, dtype=np.int64)
+
+
+def _epoch_counts(n_samples: int, sample_frame_m: float, state_frame_m: float) -> np.ndarray:
+    """Number of samples in each state epoch.
+
+    Sample i belongs to epoch float(i) * sample_frame_m // state_frame_m,
+    which never decreases with i. Each epoch e >= 1 therefore starts at the
+    first sample whose epoch reaches e, and that sample lies within one of
+    ceil(e * state_frame_m / sample_frame_m). The same float operations are
+    evaluated on a window around that estimate only, so the counts equal
+    those of the full per-sample division.
+    """
+
+    def epoch(i):
+        x = np.asarray(i, dtype=np.float64) * sample_frame_m
+        x //= state_frame_m
+        return x
+
+    n_epochs = int(epoch(n_samples - 1)) + 1
+    e = np.arange(1, n_epochs, dtype=np.float64)
+    guess = np.ceil(e * state_frame_m / sample_frame_m).astype(np.int64)
+    window = guess[:, None] + np.arange(-2, 3)
+    below = epoch(window) < e[:, None]
+    if below[:, -1].any() or not below[:, 0].all():
+        raise RuntimeError("epoch boundary outside its search window")
+    starts = guess - 2 + below.sum(axis=1)
+    return np.diff(starts, prepend=0, append=n_samples)
+
+
 def generate_series(
     model: LmsModel,
     duration_s: float,
@@ -150,37 +194,29 @@ def generate_series(
     rng = np.random.default_rng(seed)
     dt = model.sample_frame_m / model.speed_mps
     n_samples = int(np.ceil(duration_s / dt))
-    # sample index -> state epoch index, by distance travelled
-    epoch_of = np.arange(n_samples, dtype=np.float64)
-    epoch_of *= model.sample_frame_m
-    epoch_of //= model.state_frame_m
-    epoch_of = epoch_of.astype(np.int64)
-    n_epochs = int(epoch_of[-1]) + 1
+    counts = _epoch_counts(n_samples, model.sample_frame_m, model.state_frame_m)
 
-    cum = np.cumsum(model.transition_matrix, axis=1)
-    states = np.empty(n_epochs, dtype=np.int64)
-    u = rng.random(n_epochs)
+    u = rng.random(len(counts))
     if initial_state is None:
-        states[0] = int(np.searchsorted(np.cumsum(model.stationary()), u[0]))
+        first = int(np.searchsorted(np.cumsum(model.stationary()), u[0]))
     else:
         if not 0 <= initial_state < 3:
             raise ValueError("initial_state must be 0, 1 or 2")
-        states[0] = initial_state
-    for k in range(1, n_epochs):
-        states[k] = int(np.searchsorted(cum[states[k - 1]], u[k]))
+        first = initial_state
+    states = _markov_walk(np.cumsum(model.transition_matrix, axis=1), u, first)
+
+    def per_sample(values):
+        return np.repeat(np.asarray(values)[states], counts)
 
     # Long calibration series make every n_samples array count, so
     # temporaries are freed as soon as they are used and updated in place.
-    per_sample_state = states[epoch_of]
-    del epoch_of
-    alpha = np.array([s.alpha_db for s in model.states])[per_sample_state]
-    psi = np.array([s.psi_db for s in model.states])[per_sample_state]
-    direct = rng.normal(alpha, psi)
-    del alpha, psi
+    # Generator.normal(alpha, psi) is alpha + psi * standard_normal.
+    direct = rng.standard_normal(n_samples)
+    direct *= per_sample([s.psi_db for s in model.states])
+    direct += per_sample([s.alpha_db for s in model.states])
     direct /= 20.0
     np.power(10.0, direct, out=direct)
     mp_lin = 10.0 ** (np.array([s.mp_db for s in model.states]) / 10.0)
-    sigma = np.sqrt(mp_lin / 2.0)[per_sample_state]
 
     # diffuse = sigma * (re + 1j * im), real part drawn first
     diffuse = np.empty(n_samples, dtype=np.complex128)
@@ -189,8 +225,7 @@ def generate_series(
     rng.standard_normal(out=draw)
     diffuse.imag = draw
     del draw
-    diffuse *= sigma
-    del sigma
+    diffuse *= per_sample(np.sqrt(mp_lin / 2.0))
     diffuse += direct
     del direct
     # np.abs, not np.hypot: the two can differ in the last bit
@@ -199,11 +234,14 @@ def generate_series(
 
     time_s = np.arange(n_samples, dtype=np.float64)
     time_s *= dt
-    return AttenuationSeries(time_s=time_s, rho=rho, sample_dt_s=dt, state=per_sample_state)
+    return AttenuationSeries(
+        time_s=time_s, rho=rho, sample_dt_s=dt, state=np.repeat(states, counts)
+    )
 
 
 def empirical_cdf(series: AttenuationSeries) -> EmpiricalCdf:
-    return EmpiricalCdf(sorted_rho=np.array(series.rho, dtype=float))
+    # EmpiricalCdf sorts into a new array, which is the only copy made
+    return EmpiricalCdf(sorted_rho=series.rho)
 
 
 def cdf_eval(cdf: EmpiricalCdf, x: float) -> float:

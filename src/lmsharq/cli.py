@@ -14,7 +14,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from lmsharq import metrics, presets
+from lmsharq import metrics, presets, sim
 from lmsharq.channel import empirical_cdf, generate_series
 from lmsharq.errors import ConfigError
 from lmsharq.fec import calibrate_mi_req, load_wer_curve
@@ -217,6 +217,8 @@ def cmd_figures(args) -> int:
     es_list = _parse_es_list(args.esn0)
     base = SimConfig(environment=recipe["env"], seed=args.seed)
     model, spec, mi_table = _prepared(base)
+    # the calibration depends on the environment only, not on the presets
+    cdf = sim.calibration_cdf(model, base)
     n_bins = base.max_transmissions
     rows = []
     if "probs" in recipe:
@@ -224,12 +226,12 @@ def cmd_figures(args) -> int:
         for preset in recipe["probs"]:
             cfg = replace(base, probs_preset=preset)
             for log in sweep(cfg, es_list, recipe["schemes"], [args.seed], model,
-                             spec=spec, mi_table=mi_table):
+                             spec=spec, mi_table=mi_table, cdf=cdf):
                 rows.append(_metric_row(log, n_bins) + [preset])
     else:
         header = _sweep_header(n_bins)
         for log in sweep(base, es_list, recipe["schemes"], [args.seed], model,
-                         spec=spec, mi_table=mi_table):
+                         spec=spec, mi_table=mi_table, cdf=cdf):
             rows.append(_metric_row(log, n_bins))
     _write_rows(out, header, rows)
     print(f"wrote {len(rows)} rows to {out}")

@@ -232,17 +232,20 @@ def sweep(
     *,
     spec: CodeSpec,
     mi_table: MiTable,
+    cdf: Optional[EmpiricalCdf] = None,
 ) -> list[RunLog]:
     """Cross-product of schemes, Es/N0 points and seeds, in stable order.
 
     Runs sharing a seed share the channel realization, which makes
     scheme comparisons paired. `model` may be None only for clear sky.
+    Without a `cdf`, the calibration CDF of `model` is computed once for
+    all runs.
     """
-    cdf = None
     if not base_config.clear_sky:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
-        cdf = calibration_cdf(model, base_config)
+        if cdf is None:
+            cdf = calibration_cdf(model, base_config)
 
     logs = []
     for scheme in schemes:

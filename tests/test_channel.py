@@ -1,14 +1,19 @@
 """Markov-switched Loo channel: generation, CDF and quantile behavior."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from oracles import counting_quantile_check
 from lmsharq.channel import (
     AttenuationSeries,
+    _epoch_counts,
+    _markov_walk,
     EmpiricalCdf,
     LmsModel,
     LooParams,
@@ -87,6 +92,103 @@ def test_series_bytes_are_pinned(env, its_model, open_model):
         hashlib.sha256(series.state.tobytes()).hexdigest(),
     )
     assert got == SERIES_DIGESTS[env]
+
+
+# sha256 of calibration_cdf(...).sorted_rho.tobytes() at the default
+# calibration seed and duration (3600 s, 600k samples), recorded on x86-64
+# with NumPy 2.4 from the per-epoch generator loop.
+CALIBRATION_DIGESTS = {
+    "its": "0dffcb5b8a221a5998f9138426cf06ccfb489dea5f441e6724ee4256937b94a4",
+    "open": "42d1a55e83250c6809a98ee4cbce0317f0317342f8bf5fb3f8b6ca0dfce54985",
+}
+
+
+@pytest.mark.parametrize("env", sorted(CALIBRATION_DIGESTS))
+def test_calibration_bytes_are_pinned(env, its_calib_cdf, open_calib_cdf):
+    cdf = its_calib_cdf if env == "its" else open_calib_cdf
+    assert hashlib.sha256(cdf.sorted_rho.tobytes()).hexdigest() == CALIBRATION_DIGESTS[env]
+
+
+def reference_walk(cum, u, first):
+    """One searchsorted per epoch, as the chain was first written."""
+    states = np.empty(len(u), dtype=np.int64)
+    states[0] = first
+    for k in range(1, len(u)):
+        states[k] = int(np.searchsorted(cum[states[k - 1]], u[k]))
+    return states
+
+
+# rows of small integer weights: zero entries, and unit rows that are
+# absorbing when the one sits on the diagonal
+weight_rows = st.lists(st.integers(0, 3), min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(weight_rows, min_size=3, max_size=3),
+    first=st.integers(0, 2),
+    n_epochs=st.integers(1, 400),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_markov_walk_matches_per_step_search(rows, first, n_epochs, seed):
+    weights = np.array(rows, dtype=float)
+    cum = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    rng = np.random.default_rng(seed)
+    u = rng.random(n_epochs)
+    # draws that land exactly on a row's cumulative probability test side="left"
+    edges = cum[cum < 1.0]
+    if edges.size:
+        ties = rng.random(n_epochs) < 0.2
+        u[ties] = rng.choice(edges, size=int(ties.sum()))
+    got = _markov_walk(cum, u, first)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, reference_walk(cum, u, first))
+
+
+def assert_epochs_match_division(n, sample_frame_m, state_frame_m):
+    epoch_of = np.arange(n, dtype=np.float64)
+    epoch_of *= sample_frame_m
+    epoch_of //= state_frame_m
+    counts = _epoch_counts(n, sample_frame_m, state_frame_m)
+    assert len(counts) == int(epoch_of[-1]) + 1
+    assert np.array_equal(np.repeat(np.arange(len(counts)), counts), epoch_of)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(1, 3000),
+    state_frame_m=st.floats(1e-3, 100.0),
+    ratio=st.floats(1e-3, 1.0),
+)
+def test_epoch_counts_match_per_sample_division(n, state_frame_m, ratio):
+    sample_frame_m = min(state_frame_m * ratio, state_frame_m)
+    assert_epochs_match_division(n, sample_frame_m, state_frame_m)
+
+
+@pytest.mark.parametrize("frame_m", [0.1, 0.3, 0.7, 1.0, 5.0, 7.3])
+@pytest.mark.parametrize("n", [1, 2, 1001])
+def test_epoch_counts_with_equal_frames(n, frame_m):
+    assert_epochs_match_division(n, frame_m, frame_m)
+
+
+@pytest.mark.parametrize("sample_frame_m, state_frame_m", [(0.1, 5.0), (0.3, 7.0), (0.07, 1.1)])
+def test_epoch_counts_at_calibration_length(sample_frame_m, state_frame_m):
+    assert_epochs_match_division(600_000, sample_frame_m, state_frame_m)
+
+
+def test_empirical_cdf_makes_one_copy_and_leaves_the_series_alone(its_model):
+    series = generate_series(its_model, 60.0, seed=3)
+    before = series.rho.copy()
+    tracemalloc.start()
+    try:
+        cdf = empirical_cdf(series)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * series.rho.nbytes
+    assert not np.shares_memory(cdf.sorted_rho, series.rho)
+    assert np.array_equal(series.rho, before)
+    assert np.array_equal(cdf.sorted_rho, np.sort(before))
 
 
 def test_duration_covers_the_travelled_distance(its_model):

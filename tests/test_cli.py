@@ -1,6 +1,7 @@
 """Command-line behavior: parsing, exit codes, CSV outputs."""
 
 import csv
+import hashlib
 
 import pytest
 
@@ -137,3 +138,24 @@ def test_figure_preset_covers_every_scheme(tmp_path):
     header, rows = read_csv(tmp_path / "eff-its.csv")
     assert header == EXPECTED_SWEEP_HEADER
     assert sorted(r[0] for r in rows) == ["adaptive", "classical", "enhanced"]
+
+
+def test_cases_figure_calibrates_once(tmp_path, monkeypatch):
+    from lmsharq import sim
+
+    calls = []
+    calibration_cdf = sim.calibration_cdf
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return calibration_cdf(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "calibration_cdf", counted)
+    code = main(["figures", "--which", "cases-its", "--esn0", "10",
+                 "--out-dir", str(tmp_path)])
+    assert code == 0
+    assert len(calls) == 1
+    # recorded while every probability preset still calibrated on its own
+    assert hashlib.sha256((tmp_path / "cases-its.csv").read_bytes()).hexdigest() == (
+        "b51cfc2aa4cba41a1a5ff9e20fa3aaf063298a44a5d5b2670c55e9be75405c4d"
+    )
