@@ -28,12 +28,8 @@ from lmsharq.mi import (
     load_mi_csv,
     save_mi_csv,
 )
-from lmsharq.schemes import PROB_PRESETS, STATIC_PRESETS
+from lmsharq.schemes import PROB_PRESETS
 from lmsharq.sim import SCHEMES, SimConfig, run, sweep
-
-# The only bundled profile: GEO forward link, 500 kbps QPSK, 500 ms
-# round trip, 10 minute runs. Plain SimConfig defaults.
-PROFILES = {"geo-baseline": {}}
 
 SWEEP_HEADER = ("scheme", "environment", "es_n0_db", "efficiency", "mean_delay_s")
 
@@ -60,12 +56,8 @@ def _parse_es_list(text: str) -> list[float]:
     return [float(p) for p in text.split(",") if p]
 
 
-def _profile_config(args) -> SimConfig:
-    if args.profile not in PROFILES:
-        raise ConfigError(
-            f"unknown profile {args.profile!r}, expected one of {sorted(PROFILES)}"
-        )
-    overrides = dict(PROFILES[args.profile])
+def _config(args) -> SimConfig:
+    overrides = {}
     for name in ("duration_s", "max_transmissions"):
         value = getattr(args, name, None)
         if value is not None:
@@ -75,7 +67,6 @@ def _profile_config(args) -> SimConfig:
         environment=args.env,
         es_n0_ref_db=0.0,
         probs_preset=getattr(args, "probs", None) or "case3",
-        static_preset=getattr(args, "static", None) or "classical-equal",
         seed=getattr(args, "seed", 1),
         clear_sky=getattr(args, "clear_sky", False),
         **overrides,
@@ -145,7 +136,7 @@ def cmd_channel(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = replace(_profile_config(args), es_n0_ref_db=args.es_n0_db)
+    config = replace(_config(args), es_n0_ref_db=args.es_n0_db)
     model, spec, mi_table = _prepared(config)
     log = run(config, model, spec, mi_table)
     m = metrics.RunMetrics.from_log(log)
@@ -183,7 +174,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _profile_config(args)
+    config = _config(args)
     schemes = [s for s in args.schemes.split(",") if s]
     for s in schemes:
         if s not in SCHEMES:
@@ -218,7 +209,7 @@ def cmd_figures(args) -> int:
     base = SimConfig(environment=recipe["env"], seed=args.seed)
     model, spec, mi_table = _prepared(base)
     # the calibration depends on the environment only, not on the presets
-    cdf = sim.calibration_cdf(model, base)
+    cdf = sim.calibration_cdf(model)
     n_bins = base.max_transmissions
     rows = []
     if "probs" in recipe:
@@ -273,12 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", default="its")
     p.add_argument("--esn0", dest="es_n0_db", type=float, required=True)
     p.add_argument("--probs", choices=sorted(PROB_PRESETS))
-    p.add_argument("--static", choices=sorted(STATIC_PRESETS))
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--duration-s", dest="duration_s", type=float)
     p.add_argument("--max-transmissions", dest="max_transmissions", type=int)
     p.add_argument("--clear-sky", action="store_true")
-    p.add_argument("--profile", default="geo-baseline")
     p.add_argument("--codewords-csv", help="also write one CSV row per codeword")
     p.set_defaults(func=cmd_run)
 
@@ -288,10 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--env", default="its")
     p.add_argument("--seeds", default="1")
     p.add_argument("--probs", choices=sorted(PROB_PRESETS))
-    p.add_argument("--static", choices=sorted(STATIC_PRESETS))
     p.add_argument("--duration-s", dest="duration_s", type=float)
     p.add_argument("--max-transmissions", dest="max_transmissions", type=int)
-    p.add_argument("--profile", default="geo-baseline")
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from lmsharq.mi import MiTable, mi_of, db_to_linear
+from lmsharq.mi import MODULATION_BITS, MiTable, mi_of, db_to_linear
 
 DATA_BITS = 8920
 MOTHER_CODEWORD_BITS = 53520
@@ -39,6 +39,8 @@ class CodeSpec:
             raise ValueError("bit counts must be positive")
         if Fraction(self.data_bits, self.mother_codeword_bits) != self.rate:
             raise ValueError("mother codeword length inconsistent with code rate")
+        if self.mother_codeword_bits % MODULATION_BITS:
+            raise ValueError("mother codeword is not a whole number of symbols")
         if not 0.0 < self.mi_req_per_bit < 1.0:
             raise ValueError("mi_req_per_bit must lie in (0, 1)")
         if not 0.0 < self.target_wer < 1.0:

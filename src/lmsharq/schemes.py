@@ -29,9 +29,8 @@ PROB_PRESETS = {
     "case3": (0.5, 0.3, 0.1, 0.0999),
 }
 
-STATIC_PRESETS = {
-    "classical-equal": (13380, 13380, 13380, 13380),
-}
+# Classical IR sends the mother codeword in this many equal bursts.
+CLASSICAL_ROUNDS = 4
 
 PROB_SUM_TOL = 1e-9
 
@@ -83,6 +82,17 @@ class StaticBitTable:
     def bits(self, state: CodewordState, j: int) -> int:
         """Bits of transmission j, whatever the codeword has received."""
         return next_burst_classical(self, j)
+
+
+def equal_split(spec: CodeSpec) -> StaticBitTable:
+    """Classical table: the mother codeword in CLASSICAL_ROUNDS whole-symbol bursts.
+
+    When the symbols do not divide evenly, the earlier bursts carry one
+    more. A code shorter than CLASSICAL_ROUNDS symbols gets fewer bursts.
+    """
+    base, extra = divmod(spec.mother_codeword_bits // MODULATION_BITS, CLASSICAL_ROUNDS)
+    symbols = (base + (j < extra) for j in range(CLASSICAL_ROUNDS))
+    return StaticBitTable(tuple(n * MODULATION_BITS for n in symbols if n))
 
 
 class Transmission(NamedTuple):

@@ -23,14 +23,13 @@ from lmsharq.fec import DATA_BITS, CodeSpec, is_decodable
 from lmsharq.mi import MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     PROB_PRESETS,
-    STATIC_PRESETS,
     AdaptivePolicy,
     CodewordState,
     DecodingProbTable,
     SchemeExhausted,
-    StaticBitTable,
     build_enhanced_table,
     conditional_prob,
+    equal_split,
     fold_burst,
     mi_needed,
     mi_update,  # noqa: F401  bound here for bench/spans.py, which wraps it by name
@@ -41,46 +40,40 @@ SCHEMES = ("classical", "enhanced", "adaptive")
 CALIB_DURATION_S = 3600.0
 CALIB_SEED = 90210
 
-_REL_TOL = 1e-9
-
 
 @dataclass
 class SimConfig:
-    """One run of the link simulation."""
+    """One run of the link simulation, over a QPSK link at bit_rate_bps."""
 
     scheme: str = "adaptive"
     environment: str = "its"
     es_n0_ref_db: float = 10.0
-    rtt_s: float = 0.5
     t_propag_s: float = 0.25
     bit_rate_bps: float = 5e5
-    symbol_time_s: float = 4e-6
     duration_s: float = 600.0
     max_transmissions: int = 4
     probs_preset: str = "case3"
-    static_preset: str = "classical-equal"
     seed: int = 1
     clear_sky: bool = False
-    calib_duration_s: float = CALIB_DURATION_S
-    calib_seed: int = CALIB_SEED
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if abs(self.rtt_s - 2.0 * self.t_propag_s) > _REL_TOL:
-            raise ConfigError("rtt_s must equal twice t_propag_s")
-        if self.bit_rate_bps <= 0.0 or self.symbol_time_s <= 0.0:
-            raise ConfigError("rates must be positive")
-        if abs(self.bit_rate_bps * self.symbol_time_s - 2.0) > 1e-6:
-            raise ConfigError("bit rate and symbol time imply a non-QPSK modulation")
+        if self.t_propag_s < 0.0:
+            raise ConfigError("t_propag_s cannot be negative")
+        if self.bit_rate_bps <= 0.0:
+            raise ConfigError("bit_rate_bps must be positive")
         if self.duration_s <= 0.0:
             raise ConfigError("duration_s must be positive")
         if self.max_transmissions < 1:
             raise ConfigError("max_transmissions must be at least 1")
         if self.probs_preset not in PROB_PRESETS:
             raise ConfigError(f"unknown probability preset {self.probs_preset!r}")
-        if self.static_preset not in STATIC_PRESETS:
-            raise ConfigError(f"unknown static preset {self.static_preset!r}")
+
+    @property
+    def rtt_s(self) -> float:
+        """Round trip: the burst's propagation plus its feedback's."""
+        return 2.0 * self.t_propag_s
 
 
 @dataclass
@@ -109,9 +102,9 @@ class RunLog:
         return sum(1 for c in self.codewords if c.decoded)
 
 
-def calibration_cdf(model: LmsModel, config: SimConfig) -> EmpiricalCdf:
+def calibration_cdf(model: LmsModel) -> EmpiricalCdf:
     """Empirical attenuation distribution from a long calibration run."""
-    series = generate_series(model, config.calib_duration_s, config.calib_seed)
+    series = generate_series(model, CALIB_DURATION_S, CALIB_SEED)
     return empirical_cdf(series)
 
 
@@ -143,15 +136,13 @@ def run(
         if series.time_s[-1] + series.sample_dt_s < config.duration_s:
             raise ValueError("attenuation series shorter than the run duration")
         if cdf is None:
-            cdf = calibration_cdf(model, config)
+            cdf = calibration_cdf(model)
 
     es_n0_lin = float(db_to_linear(config.es_n0_ref_db))
     probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
 
     if config.scheme == "classical":
-        policy = StaticBitTable(STATIC_PRESETS[config.static_preset])
-        if sum(policy.n_sent) > spec.mother_codeword_bits:
-            raise ConfigError("static bit table exceeds the mother codeword")
+        policy = equal_split(spec)
     elif config.scheme == "enhanced":
         policy = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
     else:
@@ -245,7 +236,7 @@ def sweep(
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
         if cdf is None:
-            cdf = calibration_cdf(model, base_config)
+            cdf = calibration_cdf(model)
 
     logs = []
     for scheme in schemes:

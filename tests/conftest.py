@@ -49,12 +49,12 @@ def open_model():
 
 @pytest.fixture(scope="session")
 def its_calib_cdf(its_model):
-    return calibration_cdf(its_model, SimConfig(environment="its"))
+    return calibration_cdf(its_model)
 
 
 @pytest.fixture(scope="session")
 def open_calib_cdf(open_model):
-    return calibration_cdf(open_model, SimConfig(environment="open"))
+    return calibration_cdf(open_model)
 
 
 def _grid(env, model, cdf, spec, table, schemes, probs="case3"):

@@ -46,10 +46,23 @@ def test_help_exits_cleanly(capsys):
     assert "lmsharq" in capsys.readouterr().out
 
 
-def test_unknown_profile_is_a_usage_error(capsys):
-    code = main(["run", "--esn0", "10", "--profile", "leo-fast"])
-    assert code == 2
-    assert "configuration error" in capsys.readouterr().err
+@pytest.mark.parametrize("sub", ["mi-table", "calibrate", "channel", "run", "sweep", "figures"])
+def test_subcommand_help_exits_cleanly(sub, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([sub, "--help"])
+    assert exc.value.code == 0
+    assert f"lmsharq {sub}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--esn0", "10", "--profile", "geo-baseline"],
+    ["sweep", "--static", "classical-equal"],
+], ids=["run-profile", "sweep-static"])
+def test_removed_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_unknown_figure_is_a_usage_error(capsys):

@@ -1,6 +1,7 @@
 """Decode threshold and its calibration from a word error rate curve."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,11 @@ def test_code_geometry_is_validated():
         CodeSpec(mi_req_per_bit=1.0)
     with pytest.raises(ValueError):
         CodeSpec(mi_req_per_bit=0.5, target_wer=0.0)
+
+
+def test_mother_codeword_is_whole_symbols():
+    with pytest.raises(ValueError, match="symbols"):
+        CodeSpec(1, 5, Fraction(1, 5), 0.25)
 
 
 def test_budget_is_bits_times_requirement():

@@ -1,5 +1,7 @@
 """Burst sizing policies and the accumulated-MI bookkeeping."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 from lmsharq.channel import EmpiricalCdf, empirical_cdf, generate_series, quantile
 from lmsharq.fec import CodeSpec
-from lmsharq.mi import MiTable, db_to_linear, mi_of
+from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
+    CLASSICAL_ROUNDS,
     PROB_PRESETS,
-    STATIC_PRESETS,
     CodewordState,
     DecodingProbTable,
     SchemeExhausted,
@@ -19,6 +21,7 @@ from lmsharq.schemes import (
     adaptive_bits_needed,
     build_enhanced_table,
     conditional_prob,
+    equal_split,
     mi_needed,
     mi_update,
     next_burst_classical,
@@ -58,9 +61,27 @@ def test_bit_table_validation():
 
 
 def test_equal_split_preset_covers_the_mother_codeword():
-    table = StaticBitTable(STATIC_PRESETS["classical-equal"])
+    table = equal_split(CodeSpec())
     assert table.n_sent == (13380, 13380, 13380, 13380)
     assert sum(table.n_sent) == 53520
+
+
+@pytest.mark.parametrize("spec, expected", [
+    (CodeSpec(), (13380,) * 4),
+    (CodeSpec(4460, 26760, Fraction(1, 6)), (6690,) * 4),
+    (CodeSpec(8922, 53532, Fraction(1, 6)), (13384, 13384, 13382, 13382)),
+    (CodeSpec(9, 54, Fraction(1, 6)), (14, 14, 14, 12)),
+    (CodeSpec(1, 6, Fraction(1, 6)), (2, 2, 2)),
+])
+def test_equal_split_is_whole_symbols_of_the_mother_codeword(spec, expected):
+    bits = equal_split(spec).n_sent
+    assert bits == expected
+    symbols = spec.mother_codeword_bits // MODULATION_BITS
+    assert all(b % MODULATION_BITS == 0 for b in bits)
+    assert max(bits) - min(bits) <= MODULATION_BITS
+    assert list(bits) == sorted(bits, reverse=True)
+    assert sum(bits) == symbols * MODULATION_BITS
+    assert len(bits) == min(CLASSICAL_ROUNDS, symbols)
 
 
 def test_first_update_ignores_bit_count():
@@ -239,7 +260,7 @@ def test_sizing_is_pure():
 
 
 def test_fixed_table_lookup():
-    table = StaticBitTable(STATIC_PRESETS["classical-equal"])
+    table = equal_split(CodeSpec())
     assert [next_burst_classical(table, j) for j in (1, 2, 3, 4)] == [13380] * 4
     with pytest.raises(SchemeExhausted):
         next_burst_classical(table, 5)

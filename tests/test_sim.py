@@ -1,15 +1,17 @@
 """Event loop behavior: scheduling, causality, decode bookkeeping."""
 
+import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lmsharq.channel import AttenuationSeries, generate_series
 from lmsharq.errors import ConfigError
-from lmsharq.fec import is_decodable
+from lmsharq.fec import CodeSpec, is_decodable
 from lmsharq.metrics import RunMetrics
-from lmsharq.mi import db_to_linear, mi_of
+from lmsharq.mi import db_to_linear, mi_inverse, mi_of
 from lmsharq.sim import SimConfig, run, sweep
 
 TOL = 1e-9
@@ -45,10 +47,6 @@ def all_bursts(log):
 
 
 def test_config_consistency_checks():
-    with pytest.raises(ConfigError, match="twice"):
-        SimConfig(rtt_s=0.6)
-    with pytest.raises(ConfigError, match="modulation"):
-        SimConfig(bit_rate_bps=1e6)
     with pytest.raises(ConfigError, match="scheme"):
         SimConfig(scheme="hybrid")
     with pytest.raises(ConfigError):
@@ -57,6 +55,8 @@ def test_config_consistency_checks():
         SimConfig(max_transmissions=0)
     with pytest.raises(ConfigError, match="preset"):
         SimConfig(probs_preset="case9")
+    with pytest.raises(ConfigError, match="negative"):
+        SimConfig(t_propag_s=-0.25)
 
 
 def test_missing_model_is_a_startup_error(code_spec, mi_table):
@@ -83,6 +83,19 @@ def test_no_fades_decode_on_first_transmission(code_spec, mi_table):
     assert log.generated > 500
     assert not log.censored
     assert all(c.decoded and c.n_transmissions == 1 for c in log.codewords)
+
+
+def test_classical_splits_a_shorter_mother_codeword(code_spec, mi_table):
+    spec = CodeSpec(4460, 26760, Fraction(1, 6), code_spec.mi_req_per_bit)
+    # a clear link that needs all four quarters of the mother codeword
+    es_lin = mi_inverse(mi_table, 1.1 * spec.mi_req_per_bit)
+    cfg = SimConfig(scheme="classical", clear_sky=True,
+                    es_n0_ref_db=10.0 * math.log10(es_lin), duration_s=30.0)
+    log = run(cfg, None, spec, mi_table)
+    assert log.generated > 100
+    assert all(c.decoded for c in log.codewords)
+    sent = {tuple(tr.bits_sent for tr in c.transmissions) for c in log.codewords}
+    assert sent == {(6690,) * 4}
 
 
 def test_saturated_link_uses_the_whole_duration(classical_run):
