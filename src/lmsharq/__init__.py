@@ -7,32 +7,4 @@ optimized table, and a receiver-driven adaptive policy based on
 accumulated mutual information.
 """
 
-from lmsharq.errors import ConfigError, DataError
-from lmsharq.mi import MiTable, build_mi_table, mi_of, mi_inverse
-from lmsharq.channel import (
-    LooParams,
-    LmsModel,
-    AttenuationSeries,
-    EmpiricalCdf,
-    generate_series,
-    empirical_cdf,
-    cdf_eval,
-    quantile,
-)
-from lmsharq.fec import CodeSpec, is_decodable, calibrate_mi_req
-from lmsharq.schemes import (
-    DecodingProbTable,
-    StaticBitTable,
-    CodewordState,
-    SchemeExhausted,
-    mi_update,
-    conditional_prob,
-    mi_needed,
-    adaptive_bits_needed,
-    next_burst_classical,
-    build_enhanced_table,
-)
-from lmsharq.sim import SimConfig, RunLog, run, sweep
-from lmsharq.metrics import RunMetrics, efficiency, delay, delay_s, decode_histogram
-
 __version__ = "0.1.0"

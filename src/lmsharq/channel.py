@@ -92,15 +92,6 @@ class AttenuationSeries:
         if len(self.rho) == 0:
             raise ValueError("series is empty")
 
-    def rho_at(self, t_s: float) -> float:
-        """Sample value active at time t_s (uniform cadence assumed)."""
-        idx = int(t_s / self.sample_dt_s)
-        if idx < 0:
-            raise ValueError("time must be non-negative")
-        if idx >= len(self.rho):
-            raise ValueError("time beyond the generated series")
-        return float(self.rho[idx])
-
     def to_csv(self, path) -> None:
         path = Path(path)
         with path.open("w", newline="") as fh:
@@ -122,15 +113,6 @@ class EmpiricalCdf:
         if samples.size == 0:
             raise ValueError("cannot build a CDF from an empty sample set")
         self.sorted_rho = samples
-
-
-def sample_loo(params: LooParams, size: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw envelope samples |direct + diffuse| for one state."""
-    direct_db = rng.normal(params.alpha_db, params.psi_db, size)
-    direct = 10.0 ** (direct_db / 20.0)
-    sigma = np.sqrt(10.0 ** (params.mp_db / 10.0) / 2.0)
-    diffuse = sigma * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-    return np.abs(direct + diffuse)
 
 
 def _markov_walk(cum: np.ndarray, u: np.ndarray, first: int) -> np.ndarray:
@@ -242,12 +224,6 @@ def generate_series(
 def empirical_cdf(series: AttenuationSeries) -> EmpiricalCdf:
     # EmpiricalCdf sorts into a new array, which is the only copy made
     return EmpiricalCdf(sorted_rho=series.rho)
-
-
-def cdf_eval(cdf: EmpiricalCdf, x: float) -> float:
-    """Fraction of samples less than or equal to x."""
-    n = cdf.sorted_rho.size
-    return float(np.searchsorted(cdf.sorted_rho, x, side="right")) / n
 
 
 def quantile(cdf: EmpiricalCdf, q: float) -> float:

@@ -17,7 +17,7 @@ from pathlib import Path
 from lmsharq import metrics, presets, sim
 from lmsharq.channel import empirical_cdf, generate_series
 from lmsharq.errors import ConfigError
-from lmsharq.fec import calibrate_mi_req, load_wer_curve
+from lmsharq.fec import TARGET_WER, calibrate_mi_req, load_wer_curve
 from lmsharq.mi import (
     DEFAULT_MAX_DB,
     DEFAULT_MIN_DB,
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="derive the per-bit MI requirement from a WER curve")
     p.add_argument("--wer-curve", help="CSV curve; defaults to the shipped one")
     p.add_argument("--mi-table", help="MI table CSV; defaults to the shipped one")
-    p.add_argument("--target-wer", type=float, default=1e-4)
+    p.add_argument("--target-wer", type=float, default=TARGET_WER)
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("channel", help="generate an attenuation series and export it")

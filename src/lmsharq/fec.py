@@ -32,7 +32,6 @@ class CodeSpec:
     mother_codeword_bits: int = MOTHER_CODEWORD_BITS
     rate: Fraction = CODE_RATE
     mi_req_per_bit: float = 0.25
-    target_wer: float = TARGET_WER
 
     def __post_init__(self):
         if self.data_bits <= 0 or self.mother_codeword_bits <= 0:
@@ -43,8 +42,6 @@ class CodeSpec:
             raise ValueError("mother codeword is not a whole number of symbols")
         if not 0.0 < self.mi_req_per_bit < 1.0:
             raise ValueError("mi_req_per_bit must lie in (0, 1)")
-        if not 0.0 < self.target_wer < 1.0:
-            raise ValueError("target_wer must lie in (0, 1)")
 
     @property
     def mi_budget(self) -> float:

@@ -9,7 +9,7 @@ of bits carried by one symbol.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,6 @@ class MiTable:
 
     es_n0_linear: np.ndarray
     mi_per_bit: np.ndarray
-    modulation_bits: int = MODULATION_BITS
 
     def __post_init__(self):
         self.es_n0_linear = np.asarray(self.es_n0_linear, dtype=float)
@@ -69,8 +68,6 @@ class MiTable:
             raise ValueError("mi_per_bit values must lie in [0, 1]")
         if np.any(np.diff(self.mi_per_bit) < 0.0):
             raise ValueError("mi_per_bit must be non-decreasing along the grid")
-        if self.modulation_bits != MODULATION_BITS:
-            raise ValueError("only QPSK (2 bits per symbol) is supported")
 
 
 def _logsumexp_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:

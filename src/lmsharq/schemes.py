@@ -81,7 +81,14 @@ class StaticBitTable:
 
     def bits(self, state: CodewordState, j: int) -> int:
         """Bits of transmission j, whatever the codeword has received."""
-        return next_burst_classical(self, j)
+        if j < 1:
+            raise ValueError("transmission index starts at 1")
+        try:
+            return self.n_sent[j - 1]
+        except IndexError:
+            raise SchemeExhausted(
+                f"transmission {j} beyond a table of {len(self.n_sent)}"
+            ) from None
 
 
 def equal_split(spec: CodeSpec) -> StaticBitTable:
@@ -191,29 +198,6 @@ def _ceil_to_symbol(bits: float) -> int:
     return max(symbols, 1) * MODULATION_BITS
 
 
-def adaptive_bits_needed(
-    state: CodewordState,
-    spec: CodeSpec,
-    mi_needed_per_bit: float,
-) -> int:
-    """Bits for the next burst so the MI deficit closes at the threshold MI.
-
-    Whole symbols only, at least one symbol, never more than what is
-    left of the mother codeword. Raises SchemeExhausted once the mother
-    codeword is fully consumed.
-    """
-    if state.decoded:
-        raise ValueError("codeword already decoded")
-    if mi_needed_per_bit <= 0.0:
-        raise ValueError("mi_needed_per_bit must be positive")
-    remaining = spec.mother_codeword_bits - state.n_total_sent
-    if remaining < MODULATION_BITS:
-        raise SchemeExhausted(f"codeword {state.id}: mother codeword exhausted")
-    deficit = spec.mi_budget - state.n_total_sent * state.mi_acc_per_bit
-    bits = _ceil_to_symbol(deficit / mi_needed_per_bit)
-    return min(bits, remaining)
-
-
 @dataclass(frozen=True)
 class AdaptivePolicy:
     """Adaptive sizing against per-round MI thresholds fixed for a run.
@@ -225,21 +209,35 @@ class AdaptivePolicy:
     spec: CodeSpec
     mi_needed_per_bit: tuple
 
+    def __post_init__(self):
+        if any(m <= 0.0 for m in self.mi_needed_per_bit):
+            raise ValueError("mi_needed_per_bit must be positive")
+
     def __len__(self):
         return len(self.mi_needed_per_bit)
 
     def bits(self, state: CodewordState, j: int) -> int:
-        """Bits of transmission j for the MI this codeword has received."""
-        return adaptive_bits_needed(state, self.spec, self.mi_needed_per_bit[j - 1])
+        """Bits of transmission j so the MI deficit closes at its threshold.
 
-
-def next_burst_classical(table: StaticBitTable, j: int) -> int:
-    """Bits of transmission j under a fixed table policy."""
-    if j < 1:
-        raise ValueError("transmission index starts at 1")
-    if j > len(table.n_sent):
-        raise SchemeExhausted(f"transmission {j} beyond a table of {len(table.n_sent)}")
-    return table.n_sent[j - 1]
+        Whole symbols only, at least one symbol, never more than what is
+        left of the mother codeword. Raises SchemeExhausted past the last
+        threshold or once the mother codeword is fully consumed.
+        """
+        if j < 1:
+            raise ValueError("transmission index starts at 1")
+        try:
+            mi_needed_per_bit = self.mi_needed_per_bit[j - 1]
+        except IndexError:
+            raise SchemeExhausted(
+                f"transmission {j} beyond {len(self.mi_needed_per_bit)} thresholds"
+            ) from None
+        if state.decoded:
+            raise ValueError("codeword already decoded")
+        remaining = self.spec.mother_codeword_bits - state.n_total_sent
+        if remaining < MODULATION_BITS:
+            raise SchemeExhausted(f"codeword {state.id}: mother codeword exhausted")
+        deficit = self.spec.mi_budget - state.n_total_sent * state.mi_acc_per_bit
+        return min(_ceil_to_symbol(deficit / mi_needed_per_bit), remaining)
 
 
 def build_enhanced_table(

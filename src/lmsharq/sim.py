@@ -19,7 +19,7 @@ from lmsharq.channel import (
     AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
 )
 from lmsharq.errors import ConfigError
-from lmsharq.fec import DATA_BITS, CodeSpec, is_decodable
+from lmsharq.fec import CodeSpec, is_decodable
 from lmsharq.mi import MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     PROB_PRESETS,
@@ -91,7 +91,7 @@ class RunLog:
     total_bits: int
     total_symbols: int
     effective_max_transmissions: int
-    data_bits: int = DATA_BITS
+    data_bits: int
 
     @property
     def generated(self) -> int:
@@ -176,7 +176,7 @@ def run(
             cw = in_flight[next_id] = CodewordState(id=next_id)
             next_id += 1
 
-        k = int(t / dt)  # the sample AttenuationSeries.rho_at(t) reads
+        k = int(t / dt)  # the sample active at the burst's start
         fold_burst(cw, t, bits, rho_samples[k], mi_samples[k])
         total_bits += bits
         j = cw.n_transmissions

@@ -25,8 +25,6 @@ def test_code_geometry_is_validated():
         CodeSpec(mi_req_per_bit=0.0)
     with pytest.raises(ValueError):
         CodeSpec(mi_req_per_bit=1.0)
-    with pytest.raises(ValueError):
-        CodeSpec(mi_req_per_bit=0.5, target_wer=0.0)
 
 
 def test_mother_codeword_is_whole_symbols():
@@ -126,7 +124,6 @@ def test_wer_curve_loading(tmp_path):
 
 def test_default_spec_lands_in_the_open_interval(code_spec):
     assert 0.0 < code_spec.mi_req_per_bit < 1.0
-    assert code_spec.target_wer == 1e-4
 
 
 def test_mi_requirement_tracks_wer_target(mi_table):
@@ -140,8 +137,8 @@ def test_mi_requirement_tracks_wer_target(mi_table):
 
 def test_undecodable_state_demands_more_bits(mi_table, code_spec):
     # consistency between the decode test and the adaptive sizing rule
-    from lmsharq.schemes import CodewordState, adaptive_bits_needed
+    from lmsharq.schemes import AdaptivePolicy, CodewordState
 
     state = CodewordState(id=0, n_total_sent=13_380, mi_acc_per_bit=0.5)
     if not is_decodable(code_spec, state.n_total_sent, state.mi_acc_per_bit):
-        assert adaptive_bits_needed(state, code_spec, 0.8) > 0
+        assert AdaptivePolicy(code_spec, (0.8,)).bits(state, 1) > 0

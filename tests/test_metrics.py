@@ -34,6 +34,7 @@ def make_log(codewords, horizon=4):
         total_bits=total,
         total_symbols=total // 2,
         effective_max_transmissions=horizon,
+        data_bits=8920,
     )
 
 

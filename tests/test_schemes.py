@@ -13,18 +13,17 @@ from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     CLASSICAL_ROUNDS,
     PROB_PRESETS,
+    AdaptivePolicy,
     CodewordState,
     DecodingProbTable,
     SchemeExhausted,
     StaticBitTable,
     _ceil_to_symbol,
-    adaptive_bits_needed,
     build_enhanced_table,
     conditional_prob,
     equal_split,
     mi_needed,
     mi_update,
-    next_burst_classical,
 )
 
 # two-point table whose grid values are exact float literals, so the
@@ -213,29 +212,29 @@ def test_sizing_clamps_to_the_remaining_budget():
     spec = CodeSpec(mi_req_per_bit=0.9)
     state = CodewordState(id=0, n_total_sent=13380, mi_acc_per_bit=0.5)
     # raw need (48168 - 6690) / 0.8 = 51847.5, above the 40140 left
-    assert adaptive_bits_needed(state, spec, 0.8) == 40140
+    assert AdaptivePolicy(spec, (0.8,)).bits(state, 1) == 40140
 
 
 def test_sizing_of_a_fresh_codeword_at_unit_threshold():
     spec = CodeSpec(mi_req_per_bit=0.9)
     state = CodewordState(id=0)
-    assert adaptive_bits_needed(state, spec, 1.0) == _ceil_to_symbol(53520 * 0.9)
-    assert adaptive_bits_needed(state, spec, 1.0) == 48168
+    assert AdaptivePolicy(spec, (1.0,)).bits(state, 1) == _ceil_to_symbol(53520 * 0.9)
+    assert AdaptivePolicy(spec, (1.0,)).bits(state, 1) == 48168
 
 
 def test_sizing_raises_once_the_mother_code_is_spent():
     spec = CodeSpec(mi_req_per_bit=0.9)
     state = CodewordState(id=0, n_total_sent=53520, mi_acc_per_bit=0.2)
     with pytest.raises(SchemeExhausted):
-        adaptive_bits_needed(state, spec, 0.5)
+        AdaptivePolicy(spec, (0.5,)).bits(state, 1)
 
 
 def test_sizing_rejects_bad_inputs():
     spec = CodeSpec(mi_req_per_bit=0.9)
     with pytest.raises(ValueError):
-        adaptive_bits_needed(CodewordState(id=0), spec, 0.0)
+        AdaptivePolicy(spec, (0.0,)).bits(CodewordState(id=0), 1)
     with pytest.raises(ValueError):
-        adaptive_bits_needed(CodewordState(id=0, decoded=True), spec, 0.5)
+        AdaptivePolicy(spec, (0.5,)).bits(CodewordState(id=0, decoded=True), 1)
 
 
 @settings(derandomize=True, deadline=None)
@@ -247,7 +246,7 @@ def test_sizing_rejects_bad_inputs():
 def test_sizing_is_positive_even_and_within_budget(sent, acc, mi):
     spec = CodeSpec(mi_req_per_bit=0.243)
     state = CodewordState(id=0, n_total_sent=sent, mi_acc_per_bit=acc)
-    bits = adaptive_bits_needed(state, spec, mi)
+    bits = AdaptivePolicy(spec, (mi,)).bits(state, 1)
     assert bits >= 2
     assert bits % 2 == 0
     assert bits <= spec.mother_codeword_bits - sent
@@ -256,16 +255,35 @@ def test_sizing_is_positive_even_and_within_budget(sent, acc, mi):
 def test_sizing_is_pure():
     spec = CodeSpec(mi_req_per_bit=0.243)
     state = CodewordState(id=0, n_total_sent=13380, mi_acc_per_bit=0.2)
-    assert adaptive_bits_needed(state, spec, 0.5) == adaptive_bits_needed(state, spec, 0.5)
+    policy = AdaptivePolicy(spec, (0.5,))
+    assert policy.bits(state, 1) == policy.bits(state, 1)
 
 
 def test_fixed_table_lookup():
     table = equal_split(CodeSpec())
-    assert [next_burst_classical(table, j) for j in (1, 2, 3, 4)] == [13380] * 4
+    state = CodewordState(id=0)
+    assert [table.bits(state, j) for j in (1, 2, 3, 4)] == [13380] * 4
     with pytest.raises(SchemeExhausted):
-        next_burst_classical(table, 5)
+        table.bits(state, 5)
     with pytest.raises(ValueError):
-        next_burst_classical(table, 0)
+        table.bits(state, 0)
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [
+        equal_split(CodeSpec()),
+        AdaptivePolicy(CodeSpec(mi_req_per_bit=0.243), (0.9, 0.5, 0.3, 0.1)),
+    ],
+    ids=["static", "adaptive"],
+)
+def test_policies_reject_rounds_outside_their_table(policy):
+    state = CodewordState(id=0)
+    assert len(policy) == 4
+    with pytest.raises(ValueError, match="starts at 1"):
+        policy.bits(state, 0)
+    with pytest.raises(SchemeExhausted):
+        policy.bits(state, 5)
 
 
 def test_offline_table_without_channel_uncertainty(mi_table, code_spec):
