@@ -85,17 +85,38 @@ class RunMetrics:
 
     @classmethod
     def from_log(cls, log: RunLog) -> "RunMetrics":
-        n = log.generated
-        wer = (n - log.decoded) / n if n else float("nan")
+        """All figures of a run in one walk over its codewords.
+
+        Equal to the fields of efficiency, delay_s and decode_histogram,
+        with the same float operations in the same order.
+        """
+        if log.total_symbols == 0:
+            raise DataError("empty run log: no symbols were transmitted")
+        config = log.config
+        bit_rate, t_propag = config.bit_rate_bps, config.t_propag_s
+        counts = [0] * log.effective_max_transmissions
+        delays = []
+        for c in log.codewords:
+            if c.decoded:
+                j = len(c.transmissions)
+                if j < 1:
+                    raise DataError("a decoded codeword has at least one transmission")
+                counts[j - 1] += 1
+                delays.append(c.n_total_sent / bit_rate + (2 * (j - 1) + 1) * t_propag)
+        n = len(log.codewords)
+        decoded = len(delays)
+        bins = np.array(counts, dtype=float)
+        if n:
+            bins /= n
         return cls(
-            scheme=log.config.scheme,
-            es_n0_ref_db=log.config.es_n0_ref_db,
-            seed=log.config.seed,
+            scheme=config.scheme,
+            es_n0_ref_db=config.es_n0_ref_db,
+            seed=config.seed,
             generated=n,
-            decoded=log.decoded,
+            decoded=decoded,
             censored=len(log.censored),
-            wer=wer,
-            efficiency_bits_per_symbol=efficiency(log),
-            mean_delay_s=delay_s(log),
-            decode_fraction_per_transmission=tuple(decode_histogram(log)),
+            wer=(n - decoded) / n if n else float("nan"),
+            efficiency_bits_per_symbol=log.data_bits * decoded / log.total_symbols,
+            mean_delay_s=float(np.mean(delays)) if delays else float("nan"),
+            decode_fraction_per_transmission=tuple(bins),
         )

@@ -9,6 +9,7 @@ has arrived take priority over new codewords.
 
 from __future__ import annotations
 
+import gc
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -127,29 +128,29 @@ def run(
         series = AttenuationSeries(
             time_s=np.zeros(1), rho=np.ones(1), sample_dt_s=config.duration_s
         )
-        if cdf is None:
-            cdf = empirical_cdf(series)
     else:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
         series = generate_series(model, config.duration_s, config.seed)
         if series.time_s[-1] + series.sample_dt_s < config.duration_s:
             raise ValueError("attenuation series shorter than the run duration")
-        if cdf is None:
-            cdf = calibration_cdf(model)
 
     es_n0_lin = float(db_to_linear(config.es_n0_ref_db))
-    probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
 
     if config.scheme == "classical":
         policy = equal_split(spec)
-    elif config.scheme == "enhanced":
-        policy = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
     else:
-        policy = AdaptivePolicy(spec, tuple(
-            mi_needed(cdf, conditional_prob(probs, j), es_n0_lin, mi_table)[1]
-            for j in range(1, min(config.max_transmissions, len(probs)) + 1)
-        ))
+        # only the threshold policies read the attenuation distribution
+        if cdf is None:
+            cdf = empirical_cdf(series) if config.clear_sky else calibration_cdf(model)
+        probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
+        if config.scheme == "enhanced":
+            policy = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
+        else:
+            policy = AdaptivePolicy(spec, tuple(
+                mi_needed(cdf, conditional_prob(probs, j), es_n0_lin, mi_table)[1]
+                for j in range(1, min(config.max_transmissions, len(probs)) + 1)
+            ))
     horizon = min(config.max_transmissions, len(policy))
     first_bits = policy.bits(CodewordState(id=-1), 1)
 
@@ -157,50 +158,68 @@ def run(
     rho_samples = series.rho.tolist()
     mi_samples = mi_of(mi_table, series.rho * series.rho * es_n0_lin).tolist()
 
+    bit_rate = config.bit_rate_bps
+    duration = config.duration_s
+    t_propag = config.t_propag_s
+    rtt = config.rtt_s
+    policy_bits = policy.bits
     t = 0.0
     next_id = 0
     total_bits = 0
     completed: list[CodewordState] = []
     pending: deque = deque()  # (ready_time_s, state, bits_next)
-    in_flight: dict[int, CodewordState] = {}
+    cw = None  # the codeword whose burst no longer fits, if any
 
-    while True:
-        if pending and pending[0][0] <= t:
-            _, cw, bits = pending.popleft()
-        else:
-            cw, bits = None, first_bits
-        airtime = bits / config.bit_rate_bps
-        if t + airtime > config.duration_s:
-            break
-        if cw is None:
-            cw = in_flight[next_id] = CodewordState(id=next_id)
-            next_id += 1
-
-        k = int(t / dt)  # the sample active at the burst's start
-        fold_burst(cw, t, bits, rho_samples[k], mi_samples[k])
-        total_bits += bits
-        j = cw.n_transmissions
-        receive_time = t + airtime + config.t_propag_s
-
-        if is_decodable(spec, cw.n_total_sent, cw.mi_acc_per_bit):
-            cw.decoded = True
-            cw.decode_time_s = receive_time
-            completed.append(cw)
-            del in_flight[cw.id]
-        elif j >= horizon:
-            completed.append(cw)
-            del in_flight[cw.id]
-        else:
-            try:
-                bits_next = policy.bits(cw, j + 1)
-            except SchemeExhausted:
-                completed.append(cw)
-                del in_flight[cw.id]
+    # The loop allocates one CodewordState and its burst list per codeword
+    # and a Transmission per burst, about 100k tracked objects in a 600 s
+    # run. None of them is part of a reference cycle (a state holds its
+    # list, the list its bursts, nothing points back), so the collector's
+    # passes over them find nothing to free; pausing it skips those passes
+    # and delays no deallocation, which refcounting does.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while True:
+            if pending and pending[0][0] <= t:
+                _, cw, bits = pending.popleft()
             else:
-                pending.append((t + airtime + config.rtt_s, cw, bits_next))
-        t += airtime
+                cw, bits = None, first_bits
+            airtime = bits / bit_rate
+            if t + airtime > duration:
+                break
+            if cw is None:
+                cw = CodewordState(id=next_id)
+                next_id += 1
 
-    censored = sorted(in_flight.values(), key=lambda c: c.id)
+            k = int(t / dt)  # the sample active at the burst's start
+            fold_burst(cw, t, bits, rho_samples[k], mi_samples[k])
+            total_bits += bits
+            j = len(cw.transmissions)
+            receive_time = t + airtime + t_propag
+
+            if is_decodable(spec, cw.n_total_sent, cw.mi_acc_per_bit):
+                cw.decoded = True
+                cw.decode_time_s = receive_time
+                completed.append(cw)
+            elif j >= horizon:
+                completed.append(cw)
+            else:
+                try:
+                    bits_next = policy_bits(cw, j + 1)
+                except SchemeExhausted:
+                    completed.append(cw)
+                else:
+                    pending.append((t + airtime + rtt, cw, bits_next))
+            t += airtime
+    finally:
+        if gc_was_enabled:
+            gc.enable()
+
+    # cut off: every codeword still queued, plus the one the horizon stopped
+    censored = [c for _, c, _ in pending]
+    if cw is not None:
+        censored.append(cw)
+    censored.sort(key=lambda c: c.id)
     completed.sort(key=lambda c: c.id)
     assert total_bits % 2 == 0
     return RunLog(
@@ -230,12 +249,13 @@ def sweep(
     Runs sharing a seed share the channel realization, which makes
     scheme comparisons paired. `model` may be None only for clear sky.
     Without a `cdf`, the calibration CDF of `model` is computed once for
-    all runs.
+    all runs, unless every scheme is classical and none reads it.
     """
+    schemes = tuple(schemes)
     if not base_config.clear_sky:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
-        if cdf is None:
+        if cdf is None and any(s != "classical" for s in schemes):
             cdf = calibration_cdf(model)
 
     logs = []

@@ -58,6 +58,8 @@ def test_empty_log_is_rejected():
     log = make_log([])
     with pytest.raises(DataError, match="empty"):
         efficiency(log)
+    with pytest.raises(DataError, match="empty"):
+        RunMetrics.from_log(log)
 
 
 def test_delay_reference_points():
@@ -163,3 +165,55 @@ def test_efficiency_counts_the_data_bits_of_the_run_code(
     m = RunMetrics.from_log(log)
     assert log.decoded > 0
     assert m.efficiency_bits_per_symbol == 4460 * log.decoded / log.total_symbols
+
+
+def standalone_metrics(log):
+    """RunMetrics assembled from the separate figure-of-merit functions."""
+    n = log.generated
+    return RunMetrics(
+        scheme=log.config.scheme,
+        es_n0_ref_db=log.config.es_n0_ref_db,
+        seed=log.config.seed,
+        generated=n,
+        decoded=log.decoded,
+        censored=len(log.censored),
+        wer=(n - log.decoded) / n if n else float("nan"),
+        efficiency_bits_per_symbol=efficiency(log),
+        mean_delay_s=delay_s(log),
+        decode_fraction_per_transmission=tuple(decode_histogram(log)),
+    )
+
+
+@pytest.mark.filterwarnings("ignore:transmission .* clamped:UserWarning")
+@pytest.mark.parametrize("scheme", ["classical", "enhanced", "adaptive"])
+@pytest.mark.parametrize("max_tx", [4, 6])
+def test_from_log_equals_the_standalone_metrics(scheme, max_tx, its_model, its_calib_cdf,
+                                                code_spec, mi_table):
+    from lmsharq.sim import run
+
+    cfg = SimConfig(scheme=scheme, environment="its", es_n0_ref_db=8.0, duration_s=120.0,
+                    max_transmissions=max_tx)
+    log = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    assert 0 < log.decoded < log.generated
+    assert repr(RunMetrics.from_log(log)) == repr(standalone_metrics(log))
+
+
+def test_from_log_equals_the_standalone_metrics_when_nothing_decodes(code_spec, mi_table):
+    from lmsharq.sim import run
+
+    cfg = SimConfig(scheme="classical", clear_sky=True, es_n0_ref_db=-10.0, duration_s=30.0)
+    log = run(cfg, None, code_spec, mi_table)
+    assert log.generated > 0 and log.decoded == 0
+    m = RunMetrics.from_log(log)
+    assert math.isnan(m.mean_delay_s)
+    assert repr(m) == repr(standalone_metrics(log))
+
+
+@pytest.mark.parametrize("codewords", [
+    [make_cw(0, [13380]), make_cw(1, [13380, 6000], decoded=False)],
+    [make_cw(0, [13380, 13380, 13380]), make_cw(1, [13380]), make_cw(2, [6000, 6000])],
+    [make_cw(0, [13380], decoded=False)],
+])
+def test_from_log_equals_the_standalone_metrics_on_built_logs(codewords):
+    log = make_log(codewords)
+    assert repr(RunMetrics.from_log(log)) == repr(standalone_metrics(log))

@@ -1,6 +1,10 @@
 """Event loop behavior: scheduling, causality, decode bookkeeping."""
 
+import contextlib
+import gc
+import hashlib
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -12,7 +16,7 @@ from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable
 from lmsharq.metrics import RunMetrics
 from lmsharq.mi import db_to_linear, mi_inverse, mi_of
-from lmsharq.sim import SimConfig, run, sweep
+from lmsharq.sim import SCHEMES, SimConfig, run, sweep
 
 TOL = 1e-9
 
@@ -219,3 +223,192 @@ def test_another_seed_meets_the_same_tolerances(its_model, its_calib_cdf, code_s
     assert m.generated >= 2000
     for got, want in zip(m.decode_fraction_per_transmission, targets):
         assert abs(got - want) <= 0.05
+
+
+def record_digest(log):
+    """sha256 over every per-codeword record of a run, floats as hex."""
+    h = hashlib.sha256()
+    for tag, codewords in (("done", log.codewords), ("cut", log.censored)):
+        for c in codewords:
+            when = "-" if c.decode_time_s is None else c.decode_time_s.hex()
+            h.update(f"{tag} {c.id} {c.decoded} {c.n_total_sent} "
+                     f"{c.mi_acc_per_bit.hex()} {when}\n".encode())
+            for tr in c.transmissions:
+                h.update(f" {tr.start_time_s.hex()} {tr.bits_sent} "
+                         f"{tr.rho_applied.hex()}\n".encode())
+    return h.hexdigest()
+
+
+# Clear sky at -2 dB: a classical codeword needs three of its four bursts.
+CLEAR_SKY_ES_DB = -2.0
+
+
+@contextlib.contextmanager
+def quiet_policy_build():
+    """Silence the policy builders' expected warnings: a clear-sky CDF is
+    one sample, and the enhanced table clamps its last round."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "degenerate channel CDF", UserWarning)
+        warnings.filterwarnings("ignore", "transmission .* clamped", UserWarning)
+        yield
+
+
+def record_run(env, scheme, max_tx, spec, table, models, cdfs):
+    """One pinned run: 120 s on a channel track, or 30 s of clear sky."""
+    if env == "clear":
+        cfg = SimConfig(scheme=scheme, clear_sky=True, es_n0_ref_db=CLEAR_SKY_ES_DB,
+                        duration_s=30.0, max_transmissions=max_tx)
+        model, cdf = None, None
+    else:
+        cfg = SimConfig(scheme=scheme, environment=env, es_n0_ref_db=10.0,
+                        duration_s=120.0, max_transmissions=max_tx)
+        model, cdf = models[env], cdfs[env]
+    with quiet_policy_build():
+        return run(cfg, model, spec, table, cdf=cdf)
+
+
+RECORD_CASES = [
+    (env, scheme, max_tx)
+    for env in ("its", "open") for scheme in SCHEMES for max_tx in (1, 4, 6)
+] + [("clear", scheme, 4) for scheme in SCHEMES]
+
+# Recorded from the event loop that tracked unfinished codewords in a dict.
+RECORD_SHA256 = {
+    "its-classical-1": "e47c3682063a21389da3a96a7d1d734fc65f6ff8f9daa270fd1ee1ff728c1330",
+    "its-classical-4": "d889c565703284a1b4e23598cfa922815f9cb5939675918fb7fe407f3ecdb2dc",
+    "its-classical-6": "d889c565703284a1b4e23598cfa922815f9cb5939675918fb7fe407f3ecdb2dc",
+    "its-enhanced-1": "5e03128e559d21c68b248fccca902512fdd20b971d012ed5990cb0fdbf249723",
+    "its-enhanced-4": "10623c4021a660e1585a8069bc3e296faa53cf755f9e5e23cf53611884dfede3",
+    "its-enhanced-6": "10623c4021a660e1585a8069bc3e296faa53cf755f9e5e23cf53611884dfede3",
+    "its-adaptive-1": "5e03128e559d21c68b248fccca902512fdd20b971d012ed5990cb0fdbf249723",
+    "its-adaptive-4": "6ac61829327e055e644fee0766bdf75bffdeb1688533fda0c99bc26dcf9269fb",
+    "its-adaptive-6": "6ac61829327e055e644fee0766bdf75bffdeb1688533fda0c99bc26dcf9269fb",
+    "open-classical-1": "0ae8abde6222f827f98bf8a5518f2d1b88f45875ca1a8d4ded617122de908c6c",
+    "open-classical-4": "70d3fc46485b68afd98d2c5ae223556f567a06cc629a8fa1b2561930d83470d6",
+    "open-classical-6": "70d3fc46485b68afd98d2c5ae223556f567a06cc629a8fa1b2561930d83470d6",
+    "open-enhanced-1": "0de48a5649d56ee7a3a2e5a7ceaa60dd2b68b1fe38b2e19bc310ff91a5151c53",
+    "open-enhanced-4": "506b3ebe024d7be2aeed6c68a5da076a4f51219c6718da759a61745b3132496f",
+    "open-enhanced-6": "506b3ebe024d7be2aeed6c68a5da076a4f51219c6718da759a61745b3132496f",
+    "open-adaptive-1": "0de48a5649d56ee7a3a2e5a7ceaa60dd2b68b1fe38b2e19bc310ff91a5151c53",
+    "open-adaptive-4": "9a33510f5b9a79711858970ff677c67db149fe4133ad2164b7ec7a34dcf5fff0",
+    "open-adaptive-6": "9a33510f5b9a79711858970ff677c67db149fe4133ad2164b7ec7a34dcf5fff0",
+    "clear-classical-4": "14ff274ade9215926109759b5906626f362ceb3ca228ae875152ed30e30b53f3",
+    "clear-enhanced-4": "0f94407f9ed61ac3783fc643e9cd480c7e36cb854e5bb4fd3ebd3d55c746392c",
+    "clear-adaptive-4": "0f94407f9ed61ac3783fc643e9cd480c7e36cb854e5bb4fd3ebd3d55c746392c",
+}
+
+
+@pytest.fixture(scope="module")
+def record_inputs(its_model, open_model, its_calib_cdf, open_calib_cdf):
+    return {"its": its_model, "open": open_model}, {"its": its_calib_cdf, "open": open_calib_cdf}
+
+
+@pytest.mark.parametrize("env, scheme, max_tx", RECORD_CASES)
+def test_codeword_records_are_pinned(env, scheme, max_tx, record_inputs, code_spec, mi_table):
+    log = record_run(env, scheme, max_tx, code_spec, mi_table, *record_inputs)
+    done = [c.id for c in log.codewords]
+    cut = [c.id for c in log.censored]
+    assert done == sorted(done) and cut == sorted(cut)
+    assert sorted(done + cut) == list(range(len(done) + len(cut)))
+    assert record_digest(log) == RECORD_SHA256[f"{env}-{scheme}-{max_tx}"]
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls sim.run makes to a function of lmsharq.sim."""
+    import lmsharq.sim as sim_mod
+
+    calls = []
+    real = getattr(sim_mod, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sim_mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, its_calib_cdf,
+                                           code_spec, mi_table):
+    cfg = SimConfig(scheme=scheme, environment="its", duration_s=60.0)
+    with quiet_policy_build():
+        given = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+        calls = count_calls(monkeypatch, "calibration_cdf")
+        derived = run(cfg, its_model, code_spec, mi_table)
+    assert len(calls) == (scheme != "classical")
+    assert record_digest(derived) == record_digest(given)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_only_threshold_policies_read_the_clear_sky_cdf(scheme, monkeypatch, code_spec, mi_table):
+    calls = count_calls(monkeypatch, "empirical_cdf")
+    cfg = SimConfig(scheme=scheme, clear_sky=True, duration_s=5.0)
+    with quiet_policy_build():
+        run(cfg, None, code_spec, mi_table)
+    assert len(calls) == (scheme != "classical")
+
+
+@pytest.mark.parametrize("schemes, expected", [
+    (("classical",), 0),
+    (("classical", "adaptive"), 1),
+    (SCHEMES, 1),
+])
+def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, monkeypatch, its_model,
+                                                    code_spec, mi_table):
+    calls = count_calls(monkeypatch, "calibration_cdf")
+    base = SimConfig(environment="its", duration_s=5.0)
+    with quiet_policy_build():
+        logs = sweep(base, [10.0], schemes, [1], its_model, spec=code_spec, mi_table=mi_table)
+    assert len(logs) == len(schemes)
+    assert len(calls) == expected
+
+
+def set_collector(enabled):
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_run_restores_the_collector_state(enabled, code_spec, mi_table):
+    was = gc.isenabled()
+    try:
+        set_collector(enabled)
+        run(SimConfig(scheme="classical", clear_sky=True, duration_s=5.0), None, code_spec, mi_table)
+        assert gc.isenabled() is enabled
+    finally:
+        set_collector(was)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_state_survives_a_raising_loop(enabled, monkeypatch, code_spec, mi_table):
+    import lmsharq.sim as sim_mod
+
+    def broken(*args):
+        raise RuntimeError("decoder failed")
+
+    monkeypatch.setattr(sim_mod, "is_decodable", broken)
+    was = gc.isenabled()
+    try:
+        set_collector(enabled)
+        with pytest.raises(RuntimeError, match="decoder failed"):
+            run(SimConfig(scheme="classical", clear_sky=True, duration_s=5.0), None, code_spec, mi_table)
+        assert gc.isenabled() is enabled
+    finally:
+        set_collector(was)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("env, max_tx", [("its", 1), ("its", 4), ("its", 6), ("clear", 4)])
+def test_a_run_leaves_no_cyclic_garbage(scheme, env, max_tx, record_inputs, code_spec, mi_table):
+    """sim.run pauses the collector during its loop; that is only safe
+    while a run makes no reference cycles for it to find."""
+    was = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        log = record_run(env, scheme, max_tx, code_spec, mi_table, *record_inputs)
+        assert log.codewords
+        del log
+        assert gc.collect() == 0
+    finally:
+        set_collector(was)
