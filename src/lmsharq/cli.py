@@ -14,6 +14,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from lmsharq import metrics, presets, sim
 from lmsharq.channel import empirical_cdf, generate_series
 from lmsharq.errors import ConfigError
@@ -98,6 +100,17 @@ def _metric_row(log, n_bins: int) -> list[str]:
     )
 
 
+def _note_capped_horizon(requested: int, logs) -> None:
+    """One stderr line when a policy's table held runs below max_transmissions."""
+    capped = [lg.effective_max_transmissions for lg in logs
+              if lg.effective_max_transmissions < requested]
+    if capped:
+        lo, hi = min(capped), max(capped)
+        at = str(lo) if lo == hi else f"{lo} to {hi}"
+        print(f"note: max_transmissions {requested} capped at {at} by the policy table"
+              f" in {len(capped)} of {len(logs)} runs", file=sys.stderr)
+
+
 def _sweep_header(n_bins: int):
     return SWEEP_HEADER + tuple(f"p{j}" for j in range(1, n_bins + 1)) + ("wer", "seed")
 
@@ -139,6 +152,7 @@ def cmd_run(args) -> int:
     config = replace(_config(args), es_n0_ref_db=args.es_n0_db)
     model, spec, mi_table = _prepared(config)
     log = run(config, model, spec, mi_table)
+    _note_capped_horizon(config.max_transmissions, [log])
     m = metrics.RunMetrics.from_log(log)
     print(f"scheme = {m.scheme}")
     print(f"environment = {config.environment}")
@@ -153,16 +167,19 @@ def cmd_run(args) -> int:
     for j, frac in enumerate(m.decode_fraction_per_transmission, start=1):
         print(f"p{j} = {_fmt(frac)}")
     if args.codewords_csv:
+        # every codeword has a burst, so the sorted unique ids are 0..n-1
+        _, first_burst = np.unique(log.burst_codeword, return_index=True)
+        ids = np.flatnonzero(log.finished)
         rows = (
-            (
-                c.id,
-                int(c.decoded),
-                c.n_transmissions,
-                c.n_total_sent,
-                _fmt(c.transmissions[0].start_time_s),
-                _fmt(c.decode_time_s) if c.decode_time_s is not None else "",
+            (c, int(not math.isnan(when)), j, sent, _fmt(start),
+             "" if math.isnan(when) else _fmt(when))
+            for c, j, sent, start, when in zip(
+                ids.tolist(),
+                log.n_transmissions[ids].tolist(),
+                log.n_total_sent[ids].tolist(),
+                log.burst_start_s[first_burst[ids]].tolist(),
+                log.decode_time_s[ids].tolist(),
             )
-            for c in log.codewords
         )
         _write_rows(
             Path(args.codewords_csv),
@@ -185,6 +202,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("schemes, esn0 and seeds must all be non-empty")
     model, spec, mi_table = _prepared(config)
     logs = sweep(config, es_list, schemes, seeds, model, spec=spec, mi_table=mi_table)
+    _note_capped_horizon(config.max_transmissions, logs)
     n_bins = config.max_transmissions
     _write_rows(Path(args.out), _sweep_header(n_bins), (_metric_row(lg, n_bins) for lg in logs))
     print(f"wrote {len(logs)} rows to {args.out}")

@@ -16,13 +16,6 @@ from lmsharq.errors import DataError
 from lmsharq.sim import RunLog, SimConfig
 
 
-def efficiency(log: RunLog) -> float:
-    """Delivered data bits per transmitted channel symbol."""
-    if log.total_symbols == 0:
-        raise DataError("empty run log: no symbols were transmitted")
-    return log.data_bits * log.decoded / log.total_symbols
-
-
 def delay(n_bits_total: int, n_transmissions: int, config: SimConfig) -> float:
     """HARQ completion delay of a single codeword, in seconds.
 
@@ -35,33 +28,6 @@ def delay(n_bits_total: int, n_transmissions: int, config: SimConfig) -> float:
         raise DataError("a decoded codeword has at least one transmission")
     airtime = n_bits_total / config.bit_rate_bps
     return airtime + (2 * (n_transmissions - 1) + 1) * config.t_propag_s
-
-
-def delay_s(log: RunLog) -> float:
-    """Mean completion delay over decoded codewords, in seconds."""
-    delays = [
-        delay(c.n_total_sent, c.n_transmissions, log.config)
-        for c in log.codewords
-        if c.decoded
-    ]
-    if not delays:
-        return float("nan")
-    return float(np.mean(delays))
-
-
-def decode_histogram(log: RunLog) -> np.ndarray:
-    """Fraction of codewords first decoded at each transmission round.
-
-    Entry k (0-based) is the fraction of completed codewords decoded
-    on round k+1. The entries plus the word error rate sum to one.
-    """
-    bins = np.zeros(log.effective_max_transmissions)
-    for c in log.codewords:
-        if c.decoded:
-            bins[c.n_transmissions - 1] += 1
-    if log.generated:
-        bins /= log.generated
-    return bins
 
 
 @dataclass(frozen=True)
@@ -85,38 +51,35 @@ class RunMetrics:
 
     @classmethod
     def from_log(cls, log: RunLog) -> "RunMetrics":
-        """All figures of a run in one walk over its codewords.
+        """All figures of a run, reduced over its codeword columns.
 
-        Equal to the fields of efficiency, delay_s and decode_histogram,
-        with the same float operations in the same order.
+        The delays are formed elementwise in codeword id order, with the
+        float operations of delay(), so every figure is the same to the
+        last bit as a per-codeword reduction.
         """
         if log.total_symbols == 0:
             raise DataError("empty run log: no symbols were transmitted")
         config = log.config
-        bit_rate, t_propag = config.bit_rate_bps, config.t_propag_s
-        counts = [0] * log.effective_max_transmissions
-        delays = []
-        for c in log.codewords:
-            if c.decoded:
-                j = len(c.transmissions)
-                if j < 1:
-                    raise DataError("a decoded codeword has at least one transmission")
-                counts[j - 1] += 1
-                delays.append(c.n_total_sent / bit_rate + (2 * (j - 1) + 1) * t_propag)
-        n = len(log.codewords)
-        decoded = len(delays)
-        bins = np.array(counts, dtype=float)
+        decoded = ~np.isnan(log.decode_time_s)
+        rounds = log.n_transmissions[decoded]
+        if rounds.size and rounds.min() < 1:
+            raise DataError("a decoded codeword has at least one transmission")
+        n = int(np.count_nonzero(log.finished))
+        n_decoded = int(rounds.size)
+        bins = np.bincount(rounds - 1, minlength=log.effective_max_transmissions).astype(float)
         if n:
             bins /= n
+        delays = (log.n_total_sent[decoded] / config.bit_rate_bps
+                  + (2 * (rounds - 1) + 1) * config.t_propag_s)
         return cls(
             scheme=config.scheme,
             es_n0_ref_db=config.es_n0_ref_db,
             seed=config.seed,
             generated=n,
-            decoded=decoded,
-            censored=len(log.censored),
-            wer=(n - decoded) / n if n else float("nan"),
-            efficiency_bits_per_symbol=log.data_bits * decoded / log.total_symbols,
-            mean_delay_s=float(np.mean(delays)) if delays else float("nan"),
+            decoded=n_decoded,
+            censored=len(log.finished) - n,
+            wer=(n - n_decoded) / n if n else float("nan"),
+            efficiency_bits_per_symbol=log.data_bits * n_decoded / log.total_symbols,
+            mean_delay_s=float(np.mean(delays)) if n_decoded else float("nan"),
             decode_fraction_per_transmission=tuple(bins),
         )

@@ -79,7 +79,7 @@ class StaticBitTable:
     def __len__(self):
         return len(self.n_sent)
 
-    def bits(self, state: CodewordState, j: int) -> int:
+    def bits(self, j: int, n_total_sent: int = 0, mi_acc_per_bit: float = 0.0) -> int:
         """Bits of transmission j, whatever the codeword has received."""
         if j < 1:
             raise ValueError("transmission index starts at 1")
@@ -145,23 +145,12 @@ def mi_update(
     if rho <= 0.0:
         raise ValueError("rho must be positive")
     mi_burst = mi_of(mi_table, rho * rho * es_n0_ref_linear)
-    fold_burst(state, start_time_s, bits_sent, rho, mi_burst)
-    return state
-
-
-def fold_burst(
-    state: CodewordState, start_time_s: float, bits_sent: int, rho: float, mi_burst: float
-) -> None:
-    """Fold a burst of known per-bit MI into the bit-weighted mean, unchecked.
-
-    The arithmetic behind mi_update, for callers that already validated
-    the burst and looked up its MI.
-    """
     n_prev = state.n_total_sent
     n_new = n_prev + bits_sent
     state.mi_acc_per_bit = (n_prev * state.mi_acc_per_bit + bits_sent * mi_burst) / n_new
     state.n_total_sent = n_new
     state.transmissions.append(Transmission(start_time_s, bits_sent, rho))
+    return state
 
 
 def conditional_prob(table: DecodingProbTable, j: int) -> float:
@@ -216,12 +205,14 @@ class AdaptivePolicy:
     def __len__(self):
         return len(self.mi_needed_per_bit)
 
-    def bits(self, state: CodewordState, j: int) -> int:
+    def bits(self, j: int, n_total_sent: int = 0, mi_acc_per_bit: float = 0.0) -> int:
         """Bits of transmission j so the MI deficit closes at its threshold.
 
-        Whole symbols only, at least one symbol, never more than what is
-        left of the mother codeword. Raises SchemeExhausted past the last
-        threshold or once the mother codeword is fully consumed.
+        n_total_sent and mi_acc_per_bit describe what the undecoded
+        codeword has received so far. Whole symbols only, at least one
+        symbol, never more than what is left of the mother codeword.
+        Raises SchemeExhausted past the last threshold or once the mother
+        codeword is fully consumed.
         """
         if j < 1:
             raise ValueError("transmission index starts at 1")
@@ -231,12 +222,10 @@ class AdaptivePolicy:
             raise SchemeExhausted(
                 f"transmission {j} beyond {len(self.mi_needed_per_bit)} thresholds"
             ) from None
-        if state.decoded:
-            raise ValueError("codeword already decoded")
-        remaining = self.spec.mother_codeword_bits - state.n_total_sent
+        remaining = self.spec.mother_codeword_bits - n_total_sent
         if remaining < MODULATION_BITS:
-            raise SchemeExhausted(f"codeword {state.id}: mother codeword exhausted")
-        deficit = self.spec.mi_budget - state.n_total_sent * state.mi_acc_per_bit
+            raise SchemeExhausted("mother codeword exhausted")
+        deficit = self.spec.mi_budget - n_total_sent * mi_acc_per_bit
         return min(_ceil_to_symbol(deficit / mi_needed_per_bit), remaining)
 
 

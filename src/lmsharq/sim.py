@@ -9,7 +9,7 @@ has arrived take priority over new codewords.
 
 from __future__ import annotations
 
-import gc
+import math
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -25,13 +25,11 @@ from lmsharq.mi import MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     PROB_PRESETS,
     AdaptivePolicy,
-    CodewordState,
     DecodingProbTable,
     SchemeExhausted,
     build_enhanced_table,
     conditional_prob,
     equal_split,
-    fold_burst,
     mi_needed,
     mi_update,  # noqa: F401  bound here for bench/spans.py, which wraps it by name
 )
@@ -79,16 +77,26 @@ class SimConfig:
 
 @dataclass
 class RunLog:
-    """Outcome of one run: per-codeword records plus link totals.
+    """Outcome of one run: per-codeword and per-burst columns plus link totals.
 
-    codewords holds every codeword whose HARQ exchange finished inside
-    the horizon; censored holds the ones cut off by the end of the run
-    (their bursts still count in the totals).
+    Codeword columns are indexed by codeword id; ids follow the order of
+    each codeword's first burst. finished is False for the codewords cut
+    off by the end of the run (their bursts still count in the totals),
+    and decode_time_s is NaN for every codeword that did not decode.
+    Burst columns are in transmission order; burst_codeword is the id of
+    the codeword each burst belongs to.
     """
 
     config: SimConfig
-    codewords: list
-    censored: list
+    n_total_sent: np.ndarray
+    mi_acc_per_bit: np.ndarray
+    n_transmissions: np.ndarray
+    decode_time_s: np.ndarray
+    finished: np.ndarray
+    burst_start_s: np.ndarray
+    burst_bits: np.ndarray
+    burst_rho: np.ndarray
+    burst_codeword: np.ndarray
     total_bits: int
     total_symbols: int
     effective_max_transmissions: int
@@ -96,11 +104,11 @@ class RunLog:
 
     @property
     def generated(self) -> int:
-        return len(self.codewords)
+        return int(np.count_nonzero(self.finished))
 
     @property
     def decoded(self) -> int:
-        return sum(1 for c in self.codewords if c.decoded)
+        return int(np.count_nonzero(~np.isnan(self.decode_time_s)))
 
 
 def calibration_cdf(model: LmsModel) -> EmpiricalCdf:
@@ -152,10 +160,9 @@ def run(
                 for j in range(1, min(config.max_transmissions, len(probs)) + 1)
             ))
     horizon = min(config.max_transmissions, len(policy))
-    first_bits = policy.bits(CodewordState(id=-1), 1)
+    first_bits = policy.bits(1)
 
     dt = series.sample_dt_s
-    rho_samples = series.rho.tolist()
     mi_samples = mi_of(mi_table, series.rho * series.rho * es_n0_lin).tolist()
 
     bit_rate = config.bit_rate_bps
@@ -163,69 +170,77 @@ def run(
     t_propag = config.t_propag_s
     rtt = config.rtt_s
     policy_bits = policy.bits
+    # Flat columns hold only ints and floats, which the cyclic collector
+    # does not track: a run leaves it nothing per burst or codeword to walk.
+    n_sent: list[int] = []  # per codeword id
+    mi_acc: list[float] = []
+    n_tx: list[int] = []
+    decode_time: list[float] = []
+    burst_start: list[float] = []  # per burst, in transmission order
+    burst_bits: list[int] = []
+    burst_k: list[int] = []
+    burst_cw: list[int] = []
     t = 0.0
-    next_id = 0
-    total_bits = 0
-    completed: list[CodewordState] = []
-    pending: deque = deque()  # (ready_time_s, state, bits_next)
-    cw = None  # the codeword whose burst no longer fits, if any
+    pending: deque = deque()  # (ready_time_s, codeword id, bits_next)
+    c = -1  # the codeword whose burst no longer fits, or -1 for a new one
 
-    # The loop allocates one CodewordState and its burst list per codeword
-    # and a Transmission per burst, about 100k tracked objects in a 600 s
-    # run. None of them is part of a reference cycle (a state holds its
-    # list, the list its bursts, nothing points back), so the collector's
-    # passes over them find nothing to free; pausing it skips those passes
-    # and delays no deallocation, which refcounting does.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        while True:
-            if pending and pending[0][0] <= t:
-                _, cw, bits = pending.popleft()
+    while True:
+        if pending and pending[0][0] <= t:
+            _, c, bits = pending.popleft()
+        else:
+            c, bits = -1, first_bits
+        airtime = bits / bit_rate
+        if t + airtime > duration:
+            break
+        if c < 0:
+            c = len(n_sent)
+            n_sent.append(0)
+            mi_acc.append(0.0)
+            n_tx.append(0)
+            decode_time.append(math.nan)
+
+        k = int(t / dt)  # the sample active at the burst's start
+        n_prev = n_sent[c]
+        n_new = n_prev + bits
+        acc = (n_prev * mi_acc[c] + bits * mi_samples[k]) / n_new
+        n_sent[c] = n_new
+        mi_acc[c] = acc
+        j = n_tx[c] + 1
+        n_tx[c] = j
+        burst_start.append(t)
+        burst_bits.append(bits)
+        burst_k.append(k)
+        burst_cw.append(c)
+
+        if is_decodable(spec, n_new, acc):
+            decode_time[c] = t + airtime + t_propag
+        elif j < horizon:
+            try:
+                bits_next = policy_bits(j + 1, n_new, acc)
+            except SchemeExhausted:
+                pass
             else:
-                cw, bits = None, first_bits
-            airtime = bits / bit_rate
-            if t + airtime > duration:
-                break
-            if cw is None:
-                cw = CodewordState(id=next_id)
-                next_id += 1
-
-            k = int(t / dt)  # the sample active at the burst's start
-            fold_burst(cw, t, bits, rho_samples[k], mi_samples[k])
-            total_bits += bits
-            j = len(cw.transmissions)
-            receive_time = t + airtime + t_propag
-
-            if is_decodable(spec, cw.n_total_sent, cw.mi_acc_per_bit):
-                cw.decoded = True
-                cw.decode_time_s = receive_time
-                completed.append(cw)
-            elif j >= horizon:
-                completed.append(cw)
-            else:
-                try:
-                    bits_next = policy_bits(cw, j + 1)
-                except SchemeExhausted:
-                    completed.append(cw)
-                else:
-                    pending.append((t + airtime + rtt, cw, bits_next))
-            t += airtime
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+                pending.append((t + airtime + rtt, c, bits_next))
+        t += airtime
 
     # cut off: every codeword still queued, plus the one the horizon stopped
-    censored = [c for _, c, _ in pending]
-    if cw is not None:
-        censored.append(cw)
-    censored.sort(key=lambda c: c.id)
-    completed.sort(key=lambda c: c.id)
+    finished = np.ones(len(n_sent), dtype=bool)
+    finished[[q for _, q, _ in pending]] = False
+    if c >= 0:
+        finished[c] = False
+    total_bits = sum(burst_bits)
     assert total_bits % 2 == 0
     return RunLog(
         config=config,
-        codewords=completed,
-        censored=censored,
+        n_total_sent=np.array(n_sent, dtype=np.int64),
+        mi_acc_per_bit=np.array(mi_acc, dtype=float),
+        n_transmissions=np.array(n_tx, dtype=np.int64),
+        decode_time_s=np.array(decode_time, dtype=float),
+        finished=finished,
+        burst_start_s=np.array(burst_start, dtype=float),
+        burst_bits=np.array(burst_bits, dtype=np.int64),
+        burst_rho=series.rho[np.array(burst_k, dtype=np.intp)],
+        burst_codeword=np.array(burst_cw, dtype=np.int64),
         total_bits=total_bits,
         total_symbols=total_bits // 2,
         effective_max_transmissions=horizon,

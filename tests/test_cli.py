@@ -172,3 +172,78 @@ def test_cases_figure_calibrates_once(tmp_path, monkeypatch):
     assert hashlib.sha256((tmp_path / "cases-its.csv").read_bytes()).hexdigest() == (
         "b51cfc2aa4cba41a1a5ff9e20fa3aaf063298a44a5d5b2670c55e9be75405c4d"
     )
+
+
+# sha256 of `lmsharq run --codewords-csv` files, recorded from the event loop
+# that kept a CodewordState per codeword; the second run ends with 10
+# codewords cut off, which the file leaves out.
+CODEWORDS_CSV_SHA256 = {
+    ("adaptive", "its", "10", "7"):
+        "c02b95bc97854a7375833017c96a8ecaf1f38e6a37e4a6d189bb619180ada1bc",
+    ("classical", "its", "7", "3"):
+        "6b02cee4a3543a6f9042b3d0a96f4d52c6fa5fd25eb4395ce217218d5fdad254",
+}
+
+
+@pytest.mark.parametrize("scheme, env, esn0, seed", sorted(CODEWORDS_CSV_SHA256))
+def test_codewords_csv_bytes_are_pinned(scheme, env, esn0, seed, tmp_path, capsys):
+    out = tmp_path / "codewords.csv"
+    assert main(["run", "--scheme", scheme, "--env", env, "--esn0", esn0, "--seed", seed,
+                 "--duration-s", "60", "--codewords-csv", str(out)]) == 0
+    assert "censored = " in capsys.readouterr().out
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == CODEWORDS_CSV_SHA256[scheme, env, esn0, seed]
+
+
+CAPPED_RUN_STDOUT = """\
+scheme = classical
+environment = open
+es_n0_db = 8
+seed = 1
+generated = 16590
+decoded = 16590
+censored = 8
+wer = 0
+efficiency_bits_per_symbol = 0.986575
+mean_delay_s = 0.46165
+p1 = 0.649186
+p2 = 0.350633
+p3 = 0.000180832
+p4 = 0
+"""
+
+
+def test_run_notes_the_capped_horizon_on_stderr(tmp_path, capsys):
+    out = tmp_path / "codewords.csv"
+    argv = ["run", "--scheme", "classical", "--env", "open", "--esn0", "8",
+            "--max-transmissions", "6"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == CAPPED_RUN_STDOUT
+    assert captured.err == (
+        "note: max_transmissions 6 capped at 4 by the policy table in 1 of 1 runs\n"
+    )
+    assert main(argv + ["--codewords-csv", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "4cb466064ff023c709bbd99e1bafcb9050332873952ef29329ae7564d9a94542"
+    )
+
+
+def test_sweep_notes_the_capped_horizon_on_stderr(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--env", "open", "--esn0", "8", "--max-transmissions", "6",
+                 "--duration-s", "60", "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote 3 rows to {out}\n"
+    assert captured.err == (
+        "note: max_transmissions 6 capped at 4 by the policy table in 3 of 3 runs\n"
+    )
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        "e98bcafc7f0e183197ffb65b9ec462e4c16a05484532f0f08510524e57e9d19b"
+    )
+
+
+def test_an_uncapped_run_writes_no_note(capsys):
+    assert main(["run", "--scheme", "classical", "--env", "open", "--esn0", "8",
+                 "--duration-s", "5"]) == 0
+    assert capsys.readouterr().err == ""

@@ -137,8 +137,7 @@ def test_mi_requirement_tracks_wer_target(mi_table):
 
 def test_undecodable_state_demands_more_bits(mi_table, code_spec):
     # consistency between the decode test and the adaptive sizing rule
-    from lmsharq.schemes import AdaptivePolicy, CodewordState
+    from lmsharq.schemes import AdaptivePolicy
 
-    state = CodewordState(id=0, n_total_sent=13_380, mi_acc_per_bit=0.5)
-    if not is_decodable(code_spec, state.n_total_sent, state.mi_acc_per_bit):
-        assert AdaptivePolicy(code_spec, (0.8,)).bits(state, 1) > 0
+    if not is_decodable(code_spec, 13_380, 0.5):
+        assert AdaptivePolicy(code_spec, (0.8,)).bits(1, 13_380, 0.5) > 0

@@ -3,34 +3,39 @@
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from lmsharq.errors import DataError
-from lmsharq.metrics import RunMetrics, decode_histogram, delay, delay_s, efficiency
-from lmsharq.schemes import CodewordState, Transmission
+from lmsharq.metrics import RunMetrics, delay
 from lmsharq.sim import RunLog, SimConfig
 
 CFG = SimConfig(clear_sky=True, duration_s=30.0)
 PEAK_EFFICIENCY = 8920 / 6690
 
 
-def make_cw(cid, bits_list, decoded=True):
-    cw = CodewordState(id=cid)
-    for i, bits in enumerate(bits_list):
-        cw.transmissions.append(Transmission(0.1 * i, bits, 1.0))
-        cw.n_total_sent += bits
-    cw.decoded = decoded
-    if decoded:
-        cw.decode_time_s = 0.1 * len(bits_list)
-    return cw
+def make_cw(bits_list, decoded=True):
+    """One finished codeword: its burst sizes and whether the last decoded."""
+    return list(bits_list), decoded
 
 
 def make_log(codewords, horizon=4):
-    total = sum(c.n_total_sent for c in codewords)
+    """A log of finished codewords whose bursts follow each other in id order."""
+    bits = [b for sizes, _ in codewords for b in sizes]
+    owner = [c for c, (sizes, _) in enumerate(codewords) for _ in sizes]
+    total = sum(bits)
     return RunLog(
         config=CFG,
-        codewords=list(codewords),
-        censored=[],
+        n_total_sent=np.array([sum(sizes) for sizes, _ in codewords], dtype=np.int64),
+        mi_acc_per_bit=np.zeros(len(codewords)),
+        n_transmissions=np.array([len(sizes) for sizes, _ in codewords], dtype=np.int64),
+        decode_time_s=np.array([0.1 * len(sizes) if ok else math.nan
+                                for sizes, ok in codewords], dtype=float),
+        finished=np.ones(len(codewords), dtype=bool),
+        burst_start_s=0.1 * np.arange(len(bits), dtype=float),
+        burst_bits=np.array(bits, dtype=np.int64),
+        burst_rho=np.ones(len(bits)),
+        burst_codeword=np.array(owner, dtype=np.int64),
         total_bits=total,
         total_symbols=total // 2,
         effective_max_transmissions=horizon,
@@ -38,19 +43,56 @@ def make_log(codewords, horizon=4):
     )
 
 
+# Per-codeword references for RunMetrics.from_log, one figure each.
+
+def decoded_codewords(log):
+    """(n_total_sent, n_transmissions) of each decoded codeword, in id order."""
+    return [
+        (sent, j)
+        for sent, j, when, done in zip(log.n_total_sent.tolist(), log.n_transmissions.tolist(),
+                                       log.decode_time_s.tolist(), log.finished.tolist())
+        if done and not math.isnan(when)
+    ]
+
+
+def efficiency(log):
+    """Delivered data bits per transmitted channel symbol."""
+    if log.total_symbols == 0:
+        raise DataError("empty run log: no symbols were transmitted")
+    return log.data_bits * log.decoded / log.total_symbols
+
+
+def delay_s(log):
+    """Mean completion delay over decoded codewords, in seconds."""
+    delays = [delay(sent, j, log.config) for sent, j in decoded_codewords(log)]
+    if not delays:
+        return float("nan")
+    return float(np.mean(delays))
+
+
+def decode_histogram(log):
+    """Fraction of finished codewords first decoded at each round."""
+    bins = np.zeros(log.effective_max_transmissions)
+    for _, j in decoded_codewords(log):
+        bins[j - 1] += 1
+    if log.generated:
+        bins /= log.generated
+    return bins
+
+
 def test_single_codeword_efficiency_is_exact():
-    log = make_log([make_cw(0, [13380])])
+    log = make_log([make_cw([13380])])
     assert efficiency(log) == PEAK_EFFICIENCY
 
 
 def test_nothing_decoded_means_zero_efficiency():
-    log = make_log([make_cw(0, [13380], decoded=False)])
+    log = make_log([make_cw([13380], decoded=False)])
     assert efficiency(log) == 0.0
 
 
 def test_doubling_the_spent_bits_halves_efficiency():
-    one = make_log([make_cw(0, [13380])])
-    two = make_log([make_cw(0, [13380, 13380])])
+    one = make_log([make_cw([13380])])
+    two = make_log([make_cw([13380, 13380])])
     assert efficiency(two) == efficiency(one) / 2.0
 
 
@@ -78,12 +120,12 @@ def test_delay_needs_at_least_one_transmission():
 
 
 def test_mean_delay_is_nan_when_nothing_decodes():
-    log = make_log([make_cw(0, [13380], decoded=False)])
+    log = make_log([make_cw([13380], decoded=False)])
     assert math.isnan(delay_s(log))
 
 
 def test_histogram_of_a_first_round_decode():
-    log = make_log([make_cw(0, [13380])])
+    log = make_log([make_cw([13380])])
     bins = decode_histogram(log)
     assert bins.tolist() == [1.0, 0.0, 0.0, 0.0]
     m = RunMetrics.from_log(log)
@@ -92,7 +134,7 @@ def test_histogram_of_a_first_round_decode():
 
 
 def test_summary_bundle_fields():
-    log = make_log([make_cw(0, [13380]), make_cw(1, [13380, 6000], decoded=False)])
+    log = make_log([make_cw([13380]), make_cw([13380, 6000], decoded=False)])
     m = RunMetrics.from_log(log)
     assert (m.scheme, m.seed) == ("adaptive", 1)
     assert m.es_n0_ref_db == 10.0
@@ -176,7 +218,7 @@ def standalone_metrics(log):
         seed=log.config.seed,
         generated=n,
         decoded=log.decoded,
-        censored=len(log.censored),
+        censored=int(np.count_nonzero(~log.finished)),
         wer=(n - log.decoded) / n if n else float("nan"),
         efficiency_bits_per_symbol=efficiency(log),
         mean_delay_s=delay_s(log),
@@ -210,9 +252,9 @@ def test_from_log_equals_the_standalone_metrics_when_nothing_decodes(code_spec, 
 
 
 @pytest.mark.parametrize("codewords", [
-    [make_cw(0, [13380]), make_cw(1, [13380, 6000], decoded=False)],
-    [make_cw(0, [13380, 13380, 13380]), make_cw(1, [13380]), make_cw(2, [6000, 6000])],
-    [make_cw(0, [13380], decoded=False)],
+    [make_cw([13380]), make_cw([13380, 6000], decoded=False)],
+    [make_cw([13380, 13380, 13380]), make_cw([13380]), make_cw([6000, 6000])],
+    [make_cw([13380], decoded=False)],
 ])
 def test_from_log_equals_the_standalone_metrics_on_built_logs(codewords):
     log = make_log(codewords)

@@ -210,31 +210,28 @@ def test_threshold_domain_and_degenerate_warning(small_cdf, mi_table):
 
 def test_sizing_clamps_to_the_remaining_budget():
     spec = CodeSpec(mi_req_per_bit=0.9)
-    state = CodewordState(id=0, n_total_sent=13380, mi_acc_per_bit=0.5)
     # raw need (48168 - 6690) / 0.8 = 51847.5, above the 40140 left
-    assert AdaptivePolicy(spec, (0.8,)).bits(state, 1) == 40140
+    assert AdaptivePolicy(spec, (0.8,)).bits(1, 13380, 0.5) == 40140
 
 
 def test_sizing_of_a_fresh_codeword_at_unit_threshold():
     spec = CodeSpec(mi_req_per_bit=0.9)
-    state = CodewordState(id=0)
-    assert AdaptivePolicy(spec, (1.0,)).bits(state, 1) == _ceil_to_symbol(53520 * 0.9)
-    assert AdaptivePolicy(spec, (1.0,)).bits(state, 1) == 48168
+    assert AdaptivePolicy(spec, (1.0,)).bits(1) == _ceil_to_symbol(53520 * 0.9)
+    assert AdaptivePolicy(spec, (1.0,)).bits(1, 0, 0.0) == 48168
 
 
 def test_sizing_raises_once_the_mother_code_is_spent():
     spec = CodeSpec(mi_req_per_bit=0.9)
-    state = CodewordState(id=0, n_total_sent=53520, mi_acc_per_bit=0.2)
     with pytest.raises(SchemeExhausted):
-        AdaptivePolicy(spec, (0.5,)).bits(state, 1)
+        AdaptivePolicy(spec, (0.5,)).bits(1, 53520, 0.2)
 
 
 def test_sizing_rejects_bad_inputs():
     spec = CodeSpec(mi_req_per_bit=0.9)
     with pytest.raises(ValueError):
-        AdaptivePolicy(spec, (0.0,)).bits(CodewordState(id=0), 1)
+        AdaptivePolicy(spec, (0.0,)).bits(1)
     with pytest.raises(ValueError):
-        AdaptivePolicy(spec, (0.5,)).bits(CodewordState(id=0, decoded=True), 1)
+        AdaptivePolicy(spec, (-0.5,))
 
 
 @settings(derandomize=True, deadline=None)
@@ -245,8 +242,7 @@ def test_sizing_rejects_bad_inputs():
 )
 def test_sizing_is_positive_even_and_within_budget(sent, acc, mi):
     spec = CodeSpec(mi_req_per_bit=0.243)
-    state = CodewordState(id=0, n_total_sent=sent, mi_acc_per_bit=acc)
-    bits = AdaptivePolicy(spec, (mi,)).bits(state, 1)
+    bits = AdaptivePolicy(spec, (mi,)).bits(1, sent, acc)
     assert bits >= 2
     assert bits % 2 == 0
     assert bits <= spec.mother_codeword_bits - sent
@@ -254,19 +250,18 @@ def test_sizing_is_positive_even_and_within_budget(sent, acc, mi):
 
 def test_sizing_is_pure():
     spec = CodeSpec(mi_req_per_bit=0.243)
-    state = CodewordState(id=0, n_total_sent=13380, mi_acc_per_bit=0.2)
     policy = AdaptivePolicy(spec, (0.5,))
-    assert policy.bits(state, 1) == policy.bits(state, 1)
+    assert policy.bits(1, 13380, 0.2) == policy.bits(1, 13380, 0.2)
 
 
 def test_fixed_table_lookup():
     table = equal_split(CodeSpec())
-    state = CodewordState(id=0)
-    assert [table.bits(state, j) for j in (1, 2, 3, 4)] == [13380] * 4
+    assert [table.bits(j) for j in (1, 2, 3, 4)] == [13380] * 4
+    assert table.bits(2, 13380, 0.9) == 13380
     with pytest.raises(SchemeExhausted):
-        table.bits(state, 5)
+        table.bits(5)
     with pytest.raises(ValueError):
-        table.bits(state, 0)
+        table.bits(0)
 
 
 @pytest.mark.parametrize(
@@ -278,12 +273,11 @@ def test_fixed_table_lookup():
     ids=["static", "adaptive"],
 )
 def test_policies_reject_rounds_outside_their_table(policy):
-    state = CodewordState(id=0)
     assert len(policy) == 4
     with pytest.raises(ValueError, match="starts at 1"):
-        policy.bits(state, 0)
+        policy.bits(0)
     with pytest.raises(SchemeExhausted):
-        policy.bits(state, 5)
+        policy.bits(5)
 
 
 def test_offline_table_without_channel_uncertainty(mi_table, code_spec):

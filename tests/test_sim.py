@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmsharq.channel import AttenuationSeries, generate_series
 from lmsharq.errors import ConfigError
@@ -43,11 +45,16 @@ def enhanced_run(its_model, its_calib_cdf, code_spec, mi_table):
     return run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
 
 
-def all_bursts(log):
-    out = []
-    for cw in list(log.codewords) + list(log.censored):
-        out.extend(cw.transmissions)
-    return sorted(out, key=lambda tr: tr.start_time_s)
+def bursts_by_codeword(log):
+    """Each codeword's bursts as (start_s, bits, rho) tuples, in id order."""
+    order = np.argsort(log.burst_codeword, kind="stable")
+    bursts = list(zip(log.burst_start_s[order].tolist(), log.burst_bits[order].tolist(),
+                      log.burst_rho[order].tolist()))
+    out, at = [], 0
+    for n in log.n_transmissions.tolist():
+        out.append(bursts[at:at + n])
+        at += n
+    return out
 
 
 def test_config_consistency_checks():
@@ -85,8 +92,9 @@ def test_no_fades_decode_on_first_transmission(code_spec, mi_table):
     cfg = SimConfig(clear_sky=True, es_n0_ref_db=10.0, duration_s=30.0)
     log = run(cfg, None, code_spec, mi_table)
     assert log.generated > 500
-    assert not log.censored
-    assert all(c.decoded and c.n_transmissions == 1 for c in log.codewords)
+    assert log.finished.all()
+    assert log.decoded == log.generated
+    assert (log.n_transmissions == 1).all()
 
 
 def test_classical_splits_a_shorter_mother_codeword(code_spec, mi_table):
@@ -97,8 +105,9 @@ def test_classical_splits_a_shorter_mother_codeword(code_spec, mi_table):
                     es_n0_ref_db=10.0 * math.log10(es_lin), duration_s=30.0)
     log = run(cfg, None, spec, mi_table)
     assert log.generated > 100
-    assert all(c.decoded for c in log.codewords)
-    sent = {tuple(tr.bits_sent for tr in c.transmissions) for c in log.codewords}
+    assert log.decoded == log.generated
+    sent = {tuple(b for _, b, _ in bursts)
+            for bursts, done in zip(bursts_by_codeword(log), log.finished) if done}
     assert sent == {(6690,) * 4}
 
 
@@ -112,45 +121,48 @@ def test_saturated_link_uses_the_whole_duration(classical_run):
 
 def test_forward_link_never_overlaps(its_run):
     rate = its_run.config.bit_rate_bps
-    bursts = all_bursts(its_run)
+    starts = its_run.burst_start_s.tolist()
+    bits = its_run.burst_bits.tolist()
+    assert starts == sorted(starts)
     total_airtime = 0.0
-    for prev, nxt in zip(bursts, bursts[1:]):
-        assert nxt.start_time_s >= prev.start_time_s + prev.bits_sent / rate - TOL
-    for tr in bursts:
-        total_airtime += tr.bits_sent / rate
+    for i in range(1, len(starts)):
+        assert starts[i] >= starts[i - 1] + bits[i - 1] / rate - TOL
+    for b in bits:
+        total_airtime += b / rate
     assert total_airtime <= its_run.config.duration_s + TOL
 
 
 def test_feedback_causality(its_run):
     cfg = its_run.config
-    for cw in list(its_run.codewords) + list(its_run.censored):
-        for prev, nxt in zip(cw.transmissions, cw.transmissions[1:]):
-            gap = prev.start_time_s + prev.bits_sent / cfg.bit_rate_bps + cfg.rtt_s
-            assert nxt.start_time_s >= gap - TOL
+    for bursts in bursts_by_codeword(its_run):
+        for (t0, b0, _), (t1, _, _) in zip(bursts, bursts[1:]):
+            assert t1 >= t0 + b0 / cfg.bit_rate_bps + cfg.rtt_s - TOL
 
 
 def replayed_decisions(log, spec, mi_table):
     """Re-derive each codeword's decode verdicts from its burst history."""
     es = float(db_to_linear(log.config.es_n0_ref_db))
-    for cw in log.codewords:
+    for c, bursts in enumerate(bursts_by_codeword(log)):
+        if not log.finished[c]:
+            continue
         acc = 0.0
         n = 0
         verdicts = []
-        for tr in cw.transmissions:
-            mi = mi_of(mi_table, tr.rho_applied * tr.rho_applied * es)
-            n_new = n + tr.bits_sent
-            acc = (n * acc + tr.bits_sent * mi) / n_new
+        for _, bits, rho in bursts:
+            mi = mi_of(mi_table, rho * rho * es)
+            n_new = n + bits
+            acc = (n * acc + bits * mi) / n_new
             n = n_new
             verdicts.append(is_decodable(spec, n, acc))
-        yield cw, verdicts
+        yield not math.isnan(log.decode_time_s[c]), verdicts
 
 
 @pytest.mark.parametrize("which", ["adaptive", "classical"])
 def test_decode_verdicts_replay_exactly(which, its_run, classical_run, code_spec, mi_table):
     log = its_run if which == "adaptive" else classical_run
     checked = 0
-    for cw, verdicts in replayed_decisions(log, code_spec, mi_table):
-        if cw.decoded:
+    for decoded, verdicts in replayed_decisions(log, code_spec, mi_table):
+        if decoded:
             assert verdicts[-1] is True
             assert not any(verdicts[:-1])
         else:
@@ -167,22 +179,21 @@ def test_bursts_replay_bit_for_bit_from_the_series(which, request, its_model, mi
     cfg = log.config
     series = generate_series(its_model, cfg.duration_s, cfg.seed)
     es = float(db_to_linear(cfg.es_n0_ref_db))
-    for cw in list(log.codewords) + list(log.censored):
+    for c, bursts in enumerate(bursts_by_codeword(log)):
         acc, n = 0.0, 0
-        for tr in cw.transmissions:
-            rho = float(series.rho[int(tr.start_time_s / series.sample_dt_s)])
-            assert tr.rho_applied.hex() == rho.hex()
-            n_new = n + tr.bits_sent
-            acc = (n * acc + tr.bits_sent * mi_of(mi_table, rho * rho * es)) / n_new
+        for start, bits, rho_applied in bursts:
+            rho = float(series.rho[int(start / series.sample_dt_s)])
+            assert rho_applied.hex() == rho.hex()
+            n_new = n + bits
+            acc = (n * acc + bits * mi_of(mi_table, rho * rho * es)) / n_new
             n = n_new
-        assert cw.mi_acc_per_bit.hex() == acc.hex()
+        assert float(log.mi_acc_per_bit[c]).hex() == acc.hex()
 
 
 def test_burst_totals_reconcile(its_run):
-    from_bursts = sum(tr.bits_sent for tr in all_bursts(its_run))
-    assert from_bursts == its_run.total_bits
-    for cw in its_run.codewords:
-        assert cw.n_total_sent == sum(tr.bits_sent for tr in cw.transmissions)
+    assert sum(its_run.burst_bits.tolist()) == its_run.total_bits
+    for sent, bursts in zip(its_run.n_total_sent.tolist(), bursts_by_codeword(its_run)):
+        assert sent == sum(b for _, b, _ in bursts)
     assert its_run.decoded <= its_run.generated
 
 
@@ -191,8 +202,9 @@ def test_run_is_deterministic(its_model, its_calib_cdf, code_spec, mi_table):
     a = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
     b = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
     assert a.total_bits == b.total_bits
-    assert [c.n_total_sent for c in a.codewords] == [c.n_total_sent for c in b.codewords]
-    assert [c.decoded for c in a.codewords] == [c.decoded for c in b.codewords]
+    assert a.n_total_sent.tolist() == b.n_total_sent.tolist()
+    assert a.finished.tolist() == b.finished.tolist()
+    assert np.isnan(a.decode_time_s).tolist() == np.isnan(b.decode_time_s).tolist()
 
 
 def test_sweep_order_and_single_point_equivalence(code_spec, mi_table):
@@ -226,16 +238,20 @@ def test_another_seed_meets_the_same_tolerances(its_model, its_calib_cdf, code_s
 
 
 def record_digest(log):
-    """sha256 over every per-codeword record of a run, floats as hex."""
+    """sha256 over every per-codeword record of a run, floats as hex:
+    the finished codewords in id order, then the cut-off ones."""
+    bursts = bursts_by_codeword(log)
+    sent = log.n_total_sent.tolist()
+    acc = log.mi_acc_per_bit.tolist()
+    when = log.decode_time_s.tolist()
     h = hashlib.sha256()
-    for tag, codewords in (("done", log.codewords), ("cut", log.censored)):
-        for c in codewords:
-            when = "-" if c.decode_time_s is None else c.decode_time_s.hex()
-            h.update(f"{tag} {c.id} {c.decoded} {c.n_total_sent} "
-                     f"{c.mi_acc_per_bit.hex()} {when}\n".encode())
-            for tr in c.transmissions:
-                h.update(f" {tr.start_time_s.hex()} {tr.bits_sent} "
-                         f"{tr.rho_applied.hex()}\n".encode())
+    for tag, done in (("done", True), ("cut", False)):
+        for c in np.flatnonzero(log.finished == done).tolist():
+            decoded = not math.isnan(when[c])
+            at = when[c].hex() if decoded else "-"
+            h.update(f"{tag} {c} {decoded} {sent[c]} {acc[c].hex()} {at}\n".encode())
+            for start, bits, rho in bursts[c]:
+                h.update(f" {start.hex()} {bits} {rho.hex()}\n".encode())
     return h.hexdigest()
 
 
@@ -306,10 +322,12 @@ def record_inputs(its_model, open_model, its_calib_cdf, open_calib_cdf):
 @pytest.mark.parametrize("env, scheme, max_tx", RECORD_CASES)
 def test_codeword_records_are_pinned(env, scheme, max_tx, record_inputs, code_spec, mi_table):
     log = record_run(env, scheme, max_tx, code_spec, mi_table, *record_inputs)
-    done = [c.id for c in log.codewords]
-    cut = [c.id for c in log.censored]
-    assert done == sorted(done) and cut == sorted(cut)
-    assert sorted(done + cut) == list(range(len(done) + len(cut)))
+    n = len(log.finished)
+    assert all(len(col) == n for col in (
+        log.n_total_sent, log.mi_acc_per_bit, log.n_transmissions, log.decode_time_s))
+    # ids are handed out in order of first burst, and every codeword has one
+    firsts = np.unique(log.burst_codeword, return_index=True)[1]
+    assert firsts.tolist() == sorted(firsts.tolist()) and len(firsts) == n
     assert record_digest(log) == RECORD_SHA256[f"{env}-{scheme}-{max_tx}"]
 
 
@@ -364,51 +382,101 @@ def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, monkeypat
     assert len(calls) == expected
 
 
-def set_collector(enabled):
-    (gc.enable if enabled else gc.disable)()
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_run_restores_the_collector_state(enabled, code_spec, mi_table):
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_long_run_leaves_the_collector_almost_nothing(scheme, its_model, its_calib_cdf,
+                                                       code_spec, mi_table):
+    """A run keeps its records in columns of untracked ints and floats, so
+    it adds a handful of collector-tracked objects, not one per burst."""
+    cfg = SimConfig(scheme=scheme, environment="its", duration_s=600.0)
     was = gc.isenabled()
+    gc.collect()
+    gc.disable()
     try:
-        set_collector(enabled)
-        run(SimConfig(scheme="classical", clear_sky=True, duration_s=5.0), None, code_spec, mi_table)
-        assert gc.isenabled() is enabled
+        before = len(gc.get_objects())
+        with quiet_policy_build():
+            log = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+        added = len(gc.get_objects()) - before
     finally:
-        set_collector(was)
-
-
-@pytest.mark.parametrize("enabled", [True, False])
-def test_collector_state_survives_a_raising_loop(enabled, monkeypatch, code_spec, mi_table):
-    import lmsharq.sim as sim_mod
-
-    def broken(*args):
-        raise RuntimeError("decoder failed")
-
-    monkeypatch.setattr(sim_mod, "is_decodable", broken)
-    was = gc.isenabled()
-    try:
-        set_collector(enabled)
-        with pytest.raises(RuntimeError, match="decoder failed"):
-            run(SimConfig(scheme="classical", clear_sky=True, duration_s=5.0), None, code_spec, mi_table)
-        assert gc.isenabled() is enabled
-    finally:
-        set_collector(was)
+        if was:
+            gc.enable()
+    assert len(log.burst_bits) > 20_000
+    assert added < 1000
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("env, max_tx", [("its", 1), ("its", 4), ("its", 6), ("clear", 4)])
 def test_a_run_leaves_no_cyclic_garbage(scheme, env, max_tx, record_inputs, code_spec, mi_table):
-    """sim.run pauses the collector during its loop; that is only safe
-    while a run makes no reference cycles for it to find."""
+    """Refcounting alone frees everything a run made once its log is dropped."""
     was = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         log = record_run(env, scheme, max_tx, code_spec, mi_table, *record_inputs)
-        assert log.codewords
+        assert log.generated
         del log
         assert gc.collect() == 0
     finally:
-        set_collector(was)
+        if was:
+            gc.enable()
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    scheme=st.sampled_from(SCHEMES),
+    max_tx=st.integers(min_value=1, max_value=6),
+    clear_sky=st.booleans(),
+    duration_s=st.floats(min_value=0.5, max_value=3.0),
+    es_db=st.floats(min_value=-2.0, max_value=13.0),
+    half_data_bits=st.integers(min_value=200, max_value=4460),
+    inverse_rate=st.integers(min_value=2, max_value=6),
+    mi_req=st.floats(min_value=0.1, max_value=0.6),
+)
+def test_schedule_invariants_hold_on_the_columns(scheme, max_tx, clear_sky, duration_s, es_db,
+                                                 half_data_bits, inverse_rate, mi_req,
+                                                 its_model, its_calib_cdf, mi_table):
+    data_bits = 2 * half_data_bits
+    spec = CodeSpec(data_bits, inverse_rate * data_bits, Fraction(1, inverse_rate), mi_req)
+    cfg = SimConfig(scheme=scheme, environment="its", es_n0_ref_db=es_db, duration_s=duration_s,
+                    max_transmissions=max_tx, clear_sky=clear_sky)
+    model, cdf = (None, None) if clear_sky else (its_model, its_calib_cdf)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the policy builders' notices
+        log = run(cfg, model, spec, mi_table, cdf=cdf)
+    rate, rtt = cfg.bit_rate_bps, cfg.rtt_s
+    start = log.burst_start_s.tolist()
+    bits = log.burst_bits.tolist()
+    owner = log.burst_codeword.tolist()
+    n = len(log.finished)
+
+    # the saturated link sends back to back, so bursts never overlap
+    assert start[:1] in ([], [0.0])
+    for i in range(1, len(start)):
+        assert start[i] == start[i - 1] + bits[i - 1] / rate
+    if start:
+        assert start[-1] + bits[-1] / rate <= duration_s
+    # a retransmission waits for the feedback of its codeword's previous burst
+    last = {}
+    for s, b, c in zip(start, bits, owner):
+        if c in last:
+            s0, b0 = last[c]
+            assert s >= s0 + b0 / rate + rtt
+        last[c] = (s, b)
+    assert sorted(last) == list(range(n))
+
+    assert log.n_total_sent.tolist() == np.bincount(
+        log.burst_codeword, weights=log.burst_bits, minlength=n).astype(np.int64).tolist()
+    assert log.n_transmissions.tolist() == np.bincount(log.burst_codeword, minlength=n).tolist()
+    assert log.n_transmissions.max(initial=0) <= log.effective_max_transmissions <= max_tx
+    assert log.total_bits == sum(bits) == 2 * log.total_symbols
+
+    if clear_sky:
+        assert (log.burst_rho == 1.0).all()
+    else:
+        series = generate_series(its_model, duration_s, cfg.seed)
+        k = [int(s / series.sample_dt_s) for s in start]
+        assert log.burst_rho.tolist() == series.rho[k].tolist()
+
+    if log.generated:
+        m = RunMetrics.from_log(log)
+        assert abs(sum(m.decode_fraction_per_transmission) + m.wer - 1.0) <= 1e-12
+        assert m.censored == n - log.generated
