@@ -20,7 +20,7 @@ from lmsharq.channel import (
     AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
 )
 from lmsharq.errors import ConfigError
-from lmsharq.fec import CodeSpec, is_decodable
+from lmsharq.fec import CodeSpec, is_decodable  # noqa: F401  bound here for bench/spans.py, which wraps it by name
 from lmsharq.mi import MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     PROB_PRESETS,
@@ -123,15 +123,21 @@ def run(
     spec: CodeSpec,
     mi_table: MiTable,
     cdf: Optional[EmpiricalCdf] = None,
+    *,
+    series: Optional[AttenuationSeries] = None,
 ) -> RunLog:
     """Simulate one configuration. Deterministic for a fixed config.
 
     Each burst sees the channel sample active at its start. The per-bit
     MI of every sample and the policy's per-round thresholds are computed
     once per run, with the same float operations as a per-burst mi_of,
-    so the results do not depend on the precomputation.
+    so the results do not depend on the precomputation. A given `series`
+    stands for generate_series(model, config.duration_s, config.seed), as
+    a given `cdf` stands for the calibration CDF of `model`.
     """
     if config.clear_sky:
+        if series is not None:
+            raise ConfigError("a clear-sky run takes no attenuation series")
         # one unfaded sample that stays active for the whole run
         series = AttenuationSeries(
             time_s=np.zeros(1), rho=np.ones(1), sample_dt_s=config.duration_s
@@ -139,7 +145,8 @@ def run(
     else:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
-        series = generate_series(model, config.duration_s, config.seed)
+        if series is None:
+            series = generate_series(model, config.duration_s, config.seed)
         if series.time_s[-1] + series.sample_dt_s < config.duration_s:
             raise ValueError("attenuation series shorter than the run duration")
 
@@ -160,7 +167,6 @@ def run(
                 for j in range(1, min(config.max_transmissions, len(probs)) + 1)
             ))
     horizon = min(config.max_transmissions, len(policy))
-    first_bits = policy.bits(1)
 
     dt = series.sample_dt_s
     mi_samples = mi_of(mi_table, series.rho * series.rho * es_n0_lin).tolist()
@@ -169,50 +175,54 @@ def run(
     duration = config.duration_s
     t_propag = config.t_propag_s
     rtt = config.rtt_s
+    budget = spec.mi_budget  # the decode test is fec.is_decodable, inline
     policy_bits = policy.bits
+    first_bits = policy_bits(1)
+    first_airtime = first_bits / bit_rate
+    nan = math.nan
     # Flat columns hold only ints and floats, which the cyclic collector
     # does not track: a run leaves it nothing per burst or codeword to walk.
     n_sent: list[int] = []  # per codeword id
     mi_acc: list[float] = []
     n_tx: list[int] = []
     decode_time: list[float] = []
-    burst_start: list[float] = []  # per burst, in transmission order
-    burst_bits: list[int] = []
-    burst_k: list[int] = []
+    burst_bits: list[int] = []  # per burst, in transmission order
     burst_cw: list[int] = []
     t = 0.0
     pending: deque = deque()  # (ready_time_s, codeword id, bits_next)
-    c = -1  # the codeword whose burst no longer fits, or -1 for a new one
 
     while True:
         if pending and pending[0][0] <= t:
             _, c, bits = pending.popleft()
+            airtime = bits / bit_rate
+            if t + airtime > duration:
+                break  # c is cut off
+            k = int(t / dt)  # the sample active at the burst's start
+            n_prev = n_sent[c]
+            n_new = n_prev + bits
+            acc = (n_prev * mi_acc[c] + bits * mi_samples[k]) / n_new
+            n_sent[c] = n_new
+            mi_acc[c] = acc
+            j = n_tx[c] + 1
+            n_tx[c] = j
         else:
-            c, bits = -1, first_bits
-        airtime = bits / bit_rate
-        if t + airtime > duration:
-            break
-        if c < 0:
+            bits, airtime = first_bits, first_airtime
+            if t + airtime > duration:
+                c = -1  # a new codeword that does not fit was never started
+                break
+            k = int(t / dt)
+            n_new, j = bits, 1
+            # the fold above from n_prev = 0, float operation for float operation
+            acc = (0.0 + bits * mi_samples[k]) / n_new
             c = len(n_sent)
-            n_sent.append(0)
-            mi_acc.append(0.0)
-            n_tx.append(0)
-            decode_time.append(math.nan)
-
-        k = int(t / dt)  # the sample active at the burst's start
-        n_prev = n_sent[c]
-        n_new = n_prev + bits
-        acc = (n_prev * mi_acc[c] + bits * mi_samples[k]) / n_new
-        n_sent[c] = n_new
-        mi_acc[c] = acc
-        j = n_tx[c] + 1
-        n_tx[c] = j
-        burst_start.append(t)
+            n_sent.append(n_new)
+            mi_acc.append(acc)
+            n_tx.append(1)
+            decode_time.append(nan)
         burst_bits.append(bits)
-        burst_k.append(k)
         burst_cw.append(c)
 
-        if is_decodable(spec, n_new, acc):
+        if n_new * acc >= budget:
             decode_time[c] = t + airtime + t_propag
         elif j < horizon:
             try:
@@ -223,13 +233,18 @@ def run(
                 pending.append((t + airtime + rtt, c, bits_next))
         t += airtime
 
-    # cut off: every codeword still queued, plus the one the horizon stopped
+    # cut off: every codeword still queued, plus the one that no longer fit
     finished = np.ones(len(n_sent), dtype=bool)
     finished[[q for _, q, _ in pending]] = False
     if c >= 0:
         finished[c] = False
     total_bits = sum(burst_bits)
     assert total_bits % 2 == 0
+    bits_col = np.array(burst_bits, dtype=np.int64)
+    # Bursts go back to back from 0. add.accumulate sums the airtimes in
+    # order, as t did, and each burst's sample is int(t / dt) as in the loop.
+    burst_start = np.zeros(len(bits_col))
+    np.cumsum(bits_col[:-1] / bit_rate, out=burst_start[1:])
     return RunLog(
         config=config,
         n_total_sent=np.array(n_sent, dtype=np.int64),
@@ -237,9 +252,9 @@ def run(
         n_transmissions=np.array(n_tx, dtype=np.int64),
         decode_time_s=np.array(decode_time, dtype=float),
         finished=finished,
-        burst_start_s=np.array(burst_start, dtype=float),
-        burst_bits=np.array(burst_bits, dtype=np.int64),
-        burst_rho=series.rho[np.array(burst_k, dtype=np.intp)],
+        burst_start_s=burst_start,
+        burst_bits=bits_col,
+        burst_rho=series.rho[(burst_start / dt).astype(np.intp)],
         burst_codeword=np.array(burst_cw, dtype=np.int64),
         total_bits=total_bits,
         total_symbols=total_bits // 2,
@@ -262,23 +277,25 @@ def sweep(
     """Cross-product of schemes, Es/N0 points and seeds, in stable order.
 
     Runs sharing a seed share the channel realization, which makes
-    scheme comparisons paired. `model` may be None only for clear sky.
+    scheme comparisons paired: each seed's series is generated once and
+    handed to all of its runs. `model` may be None only for clear sky.
     Without a `cdf`, the calibration CDF of `model` is computed once for
     all runs, unless every scheme is classical and none reads it.
     """
     schemes = tuple(schemes)
+    seeds = [int(seed) for seed in seeds]
+    series = dict.fromkeys(seeds)  # clear sky: no series to share
     if not base_config.clear_sky:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
         if cdf is None and any(s != "classical" for s in schemes):
             cdf = calibration_cdf(model)
+        series = {seed: generate_series(model, base_config.duration_s, seed) for seed in series}
 
     logs = []
     for scheme in schemes:
         for es_db in es_n0_list_db:
             for seed in seeds:
-                cfg = replace(
-                    base_config, scheme=scheme, es_n0_ref_db=float(es_db), seed=int(seed)
-                )
-                logs.append(run(cfg, model, spec, mi_table, cdf=cdf))
+                cfg = replace(base_config, scheme=scheme, es_n0_ref_db=float(es_db), seed=seed)
+                logs.append(run(cfg, model, spec, mi_table, cdf=cdf, series=series[seed]))
     return logs

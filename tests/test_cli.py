@@ -247,3 +247,9 @@ def test_an_uncapped_run_writes_no_note(capsys):
     assert main(["run", "--scheme", "classical", "--env", "open", "--esn0", "8",
                  "--duration-s", "5"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_a_run_with_no_burst_is_an_empty_log_error(capsys):
+    # a 10 ms run ends before the first 26.8 ms burst would
+    assert main(["run", "--esn0", "10", "--duration-s", "0.01"]) == 4
+    assert "empty run log" in capsys.readouterr().err

@@ -57,6 +57,23 @@ def bursts_by_codeword(log):
     return out
 
 
+# every RunLog column, with the dtype it has even when the run sent nothing
+RUNLOG_COLUMNS = {
+    "n_total_sent": np.int64, "mi_acc_per_bit": np.float64, "n_transmissions": np.int64,
+    "decode_time_s": np.float64, "finished": np.bool_, "burst_start_s": np.float64,
+    "burst_bits": np.int64, "burst_rho": np.float64, "burst_codeword": np.int64,
+}
+
+
+def assert_same_log(got, want):
+    """Every column byte for byte, NaNs included, and every link total."""
+    for name in RUNLOG_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    for name in ("total_bits", "total_symbols", "effective_max_transmissions", "data_bits"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
 def test_config_consistency_checks():
     with pytest.raises(ConfigError, match="scheme"):
         SimConfig(scheme="hybrid")
@@ -88,6 +105,18 @@ def test_short_series_is_a_data_error(monkeypatch, its_model, code_spec, mi_tabl
         run(SimConfig(duration_s=60.0), its_model, code_spec, mi_table)
 
 
+def test_a_short_given_series_is_the_same_data_error(its_model, code_spec, mi_table):
+    series = generate_series(its_model, 59.9, 1)
+    with pytest.raises(ValueError, match="attenuation series shorter than the run duration"):
+        run(SimConfig(duration_s=60.0), its_model, code_spec, mi_table, series=series)
+
+
+def test_a_clear_sky_run_takes_no_series(its_model, code_spec, mi_table):
+    series = generate_series(its_model, 30.0, 1)
+    with pytest.raises(ConfigError, match="clear-sky"):
+        run(SimConfig(clear_sky=True, duration_s=30.0), None, code_spec, mi_table, series=series)
+
+
 def test_no_fades_decode_on_first_transmission(code_spec, mi_table):
     cfg = SimConfig(clear_sky=True, es_n0_ref_db=10.0, duration_s=30.0)
     log = run(cfg, None, code_spec, mi_table)
@@ -109,6 +138,23 @@ def test_classical_splits_a_shorter_mother_codeword(code_spec, mi_table):
     sent = {tuple(b for _, b, _ in bursts)
             for bursts, done in zip(bursts_by_codeword(log), log.finished) if done}
     assert sent == {(6690,) * 4}
+
+
+def test_a_codeword_that_meets_the_budget_exactly_decodes(code_spec, mi_table):
+    """The loop's inline decode test is fec.is_decodable's >=, at equality too."""
+    quarter = code_spec.mother_codeword_bits // 4
+    mi = mi_of(mi_table, float(db_to_linear(CLEAR_SKY_ES_DB)))
+    reached = quarter * ((0.0 + quarter * mi) / quarter)  # after one classical burst
+    spec = replace(code_spec, mi_req_per_bit=reached / code_spec.mother_codeword_bits)
+    assert spec.mi_budget == reached and is_decodable(spec, quarter, reached / quarter)
+    cfg = SimConfig(scheme="classical", clear_sky=True, es_n0_ref_db=CLEAR_SKY_ES_DB,
+                    duration_s=5.0)
+    log = run(cfg, None, spec, mi_table)
+    assert log.generated > 100 and (log.n_transmissions == 1).all()
+    # one ulp more and the first burst falls short
+    spec = replace(spec, mi_req_per_bit=math.nextafter(spec.mi_req_per_bit, 1.0))
+    log = run(cfg, None, spec, mi_table)
+    assert log.finished.any() and (log.n_transmissions[log.finished] == 2).all()
 
 
 def test_saturated_link_uses_the_whole_duration(classical_run):
@@ -157,9 +203,11 @@ def replayed_decisions(log, spec, mi_table):
         yield not math.isnan(log.decode_time_s[c]), verdicts
 
 
-@pytest.mark.parametrize("which", ["adaptive", "classical"])
-def test_decode_verdicts_replay_exactly(which, its_run, classical_run, code_spec, mi_table):
-    log = its_run if which == "adaptive" else classical_run
+@pytest.mark.parametrize("which", ["adaptive", "classical", "enhanced"])
+def test_decode_verdicts_replay_exactly(which, request, code_spec, mi_table):
+    """The loop's inline decode test gives fec.is_decodable's verdict on
+    every burst of every scheme."""
+    log = request.getfixturevalue("its_run" if which == "adaptive" else f"{which}_run")
     checked = 0
     for decoded, verdicts in replayed_decisions(log, code_spec, mi_table):
         if decoded:
@@ -216,8 +264,7 @@ def test_sweep_order_and_single_point_equivalence(code_spec, mi_table):
                       ("classical", 10.0), ("classical", 11.0)]
     solo = run(replace(base, scheme="adaptive", es_n0_ref_db=10.0),
                None, code_spec, mi_table)
-    assert solo.total_bits == logs[0].total_bits
-    assert solo.decoded == logs[0].decoded
+    assert_same_log(logs[0], solo)
 
 
 @pytest.mark.grid
@@ -380,6 +427,43 @@ def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, monkeypat
         logs = sweep(base, [10.0], schemes, [1], its_model, spec=code_spec, mi_table=mi_table)
     assert len(logs) == len(schemes)
     assert len(calls) == expected
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_a_run_shorter_than_its_first_burst_is_empty(scheme, its_model, its_calib_cdf,
+                                                    code_spec, mi_table):
+    cfg = SimConfig(scheme=scheme, environment="its", duration_s=0.01)
+    with quiet_policy_build():
+        log = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    for name, dtype in RUNLOG_COLUMNS.items():
+        col = getattr(log, name)
+        assert col.shape == (0,) and col.dtype == dtype, name
+    assert log.total_bits == log.total_symbols == log.generated == 0
+
+
+def its_sweep(its_model, its_calib_cdf, code_spec, mi_table):
+    """Two seeds by three schemes by two Es/N0 points on the shadowed track."""
+    base = SimConfig(environment="its", duration_s=20.0)
+    with quiet_policy_build():
+        return sweep(base, [8.0, 12.0], SCHEMES, [3, 4], its_model,
+                     spec=code_spec, mi_table=mi_table, cdf=its_calib_cdf)
+
+
+def test_a_sweep_generates_one_series_per_seed(monkeypatch, its_model, its_calib_cdf,
+                                               code_spec, mi_table):
+    series_calls = count_calls(monkeypatch, "generate_series")
+    run_calls = count_calls(monkeypatch, "run")
+    logs = its_sweep(its_model, its_calib_cdf, code_spec, mi_table)
+    assert len(series_calls) == 2
+    # one call per run through the module binding, which the benchmark wraps
+    assert len(run_calls) == len(logs) == 12
+
+
+def test_sweep_runs_equal_standalone_runs(its_model, its_calib_cdf, code_spec, mi_table):
+    for log in its_sweep(its_model, its_calib_cdf, code_spec, mi_table):
+        with quiet_policy_build():
+            solo = run(log.config, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+        assert_same_log(log, solo)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
