@@ -24,7 +24,7 @@ TARGET_WER = 1e-4
 WER_CSV_HEADER = ("es_n0_db", "wer")
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodeSpec:
     """Mother code geometry plus the calibrated decoding requirement."""
 

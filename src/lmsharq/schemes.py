@@ -197,10 +197,15 @@ class AdaptivePolicy:
 
     spec: CodeSpec
     mi_needed_per_bit: tuple
+    # read from the frozen spec once, not on every retransmission
+    _mi_budget: float = field(init=False, repr=False, compare=False)
+    _mother_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(m <= 0.0 for m in self.mi_needed_per_bit):
             raise ValueError("mi_needed_per_bit must be positive")
+        object.__setattr__(self, "_mi_budget", self.spec.mi_budget)
+        object.__setattr__(self, "_mother_bits", self.spec.mother_codeword_bits)
 
     def __len__(self):
         return len(self.mi_needed_per_bit)
@@ -222,10 +227,10 @@ class AdaptivePolicy:
             raise SchemeExhausted(
                 f"transmission {j} beyond {len(self.mi_needed_per_bit)} thresholds"
             ) from None
-        remaining = self.spec.mother_codeword_bits - n_total_sent
+        remaining = self._mother_bits - n_total_sent
         if remaining < MODULATION_BITS:
             raise SchemeExhausted("mother codeword exhausted")
-        deficit = self.spec.mi_budget - n_total_sent * mi_acc_per_bit
+        deficit = self._mi_budget - n_total_sent * mi_acc_per_bit
         return min(_ceil_to_symbol(deficit / mi_needed_per_bit), remaining)
 
 
@@ -262,10 +267,27 @@ def build_enhanced_table(
     entries = [n_1]
     total = n_1
 
+    # The draws of rng.choice over the sorted samples, as sample indices,
+    # in one contiguous row per transmission. np.interp is several times
+    # faster on sorted input, so the MI of every sample is computed in
+    # order and each draw reads its own: mi_of over the draws, bit for bit.
+    rho = cdf.sorted_rho
     rng = np.random.default_rng(ENHANCED_TABLE_SEED)
-    draws = rng.choice(cdf.sorted_rho, size=(ENHANCED_TABLE_DRAWS, len(probs.p)))
-    mi_draws = np.asarray(mi_of(mi_table, draws * draws * es_n0_ref_linear))
-    acc = mi_draws[:, 0] * n_1
+    picks = rng.choice(rho.size, size=(ENHANCED_TABLE_DRAWS, len(probs.p)))
+    mi_draws = mi_of(mi_table, rho * rho * es_n0_ref_linear)[np.ascontiguousarray(picks.T)]
+    acc = mi_draws[0] * n_1
+    # Work buffers for the decode test of every draw. Counting the draws
+    # that decode and dividing once is np.mean of the mask, bit for bit:
+    # a float64 sum of zeros and ones is exact.
+    total_mi = np.empty(ENHANCED_TABLE_DRAWS)
+    decodes = np.empty(ENHANCED_TABLE_DRAWS, dtype=bool)
+
+    def decode_fraction(row: np.ndarray, extra_bits: int) -> float:
+        np.multiply(extra_bits, row, out=total_mi)
+        np.add(acc, total_mi, out=total_mi)
+        np.greater_equal(total_mi, budget, out=decodes)
+        return np.count_nonzero(decodes) / ENHANCED_TABLE_DRAWS
+
     cum_target = probs.p[0]
     for j in range(2, len(probs.p) + 1):
         cum_target += probs.p[j - 1]
@@ -276,8 +298,8 @@ def build_enhanced_table(
                 stacklevel=2,
             )
             break
-        col = mi_draws[:, j - 1]
-        if np.mean(acc + remaining * col >= budget) < cum_target:
+        row = mi_draws[j - 1]
+        if decode_fraction(row, remaining) < cum_target:
             warnings.warn(
                 f"transmission {j} clamped to the {remaining} bits left of the"
                 " mother codeword; table ends there",
@@ -290,12 +312,12 @@ def build_enhanced_table(
         lo, hi = 0, remaining // MODULATION_BITS
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if np.mean(acc + mid * MODULATION_BITS * col >= budget) >= cum_target:
+            if decode_fraction(row, mid * MODULATION_BITS) >= cum_target:
                 hi = mid
             else:
                 lo = mid
         bits = max(hi, 1) * MODULATION_BITS
         entries.append(bits)
         total += bits
-        acc = acc + bits * col
+        acc += bits * row
     return StaticBitTable(n_sent=tuple(entries))

@@ -117,6 +117,11 @@ def calibration_cdf(model: LmsModel) -> EmpiricalCdf:
     return empirical_cdf(series)
 
 
+def _sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_lin: float) -> np.ndarray:
+    """Per-bit MI of every sample of the series at a linear Es/N0."""
+    return mi_of(mi_table, series.rho * series.rho * es_n0_lin)
+
+
 def run(
     config: SimConfig,
     model: Optional[LmsModel],
@@ -125,6 +130,7 @@ def run(
     cdf: Optional[EmpiricalCdf] = None,
     *,
     series: Optional[AttenuationSeries] = None,
+    mi_samples: Optional[np.ndarray] = None,
 ) -> RunLog:
     """Simulate one configuration. Deterministic for a fixed config.
 
@@ -133,11 +139,13 @@ def run(
     once per run, with the same float operations as a per-burst mi_of,
     so the results do not depend on the precomputation. A given `series`
     stands for generate_series(model, config.duration_s, config.seed), as
-    a given `cdf` stands for the calibration CDF of `model`.
+    a given `cdf` stands for the calibration CDF of `model`, and given
+    `mi_samples` stand for mi_of over the series at the run's Es/N0, one
+    float64 per sample.
     """
     if config.clear_sky:
-        if series is not None:
-            raise ConfigError("a clear-sky run takes no attenuation series")
+        if series is not None or mi_samples is not None:
+            raise ConfigError("a clear-sky run takes no attenuation series or MI samples")
         # one unfaded sample that stays active for the whole run
         series = AttenuationSeries(
             time_s=np.zeros(1), rho=np.ones(1), sample_dt_s=config.duration_s
@@ -149,6 +157,11 @@ def run(
             series = generate_series(model, config.duration_s, config.seed)
         if series.time_s[-1] + series.sample_dt_s < config.duration_s:
             raise ValueError("attenuation series shorter than the run duration")
+        if mi_samples is not None and (
+            not isinstance(mi_samples, np.ndarray) or mi_samples.dtype != np.float64
+            or mi_samples.shape != series.rho.shape
+        ):
+            raise ValueError("mi_samples must be a float64 array with one value per series sample")
 
     es_n0_lin = float(db_to_linear(config.es_n0_ref_db))
 
@@ -169,7 +182,9 @@ def run(
     horizon = min(config.max_transmissions, len(policy))
 
     dt = series.sample_dt_s
-    mi_samples = mi_of(mi_table, series.rho * series.rho * es_n0_lin).tolist()
+    if mi_samples is None:
+        mi_samples = _sample_mi(mi_table, series, es_n0_lin)
+    mi_at = memoryview(mi_samples)  # indexing yields Python floats
 
     bit_rate = config.bit_rate_bps
     duration = config.duration_s
@@ -182,29 +197,25 @@ def run(
     nan = math.nan
     # Flat columns hold only ints and floats, which the cyclic collector
     # does not track: a run leaves it nothing per burst or codeword to walk.
-    n_sent: list[int] = []  # per codeword id
-    mi_acc: list[float] = []
-    n_tx: list[int] = []
+    mi_acc: list[float] = []  # per codeword id
     decode_time: list[float] = []
     burst_bits: list[int] = []  # per burst, in transmission order
     burst_cw: list[int] = []
     t = 0.0
-    pending: deque = deque()  # (ready_time_s, codeword id, bits_next)
+    # (ready_time_s, codeword id, bits_next, round of that burst,
+    #  bits sent so far, accumulated MI per bit)
+    pending: deque = deque()
 
     while True:
         if pending and pending[0][0] <= t:
-            _, c, bits = pending.popleft()
+            _, c, bits, j, n_prev, acc = pending.popleft()
             airtime = bits / bit_rate
             if t + airtime > duration:
                 break  # c is cut off
             k = int(t / dt)  # the sample active at the burst's start
-            n_prev = n_sent[c]
             n_new = n_prev + bits
-            acc = (n_prev * mi_acc[c] + bits * mi_samples[k]) / n_new
-            n_sent[c] = n_new
+            acc = (n_prev * acc + bits * mi_at[k]) / n_new
             mi_acc[c] = acc
-            j = n_tx[c] + 1
-            n_tx[c] = j
         else:
             bits, airtime = first_bits, first_airtime
             if t + airtime > duration:
@@ -213,11 +224,9 @@ def run(
             k = int(t / dt)
             n_new, j = bits, 1
             # the fold above from n_prev = 0, float operation for float operation
-            acc = (0.0 + bits * mi_samples[k]) / n_new
-            c = len(n_sent)
-            n_sent.append(n_new)
+            acc = (0.0 + bits * mi_at[k]) / n_new
+            c = len(mi_acc)
             mi_acc.append(acc)
-            n_tx.append(1)
             decode_time.append(nan)
         burst_bits.append(bits)
         burst_cw.append(c)
@@ -230,32 +239,35 @@ def run(
             except SchemeExhausted:
                 pass
             else:
-                pending.append((t + airtime + rtt, c, bits_next))
+                pending.append((t + airtime + rtt, c, bits_next, j + 1, n_new, acc))
         t += airtime
 
     # cut off: every codeword still queued, plus the one that no longer fit
-    finished = np.ones(len(n_sent), dtype=bool)
-    finished[[q for _, q, _ in pending]] = False
+    n_codewords = len(mi_acc)
+    finished = np.ones(n_codewords, dtype=bool)
+    finished[[entry[1] for entry in pending]] = False
     if c >= 0:
         finished[c] = False
     total_bits = sum(burst_bits)
     assert total_bits % 2 == 0
     bits_col = np.array(burst_bits, dtype=np.int64)
+    cw_col = np.array(burst_cw, dtype=np.int64)
     # Bursts go back to back from 0. add.accumulate sums the airtimes in
     # order, as t did, and each burst's sample is int(t / dt) as in the loop.
     burst_start = np.zeros(len(bits_col))
     np.cumsum(bits_col[:-1] / bit_rate, out=burst_start[1:])
     return RunLog(
         config=config,
-        n_total_sent=np.array(n_sent, dtype=np.int64),
+        # every codeword has a first burst, and the weights sum exactly
+        n_total_sent=np.bincount(cw_col, weights=bits_col, minlength=n_codewords).astype(np.int64),
         mi_acc_per_bit=np.array(mi_acc, dtype=float),
-        n_transmissions=np.array(n_tx, dtype=np.int64),
+        n_transmissions=np.bincount(cw_col, minlength=n_codewords).astype(np.int64),
         decode_time_s=np.array(decode_time, dtype=float),
         finished=finished,
         burst_start_s=burst_start,
         burst_bits=bits_col,
         burst_rho=series.rho[(burst_start / dt).astype(np.intp)],
-        burst_codeword=np.array(burst_cw, dtype=np.int64),
+        burst_codeword=cw_col,
         total_bits=total_bits,
         total_symbols=total_bits // 2,
         effective_max_transmissions=horizon,
@@ -278,24 +290,34 @@ def sweep(
 
     Runs sharing a seed share the channel realization, which makes
     scheme comparisons paired: each seed's series is generated once and
-    handed to all of its runs. `model` may be None only for clear sky.
+    handed to all of its runs, and its per-sample MI is computed once per
+    Es/N0 point and handed to that point's runs of every scheme. `model`
+    may be None only for clear sky.
     Without a `cdf`, the calibration CDF of `model` is computed once for
     all runs, unless every scheme is classical and none reads it.
     """
     schemes = tuple(schemes)
     seeds = [int(seed) for seed in seeds]
+    es_n0_list_db = [float(es_db) for es_db in es_n0_list_db]
     series = dict.fromkeys(seeds)  # clear sky: no series to share
+    mi_samples = dict.fromkeys((seed, es_db) for es_db in es_n0_list_db for seed in seeds)
     if not base_config.clear_sky:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
         if cdf is None and any(s != "classical" for s in schemes):
             cdf = calibration_cdf(model)
         series = {seed: generate_series(model, base_config.duration_s, seed) for seed in series}
+        # one float64 per sample and point, held for the whole sweep
+        mi_samples = {
+            (seed, es_db): _sample_mi(mi_table, series[seed], float(db_to_linear(es_db)))
+            for seed, es_db in mi_samples
+        }
 
     logs = []
     for scheme in schemes:
         for es_db in es_n0_list_db:
             for seed in seeds:
-                cfg = replace(base_config, scheme=scheme, es_n0_ref_db=float(es_db), seed=seed)
-                logs.append(run(cfg, model, spec, mi_table, cdf=cdf, series=series[seed]))
+                cfg = replace(base_config, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
+                logs.append(run(cfg, model, spec, mi_table, cdf=cdf, series=series[seed],
+                                mi_samples=mi_samples[seed, es_db]))
     return logs

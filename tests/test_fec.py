@@ -1,5 +1,6 @@
 """Decode threshold and its calibration from a word error rate curve."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -25,6 +26,16 @@ def test_code_geometry_is_validated():
         CodeSpec(mi_req_per_bit=0.0)
     with pytest.raises(ValueError):
         CodeSpec(mi_req_per_bit=1.0)
+
+
+def test_code_spec_is_frozen():
+    """The policies read the budget and the mother codeword length once."""
+    spec = spec_with(0.9)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.mi_req_per_bit = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.mother_codeword_bits = 26760
+    assert spec.mi_budget == 53520 * 0.9
 
 
 def test_mother_codeword_is_whole_symbols():

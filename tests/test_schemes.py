@@ -1,5 +1,6 @@
 """Burst sizing policies and the accumulated-MI bookkeeping."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,6 +13,8 @@ from lmsharq.fec import CodeSpec
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     CLASSICAL_ROUNDS,
+    ENHANCED_TABLE_DRAWS,
+    ENHANCED_TABLE_SEED,
     PROB_PRESETS,
     AdaptivePolicy,
     CodewordState,
@@ -319,3 +322,104 @@ def test_offline_table_structure_and_determinism(small_cdf, mi_table, code_spec)
     assert 1 <= len(a.n_sent) <= len(probs.p)
     assert sum(a.n_sent) <= code_spec.mother_codeword_bits
     assert all(v > 0 and v % 2 == 0 for v in a.n_sent)
+
+
+def _reference_enhanced_table(cdf, probs, spec, es_n0_ref_linear, mi_table):
+    """build_enhanced_table as first written: rng.choice over the sample
+    values, mi_of over the draws, and a fresh np.mean for every test."""
+    budget = spec.mi_budget
+    _, m_1 = mi_needed(cdf, conditional_prob(probs, 1), es_n0_ref_linear, mi_table)
+    n_1 = _ceil_to_symbol(budget / m_1)
+    if n_1 >= spec.mother_codeword_bits:
+        warnings.warn("first transmission needs the whole mother codeword; table is the"
+                      " single-shot fallback")
+        return (spec.mother_codeword_bits,)
+    entries = [n_1]
+    total = n_1
+    rng = np.random.default_rng(ENHANCED_TABLE_SEED)
+    draws = rng.choice(cdf.sorted_rho, size=(ENHANCED_TABLE_DRAWS, len(probs.p)))
+    mi_draws = np.asarray(mi_of(mi_table, draws * draws * es_n0_ref_linear))
+    acc = mi_draws[:, 0] * n_1
+    cum_target = probs.p[0]
+    for j in range(2, len(probs.p) + 1):
+        cum_target += probs.p[j - 1]
+        remaining = spec.mother_codeword_bits - total
+        if remaining < MODULATION_BITS:
+            warnings.warn(f"mother codeword exhausted before transmission {j}; table ends")
+            break
+        col = mi_draws[:, j - 1]
+        if np.mean(acc + remaining * col >= budget) < cum_target:
+            warnings.warn(f"transmission {j} clamped to the {remaining} bits left of the"
+                          " mother codeword; table ends there")
+            entries.append(remaining)
+            total += remaining
+            break
+        lo, hi = 0, remaining // MODULATION_BITS
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if np.mean(acc + mid * MODULATION_BITS * col >= budget) >= cum_target:
+                hi = mid
+            else:
+                lo = mid
+        bits = max(hi, 1) * MODULATION_BITS
+        entries.append(bits)
+        total += bits
+        acc = acc + bits * col
+    return tuple(entries)
+
+
+def built_with_warnings(build, *args):
+    """A builder's bit tuple and the (category, text) of every warning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = build(*args)
+    return getattr(out, "n_sent", out), [(w.category, str(w.message)) for w in caught]
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
+@pytest.mark.parametrize("preset", ["case1", "case2", "case3"])
+@pytest.mark.parametrize("env", ["its", "open"])
+def test_enhanced_table_equals_the_reference(env, preset, short, request, code_spec, mi_table):
+    cdf = request.getfixturevalue(f"{env}_calib_cdf")
+    spec = code_spec
+    if short:
+        spec = CodeSpec(4460, 26760, Fraction(1, 6), code_spec.mi_req_per_bit)
+    probs = DecodingProbTable(PROB_PRESETS[preset])
+    for es_db in range(-2, 17):
+        args = (cdf, probs, spec, float(db_to_linear(float(es_db))), mi_table)
+        got = built_with_warnings(build_enhanced_table, *args)
+        assert got == built_with_warnings(_reference_enhanced_table, *args), es_db
+
+
+# Per-bit MI of 0.5 or 1 at every draw (rho 0.5, 1, 1, 2 at Es/N0 4), so
+# every accumulated total is exact. At the 0.5 quantile the first burst
+# is 13380 bits with MI 1: a quarter of the draws then hold 6690 of the
+# 13380 budget, and those whose second burst sees MI 1 reach the budget
+# itself at exactly 3345 symbols; the others need 6690.
+DYADIC_TABLE = MiTable(es_n0_linear=np.array([1.0, 4.0]), mi_per_bit=np.array([0.5, 1.0]))
+DYADIC_CDF = EmpiricalCdf(sorted_rho=np.array([0.5, 1.0, 1.0, 2.0]))
+DYADIC_SPEC = CodeSpec(mi_req_per_bit=0.25)
+
+
+def test_enhanced_table_counts_a_draw_that_meets_the_budget_exactly():
+    probs = DecodingProbTable(PROB_PRESETS["case3"])
+    args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, DYADIC_TABLE)
+    got = built_with_warnings(build_enhanced_table, *args)
+    assert got == built_with_warnings(_reference_enhanced_table, *args)
+    assert DYADIC_SPEC.mi_budget == 13380.0
+    assert got[0][:2] == (13380, 6690)
+
+
+def test_enhanced_table_divides_the_count_by_the_number_of_draws():
+    draws = np.random.default_rng(ENHANCED_TABLE_SEED).choice(
+        DYADIC_CDF.sorted_rho, size=(ENHANCED_TABLE_DRAWS, 2))
+    # the draws decoded once the second burst is 3345 symbols
+    k = int(np.count_nonzero((draws[:, 0] >= 1.0) | (draws[:, 1] >= 1.0)))
+    n = ENHANCED_TABLE_DRAWS
+    # a cumulative target k / n misses and k / (n - 1) would meet
+    target = (k / n + k / (n - 1)) / 2
+    probs = DecodingProbTable((0.5, target - 0.5))
+    args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, DYADIC_TABLE)
+    got = built_with_warnings(build_enhanced_table, *args)
+    assert got == built_with_warnings(_reference_enhanced_table, *args)
+    assert got == ((13380, 13380), [])

@@ -117,6 +117,23 @@ def test_a_clear_sky_run_takes_no_series(its_model, code_spec, mi_table):
         run(SimConfig(clear_sky=True, duration_s=30.0), None, code_spec, mi_table, series=series)
 
 
+@pytest.mark.parametrize("bad", ["float32", "short", "long"])
+def test_given_mi_samples_are_float64_with_one_value_per_sample(bad, its_model, code_spec,
+                                                                 mi_table):
+    series = generate_series(its_model, 30.0, 1)
+    mi = mi_of(mi_table, series.rho * series.rho * float(db_to_linear(10.0)))
+    mi = {"float32": mi.astype(np.float32), "short": mi[:-1], "long": np.append(mi, mi[-1])}[bad]
+    with pytest.raises(ValueError, match="float64 array with one value per series sample"):
+        run(SimConfig(duration_s=30.0), its_model, code_spec, mi_table, series=series,
+            mi_samples=mi)
+
+
+def test_a_clear_sky_run_takes_no_mi_samples(code_spec, mi_table):
+    with pytest.raises(ConfigError, match="clear-sky"):
+        run(SimConfig(clear_sky=True, duration_s=30.0), None, code_spec, mi_table,
+            mi_samples=np.ones(1))
+
+
 def test_no_fades_decode_on_first_transmission(code_spec, mi_table):
     cfg = SimConfig(clear_sky=True, es_n0_ref_db=10.0, duration_s=30.0)
     log = run(cfg, None, code_spec, mi_table)
@@ -456,6 +473,26 @@ def test_a_sweep_generates_one_series_per_seed(monkeypatch, its_model, its_calib
     logs = its_sweep(its_model, its_calib_cdf, code_spec, mi_table)
     assert len(series_calls) == 2
     # one call per run through the module binding, which the benchmark wraps
+    assert len(run_calls) == len(logs) == 12
+
+
+def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, its_calib_cdf,
+                                            code_spec, mi_table):
+    import lmsharq.sim as sim_mod
+
+    mapped = []
+    real = sim_mod.mi_of
+
+    def mapping(table, es_n0_linear):
+        mapped.append(np.size(es_n0_linear))
+        return real(table, es_n0_linear)
+
+    monkeypatch.setattr(sim_mod, "mi_of", mapping)
+    run_calls = count_calls(monkeypatch, "run")
+    logs = its_sweep(its_model, its_calib_cdf, code_spec, mi_table)
+    # one map per seed and Es/N0 point, shared by the three schemes
+    samples = len(generate_series(its_model, 20.0, 3).rho)
+    assert mapped == [samples] * 4
     assert len(run_calls) == len(logs) == 12
 
 
