@@ -81,16 +81,18 @@ class LmsModel:
 class AttenuationSeries:
     """Sampled direct-path amplitude ratio rho along the path."""
 
-    time_s: np.ndarray
     rho: np.ndarray
     sample_dt_s: float
     state: np.ndarray | None = None
 
     def __post_init__(self):
-        if len(self.time_s) != len(self.rho):
-            raise ValueError("time and rho arrays differ in length")
         if len(self.rho) == 0:
             raise ValueError("series is empty")
+
+    @property
+    def time_s(self) -> np.ndarray:
+        """Time of each sample: sample i at i * sample_dt_s."""
+        return np.arange(len(self.rho), dtype=np.float64) * self.sample_dt_s
 
     def to_csv(self, path) -> None:
         path = Path(path)
@@ -171,8 +173,8 @@ def generate_series(
     Deterministic for a fixed seed. The chain starts from its stationary
     distribution unless initial_state pins it.
     """
-    if duration_s <= 0.0:
-        raise ValueError("duration_s must be positive")
+    if not 0.0 < duration_s < np.inf:
+        raise ValueError("duration_s must be positive and finite")
     rng = np.random.default_rng(seed)
     dt = model.sample_frame_m / model.speed_mps
     n_samples = int(np.ceil(duration_s / dt))
@@ -213,12 +215,7 @@ def generate_series(
     # np.abs, not np.hypot: the two can differ in the last bit
     rho = np.abs(diffuse)
     del diffuse
-
-    time_s = np.arange(n_samples, dtype=np.float64)
-    time_s *= dt
-    return AttenuationSeries(
-        time_s=time_s, rho=rho, sample_dt_s=dt, state=np.repeat(states, counts)
-    )
+    return AttenuationSeries(rho=rho, sample_dt_s=dt, state=np.repeat(states, counts))
 
 
 def empirical_cdf(series: AttenuationSeries) -> EmpiricalCdf:

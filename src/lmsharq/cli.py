@@ -47,7 +47,7 @@ def _parse_es_list(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"expected start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ConfigError(f"bad Es/N0 range {text!r}")
         out = []
         x = start
@@ -155,7 +155,7 @@ def cmd_run(args) -> int:
     _note_capped_horizon(config.max_transmissions, [log])
     m = metrics.RunMetrics.from_log(log)
     print(f"scheme = {m.scheme}")
-    print(f"environment = {config.environment}")
+    print(f"environment = {'clear-sky' if config.clear_sky else config.environment}")
     print(f"es_n0_db = {_fmt(m.es_n0_ref_db)}")
     print(f"seed = {m.seed}")
     print(f"generated = {m.generated}")

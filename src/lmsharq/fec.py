@@ -12,13 +12,13 @@ import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from pathlib import Path
 
 from lmsharq.mi import MODULATION_BITS, MiTable, mi_of, db_to_linear
 
 DATA_BITS = 8920
 MOTHER_CODEWORD_BITS = 53520
-CODE_RATE = Fraction(1, 6)
 TARGET_WER = 1e-4
 
 WER_CSV_HEADER = ("es_n0_db", "wer")
@@ -30,20 +30,22 @@ class CodeSpec:
 
     data_bits: int = DATA_BITS
     mother_codeword_bits: int = MOTHER_CODEWORD_BITS
-    rate: Fraction = CODE_RATE
     mi_req_per_bit: float = 0.25
 
     def __post_init__(self):
         if self.data_bits <= 0 or self.mother_codeword_bits <= 0:
             raise ValueError("bit counts must be positive")
-        if Fraction(self.data_bits, self.mother_codeword_bits) != self.rate:
-            raise ValueError("mother codeword length inconsistent with code rate")
         if self.mother_codeword_bits % MODULATION_BITS:
             raise ValueError("mother codeword is not a whole number of symbols")
         if not 0.0 < self.mi_req_per_bit < 1.0:
             raise ValueError("mi_req_per_bit must lie in (0, 1)")
 
     @property
+    def rate(self) -> Fraction:
+        """Code rate of the mother code."""
+        return Fraction(self.data_bits, self.mother_codeword_bits)
+
+    @cached_property
     def mi_budget(self) -> float:
         """Accumulated MI needed before the decoder succeeds."""
         return self.mother_codeword_bits * self.mi_req_per_bit

@@ -16,15 +16,15 @@ from lmsharq.errors import DataError
 from lmsharq.sim import RunLog, SimConfig
 
 
-def delay(n_bits_total: int, n_transmissions: int, config: SimConfig) -> float:
-    """HARQ completion delay of a single codeword, in seconds.
+def delay(n_bits_total, n_transmissions, config: SimConfig):
+    """HARQ completion delay of a codeword, in seconds.
 
     Counts airtime of everything sent for the codeword, one forward
     trip for the decoding burst, and a full round trip for each
     earlier feedback exchange. Link queueing is not part of this
-    figure.
+    figure. Takes one codeword's counts, or arrays of them elementwise.
     """
-    if n_transmissions < 1:
+    if np.any(np.less(n_transmissions, 1)):
         raise DataError("a decoded codeword has at least one transmission")
     airtime = n_bits_total / config.bit_rate_bps
     return airtime + (2 * (n_transmissions - 1) + 1) * config.t_propag_s
@@ -53,24 +53,20 @@ class RunMetrics:
     def from_log(cls, log: RunLog) -> "RunMetrics":
         """All figures of a run, reduced over its codeword columns.
 
-        The delays are formed elementwise in codeword id order, with the
-        float operations of delay(), so every figure is the same to the
-        last bit as a per-codeword reduction.
+        delay() runs over the decoded codewords' columns in id order, so
+        every figure is the same to the last bit as a per-codeword reduction.
         """
         if log.total_symbols == 0:
             raise DataError("empty run log: no symbols were transmitted")
         config = log.config
         decoded = ~np.isnan(log.decode_time_s)
         rounds = log.n_transmissions[decoded]
-        if rounds.size and rounds.min() < 1:
-            raise DataError("a decoded codeword has at least one transmission")
+        delays = delay(log.n_total_sent[decoded], rounds, config)
         n = int(np.count_nonzero(log.finished))
         n_decoded = int(rounds.size)
         bins = np.bincount(rounds - 1, minlength=log.effective_max_transmissions).astype(float)
         if n:
             bins /= n
-        delays = (log.n_total_sent[decoded] / config.bit_rate_bps
-                  + (2 * (rounds - 1) + 1) * config.t_propag_s)
         return cls(
             scheme=config.scheme,
             es_n0_ref_db=config.es_n0_ref_db,

@@ -197,15 +197,10 @@ class AdaptivePolicy:
 
     spec: CodeSpec
     mi_needed_per_bit: tuple
-    # read from the frozen spec once, not on every retransmission
-    _mi_budget: float = field(init=False, repr=False, compare=False)
-    _mother_bits: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if any(m <= 0.0 for m in self.mi_needed_per_bit):
             raise ValueError("mi_needed_per_bit must be positive")
-        object.__setattr__(self, "_mi_budget", self.spec.mi_budget)
-        object.__setattr__(self, "_mother_bits", self.spec.mother_codeword_bits)
 
     def __len__(self):
         return len(self.mi_needed_per_bit)
@@ -227,10 +222,11 @@ class AdaptivePolicy:
             raise SchemeExhausted(
                 f"transmission {j} beyond {len(self.mi_needed_per_bit)} thresholds"
             ) from None
-        remaining = self._mother_bits - n_total_sent
+        spec = self.spec
+        remaining = spec.mother_codeword_bits - n_total_sent
         if remaining < MODULATION_BITS:
             raise SchemeExhausted("mother codeword exhausted")
-        deficit = self._mi_budget - n_total_sent * mi_acc_per_bit
+        deficit = spec.mi_budget - n_total_sent * mi_acc_per_bit
         return min(_ceil_to_symbol(deficit / mi_needed_per_bit), remaining)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -21,7 +22,7 @@ from lmsharq.channel import (
 )
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable  # noqa: F401  bound here for bench/spans.py, which wraps it by name
-from lmsharq.mi import MiTable, db_to_linear, mi_of
+from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     PROB_PRESETS,
     AdaptivePolicy,
@@ -58,6 +59,9 @@ class SimConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
+        for name in ("es_n0_ref_db", "t_propag_s", "bit_rate_bps", "duration_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.t_propag_s < 0.0:
             raise ConfigError("t_propag_s cannot be negative")
         if self.bit_rate_bps <= 0.0:
@@ -84,23 +88,38 @@ class RunLog:
     off by the end of the run (their bursts still count in the totals),
     and decode_time_s is NaN for every codeword that did not decode.
     Burst columns are in transmission order; burst_codeword is the id of
-    the codeword each burst belongs to.
+    the codeword each burst belongs to. The per-codeword n_total_sent and
+    n_transmissions and the link totals are derived from the burst columns.
     """
 
     config: SimConfig
-    n_total_sent: np.ndarray
     mi_acc_per_bit: np.ndarray
-    n_transmissions: np.ndarray
     decode_time_s: np.ndarray
     finished: np.ndarray
     burst_start_s: np.ndarray
     burst_bits: np.ndarray
     burst_rho: np.ndarray
     burst_codeword: np.ndarray
-    total_bits: int
-    total_symbols: int
     effective_max_transmissions: int
     data_bits: int
+
+    @cached_property
+    def n_total_sent(self) -> np.ndarray:
+        # whole-number weights, so the float64 sums are exact
+        return np.bincount(self.burst_codeword, weights=self.burst_bits,
+                           minlength=len(self.finished)).astype(np.int64)
+
+    @cached_property
+    def n_transmissions(self) -> np.ndarray:
+        return np.bincount(self.burst_codeword, minlength=len(self.finished)).astype(np.int64)
+
+    @property
+    def total_bits(self) -> int:
+        return int(self.burst_bits.sum())
+
+    @property
+    def total_symbols(self) -> int:
+        return self.total_bits // MODULATION_BITS
 
     @property
     def generated(self) -> int:
@@ -147,15 +166,14 @@ def run(
         if series is not None or mi_samples is not None:
             raise ConfigError("a clear-sky run takes no attenuation series or MI samples")
         # one unfaded sample that stays active for the whole run
-        series = AttenuationSeries(
-            time_s=np.zeros(1), rho=np.ones(1), sample_dt_s=config.duration_s
-        )
+        series = AttenuationSeries(rho=np.ones(1), sample_dt_s=config.duration_s)
     else:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
         if series is None:
             series = generate_series(model, config.duration_s, config.seed)
-        if series.time_s[-1] + series.sample_dt_s < config.duration_s:
+        # where the last sample ends: time_s[-1] + sample_dt_s, without building time_s
+        if (len(series.rho) - 1) * series.sample_dt_s + series.sample_dt_s < config.duration_s:
             raise ValueError("attenuation series shorter than the run duration")
         if mi_samples is not None and (
             not isinstance(mi_samples, np.ndarray) or mi_samples.dtype != np.float64
@@ -243,33 +261,24 @@ def run(
         t += airtime
 
     # cut off: every codeword still queued, plus the one that no longer fit
-    n_codewords = len(mi_acc)
-    finished = np.ones(n_codewords, dtype=bool)
+    finished = np.ones(len(mi_acc), dtype=bool)
     finished[[entry[1] for entry in pending]] = False
     if c >= 0:
         finished[c] = False
-    total_bits = sum(burst_bits)
-    assert total_bits % 2 == 0
     bits_col = np.array(burst_bits, dtype=np.int64)
-    cw_col = np.array(burst_cw, dtype=np.int64)
     # Bursts go back to back from 0. add.accumulate sums the airtimes in
     # order, as t did, and each burst's sample is int(t / dt) as in the loop.
     burst_start = np.zeros(len(bits_col))
     np.cumsum(bits_col[:-1] / bit_rate, out=burst_start[1:])
     return RunLog(
         config=config,
-        # every codeword has a first burst, and the weights sum exactly
-        n_total_sent=np.bincount(cw_col, weights=bits_col, minlength=n_codewords).astype(np.int64),
         mi_acc_per_bit=np.array(mi_acc, dtype=float),
-        n_transmissions=np.bincount(cw_col, minlength=n_codewords).astype(np.int64),
         decode_time_s=np.array(decode_time, dtype=float),
         finished=finished,
         burst_start_s=burst_start,
         burst_bits=bits_col,
         burst_rho=series.rho[(burst_start / dt).astype(np.intp)],
-        burst_codeword=cw_col,
-        total_bits=total_bits,
-        total_symbols=total_bits // 2,
+        burst_codeword=np.array(burst_cw, dtype=np.int64),
         effective_max_transmissions=horizon,
         data_bits=spec.data_bits,
     )
@@ -299,6 +308,9 @@ def sweep(
     schemes = tuple(schemes)
     seeds = [int(seed) for seed in seeds]
     es_n0_list_db = [float(es_db) for es_db in es_n0_list_db]
+    # every run's config first, so a bad scheme or Es/N0 fails before any work
+    configs = [replace(base_config, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
+               for scheme in schemes for es_db in es_n0_list_db for seed in seeds]
     series = dict.fromkeys(seeds)  # clear sky: no series to share
     mi_samples = dict.fromkeys((seed, es_db) for es_db in es_n0_list_db for seed in seeds)
     if not base_config.clear_sky:
@@ -313,11 +325,5 @@ def sweep(
             for seed, es_db in mi_samples
         }
 
-    logs = []
-    for scheme in schemes:
-        for es_db in es_n0_list_db:
-            for seed in seeds:
-                cfg = replace(base_config, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
-                logs.append(run(cfg, model, spec, mi_table, cdf=cdf, series=series[seed],
-                                mi_samples=mi_samples[seed, es_db]))
-    return logs
+    return [run(cfg, model, spec, mi_table, cdf=cdf, series=series[cfg.seed],
+                mi_samples=mi_samples[cfg.seed, cfg.es_n0_ref_db]) for cfg in configs]

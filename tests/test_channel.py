@@ -1,6 +1,7 @@
 """Markov-switched Loo channel: generation, CDF and quantile behavior."""
 
 import hashlib
+import math
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,12 @@ def test_duration_covers_the_travelled_distance(its_model):
     assert series.time_s[-1] + series.sample_dt_s >= 600.0
 
 
+@pytest.mark.parametrize("duration_s", [math.nan, math.inf, 0.0, -1.0])
+def test_a_bad_duration_is_rejected(its_model, duration_s):
+    with pytest.raises(ValueError, match="duration_s must be positive and finite"):
+        generate_series(its_model, duration_s, seed=1)
+
+
 def test_identity_matrix_is_absorbing(its_model):
     model = LmsModel(states=its_model.states, transition_matrix=IDENTITY)
     for k in range(3):
@@ -247,9 +254,8 @@ def test_per_state_loo_marginals(its_model):
 
 
 def test_constant_series_gives_a_step_cdf():
-    series = AttenuationSeries(
-        time_s=np.array([0.0, 1.0, 2.0]), rho=np.ones(3), sample_dt_s=1.0
-    )
+    series = AttenuationSeries(rho=np.ones(3), sample_dt_s=1.0)
+    assert series.time_s.tolist() == [0.0, 1.0, 2.0]
     cdf = empirical_cdf(series)
     assert _cdf_eval(cdf, 1.0) == 1.0
     assert _cdf_eval(cdf, 1.0 - 1e-9) == 0.0

@@ -33,7 +33,8 @@ def test_es_list_inclusive_range():
     assert _parse_es_list("1:2:0.5") == [1.0, 1.5, 2.0]
 
 
-@pytest.mark.parametrize("text", ["7:13", "13:7:1", "7:8:0", "7:8:-1", "a:b:c"])
+@pytest.mark.parametrize("text", ["7:13", "13:7:1", "7:8:0", "7:8:-1", "a:b:c", "nan:13:1",
+                                  "7:nan:1", "7:13:nan", "7:inf:1", "-inf:7:1", "7:13:inf"])
 def test_es_list_rejects_bad_ranges(text):
     with pytest.raises((ConfigError, ValueError)):
         _parse_es_list(text)
@@ -247,6 +248,26 @@ def test_an_uncapped_run_writes_no_note(capsys):
     assert main(["run", "--scheme", "classical", "--env", "open", "--esn0", "8",
                  "--duration-s", "5"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("args, code", [
+    ("run --scheme classical --esn0 nan --duration-s 5", 2), ("run --esn0 inf --duration-s 5", 2),
+    ("run --esn0=-inf --duration-s 5", 2), ("run --esn0 10 --duration-s nan", 2),
+    ("run --esn0 10 --duration-s inf", 2), ("sweep --schemes classical --esn0 nan --duration-s 5", 2),
+    ("sweep --esn0 10 --duration-s inf", 2), ("channel --duration-s nan", 4),
+    ("channel --duration-s inf", 4),
+])
+def test_non_finite_inputs_exit_with_their_code(args, code, tmp_path, capsys):
+    out = tmp_path / "out.csv"
+    extra = [] if args.startswith("run") else ["--out", str(out)]
+    assert main(args.split() + extra) == code
+    assert "finite" in capsys.readouterr().err and not out.exists()
+
+
+def test_a_clear_sky_run_is_labelled_clear_sky(capsys):
+    assert main("run --scheme classical --clear-sky --env open --esn0 10 --duration-s 5".split()) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "environment = clear-sky" in lines and not any("open" in line for line in lines)
 
 
 def test_a_run_with_no_burst_is_an_empty_log_error(capsys):

@@ -20,8 +20,8 @@ def test_code_geometry_is_validated():
     spec = spec_with(0.9)
     assert spec.mother_codeword_bits == 53520
     assert spec.data_bits == 8920
-    with pytest.raises(ValueError, match="code rate"):
-        CodeSpec(data_bits=8920, mother_codeword_bits=53521, mi_req_per_bit=0.9)
+    assert spec.rate == Fraction(1, 6)
+    assert CodeSpec(2, 10, 0.25).rate == Fraction(1, 5)
     with pytest.raises(ValueError):
         CodeSpec(mi_req_per_bit=0.0)
     with pytest.raises(ValueError):
@@ -29,7 +29,7 @@ def test_code_geometry_is_validated():
 
 
 def test_code_spec_is_frozen():
-    """The policies read the budget and the mother codeword length once."""
+    """A frozen spec keeps its cached MI budget valid."""
     spec = spec_with(0.9)
     with pytest.raises(dataclasses.FrozenInstanceError):
         spec.mi_req_per_bit = 0.5
@@ -40,7 +40,7 @@ def test_code_spec_is_frozen():
 
 def test_mother_codeword_is_whole_symbols():
     with pytest.raises(ValueError, match="symbols"):
-        CodeSpec(1, 5, Fraction(1, 5), 0.25)
+        CodeSpec(1, 5, 0.25)
 
 
 def test_budget_is_bits_times_requirement():

@@ -23,12 +23,9 @@ def make_log(codewords, horizon=4):
     """A log of finished codewords whose bursts follow each other in id order."""
     bits = [b for sizes, _ in codewords for b in sizes]
     owner = [c for c, (sizes, _) in enumerate(codewords) for _ in sizes]
-    total = sum(bits)
     return RunLog(
         config=CFG,
-        n_total_sent=np.array([sum(sizes) for sizes, _ in codewords], dtype=np.int64),
         mi_acc_per_bit=np.zeros(len(codewords)),
-        n_transmissions=np.array([len(sizes) for sizes, _ in codewords], dtype=np.int64),
         decode_time_s=np.array([0.1 * len(sizes) if ok else math.nan
                                 for sizes, ok in codewords], dtype=float),
         finished=np.ones(len(codewords), dtype=bool),
@@ -36,8 +33,6 @@ def make_log(codewords, horizon=4):
         burst_bits=np.array(bits, dtype=np.int64),
         burst_rho=np.ones(len(bits)),
         burst_codeword=np.array(owner, dtype=np.int64),
-        total_bits=total,
-        total_symbols=total // 2,
         effective_max_transmissions=horizon,
         data_bits=8920,
     )
@@ -196,12 +191,10 @@ def test_unfaded_fixed_scheme_hits_the_single_burst_rate(code_spec, mi_table):
 def test_efficiency_counts_the_data_bits_of_the_run_code(
     its_model, its_calib_cdf, code_spec, mi_table
 ):
-    from fractions import Fraction
-
     from lmsharq.fec import CodeSpec
     from lmsharq.sim import run
 
-    half = CodeSpec(4460, 26760, Fraction(1, 6), code_spec.mi_req_per_bit)
+    half = CodeSpec(4460, 26760, code_spec.mi_req_per_bit)
     cfg = SimConfig(environment="its", es_n0_ref_db=10.0, duration_s=60.0)
     log = run(cfg, its_model, half, mi_table, cdf=its_calib_cdf)
     m = RunMetrics.from_log(log)

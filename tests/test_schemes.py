@@ -1,7 +1,6 @@
 """Burst sizing policies and the accumulated-MI bookkeeping."""
 
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,10 +69,10 @@ def test_equal_split_preset_covers_the_mother_codeword():
 
 @pytest.mark.parametrize("spec, expected", [
     (CodeSpec(), (13380,) * 4),
-    (CodeSpec(4460, 26760, Fraction(1, 6)), (6690,) * 4),
-    (CodeSpec(8922, 53532, Fraction(1, 6)), (13384, 13384, 13382, 13382)),
-    (CodeSpec(9, 54, Fraction(1, 6)), (14, 14, 14, 12)),
-    (CodeSpec(1, 6, Fraction(1, 6)), (2, 2, 2)),
+    (CodeSpec(4460, 26760), (6690,) * 4),
+    (CodeSpec(8922, 53532), (13384, 13384, 13382, 13382)),
+    (CodeSpec(9, 54), (14, 14, 14, 12)),
+    (CodeSpec(1, 6), (2, 2, 2)),
 ])
 def test_equal_split_is_whole_symbols_of_the_mother_codeword(spec, expected):
     bits = equal_split(spec).n_sent
@@ -383,7 +382,7 @@ def test_enhanced_table_equals_the_reference(env, preset, short, request, code_s
     cdf = request.getfixturevalue(f"{env}_calib_cdf")
     spec = code_spec
     if short:
-        spec = CodeSpec(4460, 26760, Fraction(1, 6), code_spec.mi_req_per_bit)
+        spec = CodeSpec(4460, 26760, code_spec.mi_req_per_bit)
     probs = DecodingProbTable(PROB_PRESETS[preset])
     for es_db in range(-2, 17):
         args = (cdf, probs, spec, float(db_to_linear(float(es_db))), mi_table)
