@@ -104,9 +104,13 @@ class AttenuationSeries:
                 writer.writerow([f"{t:.6g}", f"{r:.6g}"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmpiricalCdf:
-    """Sorted sample view used for probability and quantile queries."""
+    """Sorted sample view used for probability and quantile queries.
+
+    Immutable: it keeps its own sorted copy of the samples, read-only, so
+    one CDF can be shared by every caller.
+    """
 
     sorted_rho: np.ndarray
 
@@ -114,7 +118,8 @@ class EmpiricalCdf:
         samples = np.sort(np.asarray(self.sorted_rho, dtype=float))
         if samples.size == 0:
             raise ValueError("cannot build a CDF from an empty sample set")
-        self.sorted_rho = samples
+        samples.setflags(write=False)
+        object.__setattr__(self, "sorted_rho", samples)
 
 
 def _markov_walk(cum: np.ndarray, u: np.ndarray, first: int) -> np.ndarray:

@@ -12,13 +12,13 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from lmsharq.channel import (
-    AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
+    AttenuationSeries, EmpiricalCdf, LmsModel, LooParams, empirical_cdf, generate_series,
 )
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable  # noqa: F401  bound here for bench/spans.py, which wraps it by name
@@ -131,9 +131,33 @@ class RunLog:
 
 
 def calibration_cdf(model: LmsModel) -> EmpiricalCdf:
-    """Empirical attenuation distribution from a long calibration run."""
-    series = generate_series(model, CALIB_DURATION_S, CALIB_SEED)
-    return empirical_cdf(series)
+    """Empirical attenuation distribution from a long calibration run.
+
+    The 3600 s series at CALIB_SEED depends only on the model's
+    parameters, so the CDF is kept per process for the two models used
+    last, keyed by every field that generate_series reads. The key is
+    read afresh on every call, so a model changed in place is calibrated
+    again. Callers share the read-only EmpiricalCdf, which holds
+    8 * 3600 * speed_mps / sample_frame_m bytes: 4.8 MB for the shipped
+    environments.
+    """
+    return _calibrated(
+        tuple((s.alpha_db, s.psi_db, s.mp_db) for s in model.states),
+        np.asarray(model.transition_matrix, dtype=float).tobytes(),
+        model.state_frame_m, model.sample_frame_m, model.speed_mps,
+    )
+
+
+@lru_cache(maxsize=2)
+def _calibrated(states, transitions, state_frame_m, sample_frame_m, speed_mps) -> EmpiricalCdf:
+    # Calibrates a model rebuilt from the key alone, so no field left out
+    # of the key can reach the result.
+    model = LmsModel(
+        states=tuple(LooParams(*s) for s in states),
+        transition_matrix=np.frombuffer(transitions).reshape(3, 3),
+        state_frame_m=state_frame_m, sample_frame_m=sample_frame_m, speed_mps=speed_mps,
+    )
+    return empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
 
 
 def _sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_lin: float) -> np.ndarray:
@@ -302,8 +326,9 @@ def sweep(
     handed to all of its runs, and its per-sample MI is computed once per
     Es/N0 point and handed to that point's runs of every scheme. `model`
     may be None only for clear sky.
-    Without a `cdf`, the calibration CDF of `model` is computed once for
-    all runs, unless every scheme is classical and none reads it.
+    Without a `cdf`, the calibration CDF of `model` is looked up once for
+    all runs, unless every scheme is classical and none reads it;
+    calibration_cdf keeps it for later calls in the same process.
     """
     schemes = tuple(schemes)
     seeds = [int(seed) for seed in seeds]

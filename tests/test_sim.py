@@ -1,23 +1,26 @@
 """Event loop behavior: scheduling, causality, decode bookkeeping."""
 
 import contextlib
+import copy
 import gc
 import hashlib
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmsharq.channel import AttenuationSeries, generate_series
+from lmsharq.channel import AttenuationSeries, LmsModel, LooParams, empirical_cdf, generate_series
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable
 from lmsharq.metrics import RunMetrics
 from lmsharq.mi import db_to_linear, mi_inverse, mi_of
-from lmsharq.sim import SCHEMES, SimConfig, run, sweep
+from lmsharq.sim import (
+    CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, _calibrated, calibration_cdf, run, sweep,
+)
 
 TOL = 1e-9
 
@@ -449,6 +452,83 @@ def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, monkeypat
         logs = sweep(base, [10.0], schemes, [1], its_model, spec=code_spec, mi_table=mi_table)
     assert len(logs) == len(schemes)
     assert len(calls) == expected
+
+
+def test_a_model_is_calibrated_once(monkeypatch, its_model):
+    first = calibration_cdf(its_model)
+    calls = count_calls(monkeypatch, "generate_series")
+    assert calibration_cdf(its_model) is first
+    # the memo is keyed by the parameters, not by the model object
+    assert calibration_cdf(copy.deepcopy(its_model)) is first
+    assert calls == []
+
+
+def test_a_calibration_cdf_is_read_only(its_model):
+    cdf = calibration_cdf(its_model)
+    with pytest.raises(ValueError, match="read-only"):
+        cdf.sorted_rho[0] = 0.0
+    with pytest.raises(FrozenInstanceError):
+        cdf.sorted_rho = np.ones(3)
+
+
+def _scale(name, factor, state=None):
+    def change(model):
+        owner = model if state is None else model.states[state]
+        setattr(owner, name, getattr(owner, name) * factor)
+    return change
+
+
+def _reverse_first_row(model):
+    model.transition_matrix[0] = model.transition_matrix[0, ::-1].copy()
+
+
+MODEL_CHANGES = {
+    **{f"state{k}-{name}": _scale(name, factor, state=k)
+       for k in range(3) for name, factor in (("alpha_db", 0.5), ("psi_db", 1.5), ("mp_db", 2.0))},
+    "transition_matrix": _reverse_first_row,
+    "state_frame_m": _scale("state_frame_m", 2.0),
+    "sample_frame_m": _scale("sample_frame_m", 2.0),
+    "speed_mps": _scale("speed_mps", 0.5),
+}
+
+
+@pytest.mark.parametrize("field", sorted(MODEL_CHANGES))
+def test_a_model_changed_in_place_is_calibrated_again(field, its_model):
+    """Each field generate_series reads, changed on its own after the
+    model's CDF is memoised, gives the CDF of the changed model."""
+    model = copy.deepcopy(its_model)
+    before = calibration_cdf(model)
+    MODEL_CHANGES[field](model)
+    got = calibration_cdf(model)
+    want = empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
+    assert got.sorted_rho.tobytes() == want.sorted_rho.tobytes()
+    assert got.sorted_rho.tobytes() != before.sorted_rho.tobytes()
+
+
+def small_model(alpha_db):
+    """A model whose calibration takes 3600 samples: one per 5 m at 5 m/s."""
+    return LmsModel(states=tuple(LooParams(alpha_db, 1.0, -10.0) for _ in range(3)),
+                    transition_matrix=np.full((3, 3), 1.0 / 3.0),
+                    state_frame_m=5.0, sample_frame_m=5.0, speed_mps=5.0)
+
+
+def test_the_least_recently_used_calibration_is_evicted(monkeypatch):
+    cap = _calibrated.cache_info().maxsize
+    models = [small_model(-float(k)) for k in range(cap + 1)]
+    calls = count_calls(monkeypatch, "generate_series")
+    first = [calibration_cdf(m) for m in models[:cap]]
+    assert len(calls) == cap
+    assert calibration_cdf(models[0]) is first[0]  # now the most recently used
+    calibration_cdf(models[-1])
+    assert _calibrated.cache_info().currsize == cap
+    assert len(calls) == cap + 1
+    assert calibration_cdf(models[0]) is first[0]
+    assert len(calls) == cap + 1
+    again = calibration_cdf(models[1])  # evicted, so computed again
+    assert len(calls) == cap + 2
+    assert again is not first[1]
+    assert again.sorted_rho.tobytes() == first[1].sorted_rho.tobytes()
+    assert _calibrated.cache_info().currsize == cap
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
