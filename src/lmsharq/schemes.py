@@ -12,6 +12,7 @@ Three ways to size the redundancy bursts of one codeword:
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -230,6 +231,33 @@ class AdaptivePolicy:
         return min(_ceil_to_symbol(deficit / mi_needed_per_bit), remaining)
 
 
+@functools.lru_cache(maxsize=3)
+def _enhanced_draws(n_samples: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """The seeded draws of the enhanced table over n_samples sorted samples.
+
+    The draws are those of rng.choice over the samples, taken as sample
+    indices, so they depend on the sample count and the number of rounds
+    only. Returns the distinct indices drawn, in increasing order, and
+    the position of every draw among them, one row per transmission.
+    Both arrays are read-only: every caller shares them.
+    """
+    rng = np.random.default_rng(ENHANCED_TABLE_SEED)
+    picks = rng.choice(n_samples, size=(ENHANCED_TABLE_DRAWS, rounds))
+    drawn = np.zeros(n_samples, dtype=bool)
+    drawn[picks] = True
+    picked = np.flatnonzero(drawn)
+    # int32 halves both what a fresh process first touches here and what
+    # an entry keeps (1.5 MB at 600k samples and four rounds); np.take
+    # reads such indices about as fast as intp ones.
+    rank = np.empty(n_samples, dtype=np.int32)
+    rank[picked] = np.arange(picked.size, dtype=np.int32)
+    positions = np.ascontiguousarray(rank[picks].T)
+    picked = picked.astype(np.int32)
+    picked.setflags(write=False)
+    positions.setflags(write=False)
+    return picked, positions
+
+
 def build_enhanced_table(
     cdf: EmpiricalCdf,
     probs: DecodingProbTable,
@@ -260,17 +288,17 @@ def build_enhanced_table(
             stacklevel=2,
         )
         return StaticBitTable(n_sent=(spec.mother_codeword_bits,))
+    if len(probs.p) == 1:
+        return StaticBitTable(n_sent=(n_1,))
     entries = [n_1]
     total = n_1
 
-    # The draws of rng.choice over the sorted samples, as sample indices,
-    # in one contiguous row per transmission. np.interp is several times
-    # faster on sorted input, so the MI of every sample is computed in
-    # order and each draw reads its own: mi_of over the draws, bit for bit.
-    rho = cdf.sorted_rho
-    rng = np.random.default_rng(ENHANCED_TABLE_SEED)
-    picks = rng.choice(rho.size, size=(ENHANCED_TABLE_DRAWS, len(probs.p)))
-    mi_draws = mi_of(mi_table, rho * rho * es_n0_ref_linear)[np.ascontiguousarray(picks.T)]
+    # The drawn samples stay sorted, and np.interp is several times faster
+    # on sorted input; each draw then reads its own: mi_of over the draws,
+    # bit for bit.
+    picked, positions = _enhanced_draws(cdf.sorted_rho.size, len(probs.p))
+    rho = cdf.sorted_rho.take(picked)
+    mi_draws = mi_of(mi_table, rho * rho * es_n0_ref_linear).take(positions)
     acc = mi_draws[0] * n_1
     # Work buffers for the decode test of every draw. Counting the draws
     # that decode and dividing once is np.mean of the mask, bit for bit:
@@ -304,15 +332,30 @@ def build_enhanced_table(
             entries.append(remaining)
             total += remaining
             break
-        # Bisection over symbol counts; lo misses the target, hi meets it.
-        lo, hi = 0, remaining // MODULATION_BITS
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if decode_fraction(row, mid * MODULATION_BITS) >= cum_target:
-                hi = mid
-            else:
-                lo = mid
-        bits = max(hi, 1) * MODULATION_BITS
+        # The entry is the fewest symbols in [1, most] whose decode
+        # fraction meets the target; a stage whose target the earlier
+        # bursts already meet gets one symbol. The target is met once
+        # `need` draws decode, so start from the need-th smallest of the
+        # draws' own symbol counts, estimated in floats, and step to the
+        # exact boundary with the decode test, which only gets easier as
+        # the burst grows. A draw that already decodes counts as 0, also
+        # with no MI this round (0 / 0). np.sort, not np.partition: those
+        # draws are many and tie at 0, and introselect is slow on ties.
+        most = remaining // MODULATION_BITS
+        need = math.ceil(cum_target * ENHANCED_TABLE_DRAWS)
+        while need / ENHANCED_TABLE_DRAWS < cum_target:
+            need += 1
+        while (need - 1) / ENHANCED_TABLE_DRAWS >= cum_target:
+            need -= 1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_draw = np.fmax((budget - acc) / (MODULATION_BITS * row), 0.0)
+        estimate = np.sort(per_draw)[need - 1]
+        symbols = max(math.ceil(min(estimate, most)), 1)
+        while symbols > 1 and decode_fraction(row, (symbols - 1) * MODULATION_BITS) >= cum_target:
+            symbols -= 1
+        while symbols < most and decode_fraction(row, symbols * MODULATION_BITS) < cum_target:
+            symbols += 1
+        bits = symbols * MODULATION_BITS
         entries.append(bits)
         total += bits
         acc += bits * row

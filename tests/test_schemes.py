@@ -21,6 +21,7 @@ from lmsharq.schemes import (
     SchemeExhausted,
     StaticBitTable,
     _ceil_to_symbol,
+    _enhanced_draws,
     build_enhanced_table,
     conditional_prob,
     equal_split,
@@ -422,3 +423,79 @@ def test_enhanced_table_divides_the_count_by_the_number_of_draws():
     got = built_with_warnings(build_enhanced_table, *args)
     assert got == built_with_warnings(_reference_enhanced_table, *args)
     assert got == ((13380, 13380), [])
+
+
+def test_enhanced_table_gives_one_symbol_to_a_stage_the_earlier_bursts_meet():
+    # three quarters of the draws decode on the first burst alone
+    probs = DecodingProbTable((0.5, 0.2))
+    args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, DYADIC_TABLE)
+    got = built_with_warnings(build_enhanced_table, *args)
+    assert got == built_with_warnings(_reference_enhanced_table, *args)
+    assert got == ((13380, MODULATION_BITS), [])
+
+
+# The lowest sample falls below the grid, whose first MI is 0: a quarter of
+# the draws per round carry no MI, and the 1/16 with none in either round
+# never decode. Those that decoded on the first burst and draw 0 MI in the
+# second sit exactly on the budget.
+ZERO_MI_TABLE = MiTable(es_n0_linear=np.array([1.0, 4.0]), mi_per_bit=np.array([0.0, 1.0]))
+ZERO_MI_CDF = EmpiricalCdf(sorted_rho=np.array([0.25, 1.0, 1.0, 2.0]))
+
+
+@pytest.mark.parametrize(
+    "second, expected",
+    [
+        (0.4, ((13380, 13380), [])),
+        (0.45, ((13380, 40140), [(UserWarning, "transmission 2 clamped to the 40140 bits"
+                                  " left of the mother codeword; table ends there")])),
+    ],
+)
+def test_enhanced_table_never_decodes_a_draw_without_mi(second, expected):
+    probs = DecodingProbTable((0.5, second))
+    args = (ZERO_MI_CDF, probs, DYADIC_SPEC, 4.0, ZERO_MI_TABLE)
+    got = built_with_warnings(build_enhanced_table, *args)
+    assert got == built_with_warnings(_reference_enhanced_table, *args)
+    assert got == expected
+
+
+def test_enhanced_table_ignores_which_draws_were_cached_before(
+    small_cdf, its_calib_cdf, open_calib_cdf, code_spec, mi_table
+):
+    # six (sample count, rounds) keys against three cache entries, so the
+    # second pass meets entries evicted, reused and rebuilt in another order
+    es = float(db_to_linear(10.0))
+    inputs = [
+        (cdf, DecodingProbTable(PROB_PRESETS[preset]), spec, e, table)
+        for cdf, spec, e, table in (
+            (small_cdf, code_spec, es, mi_table),
+            (its_calib_cdf, code_spec, es, mi_table),
+            (open_calib_cdf, code_spec, es, mi_table),
+            (DYADIC_CDF, DYADIC_SPEC, 4.0, DYADIC_TABLE),
+        )
+        for preset in ("case1", "case2", "case3")
+    ]
+    cases = [(args, built_with_warnings(_reference_enhanced_table, *args)) for args in inputs]
+    _enhanced_draws.cache_clear()
+    for order in (cases, cases[::-1]):
+        for args, expected in order:
+            assert built_with_warnings(build_enhanced_table, *args) == expected
+    assert _enhanced_draws.cache_info().currsize == 3
+    for rounds in (2, 4):
+        for shared in _enhanced_draws(DYADIC_CDF.sorted_rho.size, rounds):
+            assert not shared.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+
+
+def test_enhanced_table_sizes_a_boundary_on_a_whole_symbol_count():
+    # MI 0.437, 0.637 and 1 at the three samples; the first burst is 21006
+    # bits. The draws that fail it and then see MI 0.637 decode at
+    # (13380 - 0.437 * 21006) / (2 * 0.637) = 3297 symbols in real numbers,
+    # and the float decode test meets the budget there too, while a float
+    # estimate of that quotient rounds just above it.
+    table = MiTable(es_n0_linear=np.array([1.0, 4.0, 16.0]), mi_per_bit=np.array([0.437, 0.637, 1.0]))
+    probs = DecodingProbTable((0.5, 0.4))
+    args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, table)
+    got = built_with_warnings(build_enhanced_table, *args)
+    assert got == built_with_warnings(_reference_enhanced_table, *args)
+    assert got == ((21006, 3297 * MODULATION_BITS), [])
