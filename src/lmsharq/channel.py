@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import configparser
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import numpy as np
 ROW_SUM_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class LooParams:
     """Loo distribution parameters for one propagation state.
 
@@ -34,42 +35,52 @@ class LooParams:
     mp_db: float
 
     def __post_init__(self):
+        for name in ("alpha_db", "psi_db", "mp_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.psi_db <= 0.0:
             raise ValueError("psi_db must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class LmsModel:
-    """Markov-switched three-state Loo channel along a travelled path."""
+    """Markov-switched three-state Loo channel along a travelled path.
+
+    An immutable value: the transition matrix is kept as three row tuples,
+    so equal parameters make equal, hashable models. To vary one field,
+    use dataclasses.replace.
+    """
 
     states: tuple
-    transition_matrix: np.ndarray
+    transition_matrix: tuple
     state_frame_m: float = 5.0
     sample_frame_m: float = 0.1
     speed_mps: float = 60.0 / 3.6
 
     def __post_init__(self):
-        self.states = tuple(self.states)
-        if len(self.states) != 3:
+        states = tuple(self.states)
+        if len(states) != 3:
             raise ValueError("model requires exactly three states")
         mat = np.asarray(self.transition_matrix, dtype=float)
         if mat.shape != (3, 3):
             raise ValueError("transition matrix must be 3x3")
+        if not np.isfinite(mat).all():
+            raise ValueError("transition probabilities must be finite")
         if np.any(mat < 0.0):
             raise ValueError("transition probabilities must be non-negative")
         if np.any(np.abs(mat.sum(axis=1) - 1.0) > ROW_SUM_TOL):
             raise ValueError("transition matrix rows must each sum to 1")
-        self.transition_matrix = mat
-        if self.state_frame_m <= 0.0 or self.sample_frame_m <= 0.0:
-            raise ValueError("frame lengths must be positive")
+        for name in ("state_frame_m", "sample_frame_m", "speed_mps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.sample_frame_m > self.state_frame_m:
             raise ValueError("sample_frame_m cannot exceed state_frame_m")
-        if self.speed_mps <= 0.0:
-            raise ValueError("speed_mps must be positive")
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "transition_matrix", tuple(map(tuple, mat.tolist())))
 
     def stationary(self) -> np.ndarray:
         """Stationary state distribution of the transition matrix."""
-        p = self.transition_matrix
+        p = np.asarray(self.transition_matrix)
         a = np.vstack([p.T - np.eye(3), np.ones(3)])
         b = np.array([0.0, 0.0, 0.0, 1.0])
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
@@ -170,13 +181,12 @@ def generate_series(
     model: LmsModel,
     duration_s: float,
     seed: int,
-    initial_state: int | None = None,
 ) -> AttenuationSeries:
     """Generate a rho series covering duration_s of travel.
 
     One Markov decision per state frame, one Loo draw per sample frame.
     Deterministic for a fixed seed. The chain starts from its stationary
-    distribution unless initial_state pins it.
+    distribution.
     """
     if not 0.0 < duration_s < np.inf:
         raise ValueError("duration_s must be positive and finite")
@@ -186,12 +196,7 @@ def generate_series(
     counts = _epoch_counts(n_samples, model.sample_frame_m, model.state_frame_m)
 
     u = rng.random(len(counts))
-    if initial_state is None:
-        first = int(np.searchsorted(np.cumsum(model.stationary()), u[0]))
-    else:
-        if not 0 <= initial_state < 3:
-            raise ValueError("initial_state must be 0, 1 or 2")
-        first = initial_state
+    first = int(np.searchsorted(np.cumsum(model.stationary()), u[0]))
     states = _markov_walk(np.cumsum(model.transition_matrix, axis=1), u, first)
 
     def per_sample(values):
@@ -260,7 +265,7 @@ def load_model(path) -> LmsModel:
         geometry = parser["geometry"]
         return LmsModel(
             states=states,
-            transition_matrix=np.array(rows),
+            transition_matrix=rows,
             state_frame_m=float(geometry["state_frame_m"]),
             sample_frame_m=float(geometry["sample_frame_m"]),
             speed_mps=float(geometry["speed_mps"]),

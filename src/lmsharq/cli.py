@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lmsharq import metrics, presets, sim
+from lmsharq import metrics, presets
 from lmsharq.channel import empirical_cdf, generate_series
 from lmsharq.errors import ConfigError
 from lmsharq.fec import TARGET_WER, calibrate_mi_req, load_wer_curve
@@ -226,8 +226,6 @@ def cmd_figures(args) -> int:
     es_list = _parse_es_list(args.esn0)
     base = SimConfig(environment=recipe["env"], seed=args.seed)
     model, spec, mi_table = _prepared(base)
-    # the calibration depends on the environment only, not on the presets
-    cdf = sim.calibration_cdf(model)
     n_bins = base.max_transmissions
     rows = []
     if "probs" in recipe:
@@ -235,12 +233,12 @@ def cmd_figures(args) -> int:
         for preset in recipe["probs"]:
             cfg = replace(base, probs_preset=preset)
             for log in sweep(cfg, es_list, recipe["schemes"], [args.seed], model,
-                             spec=spec, mi_table=mi_table, cdf=cdf):
+                             spec=spec, mi_table=mi_table):
                 rows.append(_metric_row(log, n_bins) + [preset])
     else:
         header = _sweep_header(n_bins)
         for log in sweep(base, es_list, recipe["schemes"], [args.seed], model,
-                         spec=spec, mi_table=mi_table, cdf=cdf):
+                         spec=spec, mi_table=mi_table):
             rows.append(_metric_row(log, n_bins))
     _write_rows(out, header, rows)
     print(f"wrote {len(rows)} rows to {out}")

@@ -45,10 +45,6 @@ class RunMetrics:
     mean_delay_s: float
     decode_fraction_per_transmission: tuple
 
-    @property
-    def total_decode_fraction(self) -> float:
-        return float(sum(self.decode_fraction_per_transmission))
-
     @classmethod
     def from_log(cls, log: RunLog) -> "RunMetrics":
         """All figures of a run, reduced over its codeword columns.

@@ -177,8 +177,6 @@ def mi_needed(
     """
     if not 0.0 < p_j < 1.0:
         raise ValueError("p_j must lie in (0, 1)")
-    if cdf.sorted_rho[0] == cdf.sorted_rho[-1]:
-        warnings.warn("degenerate channel CDF: single attenuation value", stacklevel=2)
     rho_needed = quantile(cdf, 1.0 - p_j)
     return rho_needed, mi_of(mi_table, rho_needed * rho_needed * es_n0_ref_linear)
 

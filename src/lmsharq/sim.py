@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from lmsharq.channel import (
-    AttenuationSeries, EmpiricalCdf, LmsModel, LooParams, empirical_cdf, generate_series,
+    AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
 )
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable  # noqa: F401  bound here for bench/spans.py, which wraps it by name
@@ -130,33 +130,16 @@ class RunLog:
         return int(np.count_nonzero(~np.isnan(self.decode_time_s)))
 
 
+@lru_cache(maxsize=2)
 def calibration_cdf(model: LmsModel) -> EmpiricalCdf:
     """Empirical attenuation distribution from a long calibration run.
 
-    The 3600 s series at CALIB_SEED depends only on the model's
-    parameters, so the CDF is kept per process for the two models used
-    last, keyed by every field that generate_series reads. The key is
-    read afresh on every call, so a model changed in place is calibrated
-    again. Callers share the read-only EmpiricalCdf, which holds
+    The 3600 s series at CALIB_SEED depends only on the model, an
+    immutable value, so the CDF is kept per process for the two models
+    used last. Callers share the read-only EmpiricalCdf, which holds
     8 * 3600 * speed_mps / sample_frame_m bytes: 4.8 MB for the shipped
     environments.
     """
-    return _calibrated(
-        tuple((s.alpha_db, s.psi_db, s.mp_db) for s in model.states),
-        np.asarray(model.transition_matrix, dtype=float).tobytes(),
-        model.state_frame_m, model.sample_frame_m, model.speed_mps,
-    )
-
-
-@lru_cache(maxsize=2)
-def _calibrated(states, transitions, state_frame_m, sample_frame_m, speed_mps) -> EmpiricalCdf:
-    # Calibrates a model rebuilt from the key alone, so no field left out
-    # of the key can reach the result.
-    model = LmsModel(
-        states=tuple(LooParams(*s) for s in states),
-        transition_matrix=np.frombuffer(transitions).reshape(3, 3),
-        state_frame_m=state_frame_m, sample_frame_m=sample_frame_m, speed_mps=speed_mps,
-    )
     return empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
 
 
@@ -170,7 +153,6 @@ def run(
     model: Optional[LmsModel],
     spec: CodeSpec,
     mi_table: MiTable,
-    cdf: Optional[EmpiricalCdf] = None,
     *,
     series: Optional[AttenuationSeries] = None,
     mi_samples: Optional[np.ndarray] = None,
@@ -181,10 +163,9 @@ def run(
     MI of every sample and the policy's per-round thresholds are computed
     once per run, with the same float operations as a per-burst mi_of,
     so the results do not depend on the precomputation. A given `series`
-    stands for generate_series(model, config.duration_s, config.seed), as
-    a given `cdf` stands for the calibration CDF of `model`, and given
-    `mi_samples` stand for mi_of over the series at the run's Es/N0, one
-    float64 per sample.
+    stands for generate_series(model, config.duration_s, config.seed), and
+    given `mi_samples` stand for mi_of over the series at the run's Es/N0,
+    one float64 per sample.
     """
     if config.clear_sky:
         if series is not None or mi_samples is not None:
@@ -211,8 +192,7 @@ def run(
         policy = equal_split(spec)
     else:
         # only the threshold policies read the attenuation distribution
-        if cdf is None:
-            cdf = empirical_cdf(series) if config.clear_sky else calibration_cdf(model)
+        cdf = empirical_cdf(series) if config.clear_sky else calibration_cdf(model)
         probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
         if config.scheme == "enhanced":
             policy = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
@@ -317,7 +297,6 @@ def sweep(
     *,
     spec: CodeSpec,
     mi_table: MiTable,
-    cdf: Optional[EmpiricalCdf] = None,
 ) -> list[RunLog]:
     """Cross-product of schemes, Es/N0 points and seeds, in stable order.
 
@@ -326,11 +305,7 @@ def sweep(
     handed to all of its runs, and its per-sample MI is computed once per
     Es/N0 point and handed to that point's runs of every scheme. `model`
     may be None only for clear sky.
-    Without a `cdf`, the calibration CDF of `model` is looked up once for
-    all runs, unless every scheme is classical and none reads it;
-    calibration_cdf keeps it for later calls in the same process.
     """
-    schemes = tuple(schemes)
     seeds = [int(seed) for seed in seeds]
     es_n0_list_db = [float(es_db) for es_db in es_n0_list_db]
     # every run's config first, so a bad scheme or Es/N0 fails before any work
@@ -341,8 +316,6 @@ def sweep(
     if not base_config.clear_sky:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
-        if cdf is None and any(s != "classical" for s in schemes):
-            cdf = calibration_cdf(model)
         series = {seed: generate_series(model, base_config.duration_s, seed) for seed in series}
         # one float64 per sample and point, held for the whole sweep
         mi_samples = {
@@ -350,5 +323,5 @@ def sweep(
             for seed, es_db in mi_samples
         }
 
-    return [run(cfg, model, spec, mi_table, cdf=cdf, series=series[cfg.seed],
+    return [run(cfg, model, spec, mi_table, series=series[cfg.seed],
                 mi_samples=mi_samples[cfg.seed, cfg.es_n0_ref_db]) for cfg in configs]

@@ -57,7 +57,7 @@ def open_calib_cdf(open_model):
     return calibration_cdf(open_model)
 
 
-def _grid(env, model, cdf, spec, table, schemes, probs="case3"):
+def _grid(env, model, spec, table, schemes, probs="case3"):
     """Full-length runs over the sweep grid; metrics only, logs dropped."""
     base = SimConfig(environment=env, probs_preset=probs)
     out = {}
@@ -65,31 +65,30 @@ def _grid(env, model, cdf, spec, table, schemes, probs="case3"):
         for es in SWEEP_ES_DB:
             cfg = replace(base, scheme=scheme, es_n0_ref_db=float(es))
             t0 = time.perf_counter()
-            log = run(cfg, model, spec, table, cdf=cdf)
+            log = run(cfg, model, spec, table)
             elapsed = time.perf_counter() - t0
             out[scheme, es] = (RunMetrics.from_log(log), elapsed)
     return out
 
 
 @pytest.fixture(scope="session")
-def its_grid(its_model, its_calib_cdf, code_spec, mi_table):
+def its_grid(its_model, code_spec, mi_table):
     """(scheme, es_db) -> (RunMetrics, run seconds) on the shadowed track."""
-    return _grid("its", its_model, its_calib_cdf, code_spec, mi_table, SCHEMES)
+    return _grid("its", its_model, code_spec, mi_table, SCHEMES)
 
 
 @pytest.fixture(scope="session")
-def open_grid(open_model, open_calib_cdf, code_spec, mi_table):
+def open_grid(open_model, code_spec, mi_table):
     """(scheme, es_db) -> (RunMetrics, run seconds) on the open track."""
-    return _grid("open", open_model, open_calib_cdf, code_spec, mi_table, SCHEMES)
+    return _grid("open", open_model, code_spec, mi_table, SCHEMES)
 
 
 @pytest.fixture(scope="session")
-def case_grid(its_model, its_calib_cdf, code_spec, mi_table):
+def case_grid(its_model, code_spec, mi_table):
     """(probs preset, es_db) -> RunMetrics for the adaptive scheme."""
     out = {}
     for preset in ("case1", "case2"):
-        grid = _grid("its", its_model, its_calib_cdf, code_spec, mi_table,
-                     ("adaptive",), probs=preset)
+        grid = _grid("its", its_model, code_spec, mi_table, ("adaptive",), probs=preset)
         for (_, es), (m, _) in grid.items():
             out[preset, es] = m
     return out

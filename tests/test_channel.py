@@ -1,5 +1,6 @@
 """Markov-switched Loo channel: generation, CDF and quantile behavior."""
 
+import dataclasses
 import hashlib
 import math
 import tracemalloc
@@ -49,6 +50,43 @@ def single_state_model(params: LooParams) -> LmsModel:
 def test_loo_params_require_positive_spread():
     with pytest.raises(ValueError):
         LooParams(alpha_db=-4.0, psi_db=0.0, mp_db=-15.0)
+
+
+@pytest.mark.parametrize("name", ["alpha_db", "psi_db", "mp_db"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_loo_params_must_be_finite(name, value):
+    fields = {"alpha_db": -4.0, "psi_db": 1.0, "mp_db": -15.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        LooParams(**fields)
+
+
+@pytest.mark.parametrize("name", ["state_frame_m", "sample_frame_m", "speed_mps"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
+def test_model_geometry_must_be_positive_and_finite(name, value):
+    s = (LooParams(-4.0, 1.0, -15.0),) * 3
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        LmsModel(states=s, transition_matrix=IDENTITY, **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_transition_probabilities_must_be_finite(value):
+    s = (LooParams(-4.0, 1.0, -15.0),) * 3
+    with pytest.raises(ValueError, match="transition probabilities must be finite"):
+        LmsModel(states=s, transition_matrix=[[value, 0.5, 0.5], [0, 1, 0], [0, 0, 1]])
+
+
+def test_a_model_is_an_immutable_value(its_model):
+    for owner in (its_model, its_model.states[0]):
+        for field in dataclasses.fields(owner):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(owner, field.name, getattr(owner, field.name))
+    with pytest.raises(TypeError):
+        its_model.transition_matrix[0][0] = 1.0
+    # a model built from an array equals one built from the same rows
+    rows = np.asarray(its_model.transition_matrix)
+    same = dataclasses.replace(its_model, transition_matrix=rows)
+    assert same == its_model and hash(same) == hash(its_model)
+    assert dataclasses.replace(its_model, speed_mps=1.0) != its_model
 
 
 def test_model_validation():
@@ -219,9 +257,10 @@ def test_a_bad_duration_is_rejected(its_model, duration_s):
 
 
 def test_identity_matrix_is_absorbing(its_model):
-    model = LmsModel(states=its_model.states, transition_matrix=IDENTITY)
     for k in range(3):
-        series = generate_series(model, 120.0, seed=6, initial_state=k)
+        # every row is e_k, so the chain starts in state k and stays there
+        model = LmsModel(states=its_model.states, transition_matrix=np.tile(IDENTITY[k], (3, 1)))
+        series = generate_series(model, 120.0, seed=6)
         assert np.all(series.state == k)
         ref = _sample_loo(model.states[k], len(series.rho), np.random.default_rng(31337))
         assert stats.ks_2samp(series.rho, ref).pvalue > 0.01
@@ -230,7 +269,7 @@ def test_identity_matrix_is_absorbing(its_model):
 def test_direct_ray_mean_matches_configured_alpha():
     # negligible multipath leaves the log-normal direct ray exposed
     params = LooParams(alpha_db=-4.0, psi_db=1.0, mp_db=-60.0)
-    series = generate_series(single_state_model(params), 300.0, seed=7, initial_state=0)
+    series = generate_series(single_state_model(params), 300.0, seed=7)
     mean_db = float(np.mean(20.0 * np.log10(series.rho)))
     assert mean_db == pytest.approx(params.alpha_db, abs=0.2)
 
@@ -334,7 +373,7 @@ def test_series_csv_export(tmp_path, its_model):
 
 def test_model_file_loading(tmp_path, its_model):
     assert len(its_model.states) == 3
-    assert np.allclose(its_model.transition_matrix.sum(axis=1), 1.0, atol=1e-9)
+    assert np.allclose(np.asarray(its_model.transition_matrix).sum(axis=1), 1.0, atol=1e-9)
     with pytest.raises(FileNotFoundError):
         load_model(tmp_path / "nope.ini")
     broken = tmp_path / "broken.ini"

@@ -154,21 +154,15 @@ def test_figure_preset_covers_every_scheme(tmp_path):
     assert sorted(r[0] for r in rows) == ["adaptive", "classical", "enhanced"]
 
 
-def test_cases_figure_calibrates_once(tmp_path, monkeypatch):
-    from lmsharq import sim
+def test_cases_figure_calibrates_once(tmp_path):
+    from lmsharq.sim import calibration_cdf
 
-    calls = []
-    calibration_cdf = sim.calibration_cdf
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return calibration_cdf(*args, **kwargs)
-
-    monkeypatch.setattr(sim, "calibration_cdf", counted)
+    calibration_cdf.cache_clear()
     code = main(["figures", "--which", "cases-its", "--esn0", "10",
                  "--out-dir", str(tmp_path)])
     assert code == 0
-    assert len(calls) == 1
+    # one miss: one 3600 s calibration series for the three presets
+    assert calibration_cdf.cache_info().misses == 1
     # recorded while every probability preset still calibrated on its own
     assert hashlib.sha256((tmp_path / "cases-its.csv").read_bytes()).hexdigest() == (
         "b51cfc2aa4cba41a1a5ff9e20fa3aaf063298a44a5d5b2670c55e9be75405c4d"
@@ -268,6 +262,19 @@ def test_a_clear_sky_run_is_labelled_clear_sky(capsys):
     assert main("run --scheme classical --clear-sky --env open --esn0 10 --duration-s 5".split()) == 0
     lines = capsys.readouterr().out.splitlines()
     assert "environment = clear-sky" in lines and not any("open" in line for line in lines)
+
+
+@pytest.mark.parametrize("key, value", [("speed_mps", "inf"), ("row1", "nan 0.5 0.5")])
+def test_a_non_finite_environment_file_exits_four(key, value, tmp_path, capsys):
+    from lmsharq import presets
+
+    lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.split("=")[0].strip() == key)
+    lines[at] = f"{key} = {value}"
+    env = tmp_path / "edited.ini"
+    env.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--env", str(env), "--esn0", "10", "--duration-s", "5"]) == 4
+    assert "finite" in capsys.readouterr().err
 
 
 def test_a_run_with_no_burst_is_an_empty_log_error(capsys):

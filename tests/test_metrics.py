@@ -125,7 +125,7 @@ def test_histogram_of_a_first_round_decode():
     assert bins.tolist() == [1.0, 0.0, 0.0, 0.0]
     m = RunMetrics.from_log(log)
     assert m.wer == 0.0
-    assert m.total_decode_fraction == 1.0
+    assert sum(m.decode_fraction_per_transmission) == 1.0
 
 
 def test_summary_bundle_fields():
@@ -135,7 +135,7 @@ def test_summary_bundle_fields():
     assert m.es_n0_ref_db == 10.0
     assert (m.generated, m.decoded, m.censored) == (2, 1, 0)
     assert m.wer == 0.5
-    assert m.total_decode_fraction == sum(m.decode_fraction_per_transmission)
+    assert sum(m.decode_fraction_per_transmission) == 0.5
     assert m.mean_delay_s == delay(13380, 1, CFG)
 
 
@@ -188,15 +188,13 @@ def test_unfaded_fixed_scheme_hits_the_single_burst_rate(code_spec, mi_table):
     assert efficiency(log) == PEAK_EFFICIENCY
 
 
-def test_efficiency_counts_the_data_bits_of_the_run_code(
-    its_model, its_calib_cdf, code_spec, mi_table
-):
+def test_efficiency_counts_the_data_bits_of_the_run_code(its_model, code_spec, mi_table):
     from lmsharq.fec import CodeSpec
     from lmsharq.sim import run
 
     half = CodeSpec(4460, 26760, code_spec.mi_req_per_bit)
     cfg = SimConfig(environment="its", es_n0_ref_db=10.0, duration_s=60.0)
-    log = run(cfg, its_model, half, mi_table, cdf=its_calib_cdf)
+    log = run(cfg, its_model, half, mi_table)
     m = RunMetrics.from_log(log)
     assert log.decoded > 0
     assert m.efficiency_bits_per_symbol == 4460 * log.decoded / log.total_symbols
@@ -222,13 +220,13 @@ def standalone_metrics(log):
 @pytest.mark.filterwarnings("ignore:transmission .* clamped:UserWarning")
 @pytest.mark.parametrize("scheme", ["classical", "enhanced", "adaptive"])
 @pytest.mark.parametrize("max_tx", [4, 6])
-def test_from_log_equals_the_standalone_metrics(scheme, max_tx, its_model, its_calib_cdf,
-                                                code_spec, mi_table):
+def test_from_log_equals_the_standalone_metrics(scheme, max_tx, its_model, code_spec,
+                                                mi_table):
     from lmsharq.sim import run
 
     cfg = SimConfig(scheme=scheme, environment="its", es_n0_ref_db=8.0, duration_s=120.0,
                     max_transmissions=max_tx)
-    log = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    log = run(cfg, its_model, code_spec, mi_table)
     assert 0 < log.decoded < log.generated
     assert repr(RunMetrics.from_log(log)) == repr(standalone_metrics(log))
 

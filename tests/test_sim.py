@@ -19,32 +19,32 @@ from lmsharq.fec import CodeSpec, is_decodable
 from lmsharq.metrics import RunMetrics
 from lmsharq.mi import db_to_linear, mi_inverse, mi_of
 from lmsharq.sim import (
-    CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, _calibrated, calibration_cdf, run, sweep,
+    CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, calibration_cdf, run, sweep,
 )
 
 TOL = 1e-9
 
 
 @pytest.fixture(scope="module")
-def its_run(its_model, its_calib_cdf, code_spec, mi_table):
+def its_run(its_model, code_spec, mi_table):
     cfg = SimConfig(environment="its", es_n0_ref_db=10.0, duration_s=120.0)
-    return run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    return run(cfg, its_model, code_spec, mi_table)
 
 
 @pytest.fixture(scope="module")
-def classical_run(its_model, its_calib_cdf, code_spec, mi_table):
+def classical_run(its_model, code_spec, mi_table):
     cfg = SimConfig(
         scheme="classical", environment="its", es_n0_ref_db=10.0, duration_s=120.0
     )
-    return run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    return run(cfg, its_model, code_spec, mi_table)
 
 
 @pytest.fixture(scope="module")
-def enhanced_run(its_model, its_calib_cdf, code_spec, mi_table):
+def enhanced_run(its_model, code_spec, mi_table):
     cfg = SimConfig(
         scheme="enhanced", environment="its", es_n0_ref_db=10.0, duration_s=120.0
     )
-    return run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    return run(cfg, its_model, code_spec, mi_table)
 
 
 def bursts_by_codeword(log):
@@ -270,10 +270,10 @@ def test_burst_totals_reconcile(its_run):
     assert its_run.decoded <= its_run.generated
 
 
-def test_run_is_deterministic(its_model, its_calib_cdf, code_spec, mi_table):
+def test_run_is_deterministic(its_model, code_spec, mi_table):
     cfg = SimConfig(environment="its", es_n0_ref_db=9.0, duration_s=60.0)
-    a = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
-    b = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    a = run(cfg, its_model, code_spec, mi_table)
+    b = run(cfg, its_model, code_spec, mi_table)
     assert a.total_bits == b.total_bits
     assert a.n_total_sent.tolist() == b.n_total_sent.tolist()
     assert a.finished.tolist() == b.finished.tolist()
@@ -299,9 +299,9 @@ def test_rare_failures_at_the_low_end_of_the_sweep(its_grid):
         assert m.wer <= 1e-2
 
 
-def test_another_seed_meets_the_same_tolerances(its_model, its_calib_cdf, code_spec, mi_table):
+def test_another_seed_meets_the_same_tolerances(its_model, code_spec, mi_table):
     cfg = SimConfig(environment="its", es_n0_ref_db=10.0, seed=2)
-    log = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+    log = run(cfg, its_model, code_spec, mi_table)
     m = RunMetrics.from_log(log)
     targets = (0.5, 0.3, 0.1, 0.0999)
     assert m.generated >= 2000
@@ -333,26 +333,24 @@ CLEAR_SKY_ES_DB = -2.0
 
 @contextlib.contextmanager
 def quiet_policy_build():
-    """Silence the policy builders' expected warnings: a clear-sky CDF is
-    one sample, and the enhanced table clamps its last round."""
+    """Silence the enhanced table's expected warning: it clamps its last round."""
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "degenerate channel CDF", UserWarning)
         warnings.filterwarnings("ignore", "transmission .* clamped", UserWarning)
         yield
 
 
-def record_run(env, scheme, max_tx, spec, table, models, cdfs):
+def record_run(env, scheme, max_tx, spec, table, models):
     """One pinned run: 120 s on a channel track, or 30 s of clear sky."""
     if env == "clear":
         cfg = SimConfig(scheme=scheme, clear_sky=True, es_n0_ref_db=CLEAR_SKY_ES_DB,
                         duration_s=30.0, max_transmissions=max_tx)
-        model, cdf = None, None
+        model = None
     else:
         cfg = SimConfig(scheme=scheme, environment=env, es_n0_ref_db=10.0,
                         duration_s=120.0, max_transmissions=max_tx)
-        model, cdf = models[env], cdfs[env]
+        model = models[env]
     with quiet_policy_build():
-        return run(cfg, model, spec, table, cdf=cdf)
+        return run(cfg, model, spec, table)
 
 
 RECORD_CASES = [
@@ -387,13 +385,13 @@ RECORD_SHA256 = {
 
 
 @pytest.fixture(scope="module")
-def record_inputs(its_model, open_model, its_calib_cdf, open_calib_cdf):
-    return {"its": its_model, "open": open_model}, {"its": its_calib_cdf, "open": open_calib_cdf}
+def record_models(its_model, open_model):
+    return {"its": its_model, "open": open_model}
 
 
 @pytest.mark.parametrize("env, scheme, max_tx", RECORD_CASES)
-def test_codeword_records_are_pinned(env, scheme, max_tx, record_inputs, code_spec, mi_table):
-    log = record_run(env, scheme, max_tx, code_spec, mi_table, *record_inputs)
+def test_codeword_records_are_pinned(env, scheme, max_tx, record_models, code_spec, mi_table):
+    log = record_run(env, scheme, max_tx, code_spec, mi_table, record_models)
     n = len(log.finished)
     assert all(len(col) == n for col in (
         log.n_total_sent, log.mi_acc_per_bit, log.n_transmissions, log.decode_time_s))
@@ -419,15 +417,14 @@ def count_calls(monkeypatch, name):
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, its_calib_cdf,
-                                           code_spec, mi_table):
+def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, code_spec, mi_table):
     cfg = SimConfig(scheme=scheme, environment="its", duration_s=60.0)
     with quiet_policy_build():
-        given = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+        first = run(cfg, its_model, code_spec, mi_table)
         calls = count_calls(monkeypatch, "calibration_cdf")
-        derived = run(cfg, its_model, code_spec, mi_table)
+        again = run(cfg, its_model, code_spec, mi_table)  # from the memoised CDF
     assert len(calls) == (scheme != "classical")
-    assert record_digest(derived) == record_digest(given)
+    assert record_digest(again) == record_digest(first)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
@@ -444,14 +441,15 @@ def test_only_threshold_policies_read_the_clear_sky_cdf(scheme, monkeypatch, cod
     (("classical", "adaptive"), 1),
     (SCHEMES, 1),
 ])
-def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, monkeypatch, its_model,
+def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, its_model,
                                                     code_spec, mi_table):
-    calls = count_calls(monkeypatch, "calibration_cdf")
+    calibration_cdf.cache_clear()
     base = SimConfig(environment="its", duration_s=5.0)
     with quiet_policy_build():
         logs = sweep(base, [10.0], schemes, [1], its_model, spec=code_spec, mi_table=mi_table)
     assert len(logs) == len(schemes)
-    assert len(calls) == expected
+    # each miss generates one 3600 s calibration series
+    assert calibration_cdf.cache_info().misses == expected
 
 
 def test_a_model_is_calibrated_once(monkeypatch, its_model):
@@ -473,13 +471,17 @@ def test_a_calibration_cdf_is_read_only(its_model):
 
 def _scale(name, factor, state=None):
     def change(model):
-        owner = model if state is None else model.states[state]
-        setattr(owner, name, getattr(owner, name) * factor)
+        if state is None:
+            return replace(model, **{name: getattr(model, name) * factor})
+        states = list(model.states)
+        states[state] = replace(states[state], **{name: getattr(states[state], name) * factor})
+        return replace(model, states=tuple(states))
     return change
 
 
 def _reverse_first_row(model):
-    model.transition_matrix[0] = model.transition_matrix[0, ::-1].copy()
+    first, *rest = model.transition_matrix
+    return replace(model, transition_matrix=(first[::-1], *rest))
 
 
 MODEL_CHANGES = {
@@ -494,11 +496,10 @@ MODEL_CHANGES = {
 
 @pytest.mark.parametrize("field", sorted(MODEL_CHANGES))
 def test_a_model_changed_in_place_is_calibrated_again(field, its_model):
-    """Each field generate_series reads, changed on its own after the
-    model's CDF is memoised, gives the CDF of the changed model."""
-    model = copy.deepcopy(its_model)
-    before = calibration_cdf(model)
-    MODEL_CHANGES[field](model)
+    """A model cannot change in place. A copy with one field that
+    generate_series reads replaced gives the CDF of its own series."""
+    before = calibration_cdf(its_model)
+    model = MODEL_CHANGES[field](its_model)
     got = calibration_cdf(model)
     want = empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
     assert got.sorted_rho.tobytes() == want.sorted_rho.tobytes()
@@ -513,14 +514,14 @@ def small_model(alpha_db):
 
 
 def test_the_least_recently_used_calibration_is_evicted(monkeypatch):
-    cap = _calibrated.cache_info().maxsize
+    cap = calibration_cdf.cache_info().maxsize
     models = [small_model(-float(k)) for k in range(cap + 1)]
     calls = count_calls(monkeypatch, "generate_series")
     first = [calibration_cdf(m) for m in models[:cap]]
     assert len(calls) == cap
     assert calibration_cdf(models[0]) is first[0]  # now the most recently used
     calibration_cdf(models[-1])
-    assert _calibrated.cache_info().currsize == cap
+    assert calibration_cdf.cache_info().currsize == cap
     assert len(calls) == cap + 1
     assert calibration_cdf(models[0]) is first[0]
     assert len(calls) == cap + 1
@@ -528,41 +529,39 @@ def test_the_least_recently_used_calibration_is_evicted(monkeypatch):
     assert len(calls) == cap + 2
     assert again is not first[1]
     assert again.sorted_rho.tobytes() == first[1].sorted_rho.tobytes()
-    assert _calibrated.cache_info().currsize == cap
+    assert calibration_cdf.cache_info().currsize == cap
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_run_shorter_than_its_first_burst_is_empty(scheme, its_model, its_calib_cdf,
-                                                    code_spec, mi_table):
+def test_a_run_shorter_than_its_first_burst_is_empty(scheme, its_model, code_spec, mi_table):
     cfg = SimConfig(scheme=scheme, environment="its", duration_s=0.01)
     with quiet_policy_build():
-        log = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+        log = run(cfg, its_model, code_spec, mi_table)
     for name, dtype in RUNLOG_COLUMNS.items():
         col = getattr(log, name)
         assert col.shape == (0,) and col.dtype == dtype, name
     assert log.total_bits == log.total_symbols == log.generated == 0
 
 
-def its_sweep(its_model, its_calib_cdf, code_spec, mi_table):
+def its_sweep(its_model, code_spec, mi_table):
     """Two seeds by three schemes by two Es/N0 points on the shadowed track."""
     base = SimConfig(environment="its", duration_s=20.0)
     with quiet_policy_build():
         return sweep(base, [8.0, 12.0], SCHEMES, [3, 4], its_model,
-                     spec=code_spec, mi_table=mi_table, cdf=its_calib_cdf)
+                     spec=code_spec, mi_table=mi_table)
 
 
-def test_a_sweep_generates_one_series_per_seed(monkeypatch, its_model, its_calib_cdf,
-                                               code_spec, mi_table):
+def test_a_sweep_generates_one_series_per_seed(monkeypatch, its_model, code_spec, mi_table):
+    calibration_cdf(its_model)  # memoised, so the runs generate no calibration series
     series_calls = count_calls(monkeypatch, "generate_series")
     run_calls = count_calls(monkeypatch, "run")
-    logs = its_sweep(its_model, its_calib_cdf, code_spec, mi_table)
+    logs = its_sweep(its_model, code_spec, mi_table)
     assert len(series_calls) == 2
     # one call per run through the module binding, which the benchmark wraps
     assert len(run_calls) == len(logs) == 12
 
 
-def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, its_calib_cdf,
-                                            code_spec, mi_table):
+def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, code_spec, mi_table):
     import lmsharq.sim as sim_mod
 
     mapped = []
@@ -574,23 +573,22 @@ def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, its_calib_c
 
     monkeypatch.setattr(sim_mod, "mi_of", mapping)
     run_calls = count_calls(monkeypatch, "run")
-    logs = its_sweep(its_model, its_calib_cdf, code_spec, mi_table)
+    logs = its_sweep(its_model, code_spec, mi_table)
     # one map per seed and Es/N0 point, shared by the three schemes
     samples = len(generate_series(its_model, 20.0, 3).rho)
     assert mapped == [samples] * 4
     assert len(run_calls) == len(logs) == 12
 
 
-def test_sweep_runs_equal_standalone_runs(its_model, its_calib_cdf, code_spec, mi_table):
-    for log in its_sweep(its_model, its_calib_cdf, code_spec, mi_table):
+def test_sweep_runs_equal_standalone_runs(its_model, code_spec, mi_table):
+    for log in its_sweep(its_model, code_spec, mi_table):
         with quiet_policy_build():
-            solo = run(log.config, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+            solo = run(log.config, its_model, code_spec, mi_table)
         assert_same_log(log, solo)
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)
-def test_a_long_run_leaves_the_collector_almost_nothing(scheme, its_model, its_calib_cdf,
-                                                       code_spec, mi_table):
+def test_a_long_run_leaves_the_collector_almost_nothing(scheme, its_model, code_spec, mi_table):
     """A run keeps its records in columns of untracked ints and floats, so
     it adds a handful of collector-tracked objects, not one per burst."""
     cfg = SimConfig(scheme=scheme, environment="its", duration_s=600.0)
@@ -600,7 +598,7 @@ def test_a_long_run_leaves_the_collector_almost_nothing(scheme, its_model, its_c
     try:
         before = len(gc.get_objects())
         with quiet_policy_build():
-            log = run(cfg, its_model, code_spec, mi_table, cdf=its_calib_cdf)
+            log = run(cfg, its_model, code_spec, mi_table)
         added = len(gc.get_objects()) - before
     finally:
         if was:
@@ -611,13 +609,13 @@ def test_a_long_run_leaves_the_collector_almost_nothing(scheme, its_model, its_c
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 @pytest.mark.parametrize("env, max_tx", [("its", 1), ("its", 4), ("its", 6), ("clear", 4)])
-def test_a_run_leaves_no_cyclic_garbage(scheme, env, max_tx, record_inputs, code_spec, mi_table):
+def test_a_run_leaves_no_cyclic_garbage(scheme, env, max_tx, record_models, code_spec, mi_table):
     """Refcounting alone frees everything a run made once its log is dropped."""
     was = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
-        log = record_run(env, scheme, max_tx, code_spec, mi_table, *record_inputs)
+        log = record_run(env, scheme, max_tx, code_spec, mi_table, record_models)
         assert log.generated
         del log
         assert gc.collect() == 0
@@ -639,15 +637,15 @@ def test_a_run_leaves_no_cyclic_garbage(scheme, env, max_tx, record_inputs, code
 )
 def test_schedule_invariants_hold_on_the_columns(scheme, max_tx, clear_sky, duration_s, es_db,
                                                  half_data_bits, inverse_rate, mi_req,
-                                                 its_model, its_calib_cdf, mi_table):
+                                                 its_model, mi_table):
     data_bits = 2 * half_data_bits
     spec = CodeSpec(data_bits, inverse_rate * data_bits, mi_req)
     cfg = SimConfig(scheme=scheme, environment="its", es_n0_ref_db=es_db, duration_s=duration_s,
                     max_transmissions=max_tx, clear_sky=clear_sky)
-    model, cdf = (None, None) if clear_sky else (its_model, its_calib_cdf)
+    model = None if clear_sky else its_model
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the policy builders' notices
-        log = run(cfg, model, spec, mi_table, cdf=cdf)
+        log = run(cfg, model, spec, mi_table)
     rate, rtt = cfg.bit_rate_bps, cfg.rtt_s
     start = log.burst_start_s.tolist()
     bits = log.burst_bits.tolist()
