@@ -40,13 +40,21 @@ def _fmt(value) -> str:
     return format(float(value), ".6g")
 
 
+def _numbers(parts, kind, text: str) -> list:
+    """Each part as a number of the given kind; one that does not parse is a ConfigError."""
+    try:
+        return [kind(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"expected numbers, got {text!r}") from None
+
+
 def _parse_es_list(text: str) -> list[float]:
     """Accept '10', '7,10,13' or 'start:stop:step' (stop inclusive)."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
             raise ConfigError(f"expected start:stop:step, got {text!r}")
-        start, stop, step = (float(p) for p in parts)
+        start, stop, step = _numbers(parts, float, text)
         if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
             raise ConfigError(f"bad Es/N0 range {text!r}")
         out = []
@@ -55,7 +63,7 @@ def _parse_es_list(text: str) -> list[float]:
             out.append(round(x, 9))
             x += step
         return out
-    return [float(p) for p in text.split(",") if p]
+    return _numbers([p for p in text.split(",") if p], float, text)
 
 
 def _config(args) -> SimConfig:
@@ -197,7 +205,7 @@ def cmd_sweep(args) -> int:
         if s not in SCHEMES:
             raise ConfigError(f"unknown scheme {s!r}, expected one of {SCHEMES}")
     es_list = _parse_es_list(args.esn0)
-    seeds = [int(s) for s in args.seeds.split(",") if s]
+    seeds = _numbers([s for s in args.seeds.split(",") if s], int, args.seeds)
     if not schemes or not es_list or not seeds:
         raise ConfigError("schemes, esn0 and seeds must all be non-empty")
     model, spec, mi_table = _prepared(config)
@@ -227,20 +235,14 @@ def cmd_figures(args) -> int:
     base = SimConfig(environment=recipe["env"], seed=args.seed)
     model, spec, mi_table = _prepared(base)
     n_bins = base.max_transmissions
+    # a figure over probability presets carries each row's preset in an extra column
+    probs = recipe.get("probs")
     rows = []
-    if "probs" in recipe:
-        header = _sweep_header(n_bins) + ("probs",)
-        for preset in recipe["probs"]:
-            cfg = replace(base, probs_preset=preset)
-            for log in sweep(cfg, es_list, recipe["schemes"], [args.seed], model,
-                             spec=spec, mi_table=mi_table):
-                rows.append(_metric_row(log, n_bins) + [preset])
-    else:
-        header = _sweep_header(n_bins)
-        for log in sweep(base, es_list, recipe["schemes"], [args.seed], model,
-                         spec=spec, mi_table=mi_table):
-            rows.append(_metric_row(log, n_bins))
-    _write_rows(out, header, rows)
+    for preset in probs or (base.probs_preset,):
+        logs = sweep(replace(base, probs_preset=preset), es_list, recipe["schemes"],
+                     [args.seed], model, spec=spec, mi_table=mi_table)
+        rows += (_metric_row(log, n_bins) + ([preset] if probs else []) for log in logs)
+    _write_rows(out, _sweep_header(n_bins) + (("probs",) if probs else ()), rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0
 

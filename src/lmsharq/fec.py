@@ -1,21 +1,22 @@
 """Mutual-information abstraction of the FEC decoder.
 
-A codeword is declared decodable once the accumulated per-bit mutual
-information, weighted by the number of coded bits received, reaches the
-code's requirement. The requirement itself is calibrated from a
+The receiver keeps one number per codeword: the per-bit mutual
+information accumulated over every coded bit received, as a bit-weighted
+mean (mi_update). The codeword is declared decodable once that mean,
+weighted by the number of coded bits received, reaches the code's
+requirement (is_decodable). The requirement itself is calibrated from a
 published word-error-rate curve of the mother code on AWGN.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
-from lmsharq.mi import MODULATION_BITS, MiTable, mi_of, db_to_linear
+from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of, read_csv_pairs
 
 DATA_BITS = 8920
 MOTHER_CODEWORD_BITS = 53520
@@ -51,6 +52,21 @@ class CodeSpec:
         return self.mother_codeword_bits * self.mi_req_per_bit
 
 
+def mi_update(
+    n_total_sent: int, mi_acc_per_bit: float, bits_sent: int, mi_burst: float
+) -> tuple[int, float]:
+    """Fold one received burst into a codeword's accumulated per-bit MI.
+
+    The burst adds bits_sent coded bits at per-bit MI mi_burst, and the
+    accumulator stays their bit-weighted mean. Returns the new
+    (n_total_sent, mi_acc_per_bit).
+    """
+    if bits_sent <= 0:
+        raise ValueError("bits_sent must be positive")
+    n_new = n_total_sent + bits_sent
+    return n_new, (n_total_sent * mi_acc_per_bit + bits_sent * mi_burst) / n_new
+
+
 def is_decodable(spec: CodeSpec, total_bits_sent: int, mi_acc_per_bit: float) -> bool:
     """Decode test: received-bit-weighted MI reaches the code requirement."""
     if total_bits_sent < 0:
@@ -63,12 +79,7 @@ def load_wer_curve(path) -> list[tuple[float, float]]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"WER curve file not found: {path}")
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != WER_CSV_HEADER:
-            raise ValueError(f"expected header {','.join(WER_CSV_HEADER)} in {path}")
-        curve = [(float(r[0]), float(r[1])) for r in reader if r]
+    curve = read_csv_pairs(path, WER_CSV_HEADER)
     if len(curve) < 2:
         raise ValueError(f"WER curve in {path} has fewer than two points")
     return curve
@@ -88,6 +99,8 @@ def calibrate_mi_req(
         raise ValueError("wer_curve needs at least two points")
     es = [p[0] for p in wer_curve]
     wer = [p[1] for p in wer_curve]
+    if not all(map(math.isfinite, es + wer)):
+        raise ValueError("wer_curve values must be finite")
     if any(b <= a for a, b in zip(es, es[1:])):
         raise ValueError("wer_curve must have strictly increasing es_n0_db")
     if any(w <= 0.0 for w in wer):

@@ -62,6 +62,8 @@ class MiTable:
             raise ValueError("grid needs at least two points")
         if self.es_n0_linear.size != self.mi_per_bit.size:
             raise ValueError("grid and mi arrays differ in length")
+        if not (np.isfinite(self.es_n0_linear).all() and np.isfinite(self.mi_per_bit).all()):
+            raise ValueError("grid and mi values must be finite")
         if np.any(np.diff(self.es_n0_linear) <= 0):
             raise ValueError("es_n0_linear grid must be strictly increasing")
         if np.any(self.mi_per_bit < 0.0) or np.any(self.mi_per_bit > 1.0):
@@ -209,14 +211,32 @@ def save_mi_csv(table: MiTable, path) -> None:
             writer.writerow([f"{linear_to_db(x):.6g}", f"{y:.6g}"])
 
 
-def load_mi_csv(path) -> MiTable:
+def read_csv_pairs(path, header: tuple) -> list[tuple[float, float]]:
+    """The number pairs of a two-column CSV file under the given header.
+
+    Blank lines are skipped; any other row that is not two numbers is a
+    ValueError naming its line.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != CSV_HEADER:
-            raise ValueError(f"expected header {','.join(CSV_HEADER)} in {path}")
-        rows = [(float(r[0]), float(r[1])) for r in reader if r]
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise ValueError(f"expected header {','.join(header)} in {path}")
+        rows = []
+        for row in filter(None, reader):
+            try:
+                x, y = map(float, row)
+            except ValueError:
+                raise ValueError(
+                    f"line {reader.line_num} of {path}: expected two numbers, got {row}"
+                ) from None
+            rows.append((x, y))
+    return rows
+
+
+def load_mi_csv(path) -> MiTable:
+    rows = read_csv_pairs(path, CSV_HEADER)
     if len(rows) < 2:
         raise ValueError(f"table in {path} has fewer than two rows")
     grid_db = np.array([r[0] for r in rows])

@@ -15,8 +15,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,57 +100,6 @@ def equal_split(spec: CodeSpec) -> StaticBitTable:
     base, extra = divmod(spec.mother_codeword_bits // MODULATION_BITS, CLASSICAL_ROUNDS)
     symbols = (base + (j < extra) for j in range(CLASSICAL_ROUNDS))
     return StaticBitTable(tuple(n * MODULATION_BITS for n in symbols if n))
-
-
-class Transmission(NamedTuple):
-    start_time_s: float
-    bits_sent: int
-    rho_applied: float
-
-
-@dataclass(slots=True)
-class CodewordState:
-    """Receiver-side bookkeeping for one codeword."""
-
-    id: int
-    n_total_sent: int = 0
-    mi_acc_per_bit: float = 0.0
-    transmissions: list = field(default_factory=list)
-    decoded: bool = False
-    decode_time_s: float | None = None
-
-    @property
-    def n_transmissions(self) -> int:
-        return len(self.transmissions)
-
-
-def mi_update(
-    state: CodewordState,
-    bits_sent: int,
-    rho: float,
-    es_n0_ref_linear: float,
-    mi_table: MiTable,
-    start_time_s: float = math.nan,
-) -> CodewordState:
-    """Fold one received burst into the accumulated per-bit MI.
-
-    The burst contributes bits_sent times the per-bit MI seen at the
-    faded Es/N0, and the accumulator stays a bit-weighted mean. Mutates
-    and returns the given state.
-    """
-    if state.decoded:
-        raise ValueError("codeword already decoded")
-    if bits_sent <= 0:
-        raise ValueError("bits_sent must be positive")
-    if rho <= 0.0:
-        raise ValueError("rho must be positive")
-    mi_burst = mi_of(mi_table, rho * rho * es_n0_ref_linear)
-    n_prev = state.n_total_sent
-    n_new = n_prev + bits_sent
-    state.mi_acc_per_bit = (n_prev * state.mi_acc_per_bit + bits_sent * mi_burst) / n_new
-    state.n_total_sent = n_new
-    state.transmissions.append(Transmission(start_time_s, bits_sent, rho))
-    return state
 
 
 def conditional_prob(table: DecodingProbTable, j: int) -> float:

@@ -21,7 +21,8 @@ from lmsharq.channel import (
     AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
 )
 from lmsharq.errors import ConfigError
-from lmsharq.fec import CodeSpec, is_decodable  # noqa: F401  bound here for bench/spans.py, which wraps it by name
+# is_decodable and mi_update are bound here for bench/spans.py, which wraps them by name
+from lmsharq.fec import CodeSpec, is_decodable, mi_update  # noqa: F401
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
     PROB_PRESETS,
@@ -32,7 +33,6 @@ from lmsharq.schemes import (
     conditional_prob,
     equal_split,
     mi_needed,
-    mi_update,  # noqa: F401  bound here for bench/spans.py, which wraps it by name
 )
 
 SCHEMES = ("classical", "enhanced", "adaptive")
@@ -236,7 +236,7 @@ def run(
                 break  # c is cut off
             k = int(t / dt)  # the sample active at the burst's start
             n_new = n_prev + bits
-            acc = (n_prev * acc + bits * mi_at[k]) / n_new
+            acc = (n_prev * acc + bits * mi_at[k]) / n_new  # fec.mi_update, inline
             mi_acc[c] = acc
         else:
             bits, airtime = first_bits, first_airtime

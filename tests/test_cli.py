@@ -109,6 +109,43 @@ def test_malformed_curve_maps_to_exit_four(tmp_path, capsys):
     assert "invalid data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, header", [
+    ("--mi-table", "es_n0_db,mi_per_bit"), ("--wer-curve", "es_n0_db,wer"),
+])
+def test_a_row_that_is_not_two_numbers_exits_four(option, header, tmp_path, capsys):
+    bad = tmp_path / "rows.csv"
+    bad.write_text(f"{header}\n-30,0.01\n-29\n")
+    assert main(["calibrate", option, str(bad)]) == 4
+    assert "line 3" in capsys.readouterr().err
+
+
+def test_a_non_finite_mi_table_exits_four(tmp_path, monkeypatch, capsys):
+    from lmsharq import presets
+
+    for asset in presets.assets_dir().iterdir():
+        lines = asset.read_text().splitlines()
+        if asset.name == presets.MI_TABLE_ASSET:
+            lines = ["15,nan" if line.startswith("15,") else line for line in lines]
+            assert "15,nan" in lines
+        (tmp_path / asset.name).write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(tmp_path))
+    assert main("run --scheme classical --env open --esn0 13 --duration-s 60".split()) == 4
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [
+    "sweep --esn0 abc", "sweep --esn0 7:x:1", "sweep --esn0 7::1", "sweep --seeds x",
+    "sweep --seeds 1.5", "figures --which eff-its --esn0 abc",
+    "figures --which cases-its --esn0 7:x:1",
+])
+def test_a_malformed_list_is_a_configuration_error(args, tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)] if args.startswith("figures") else [
+        "--out", str(tmp_path / "sweep.csv")]
+    assert main(args.split() + out) == 2
+    assert "configuration error" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_run_output_is_reproducible(tmp_path, capsys):
     csv_path = tmp_path / "codewords.csv"
     argv = [
@@ -170,7 +207,7 @@ def test_cases_figure_calibrates_once(tmp_path):
 
 
 # sha256 of `lmsharq run --codewords-csv` files, recorded from the event loop
-# that kept a CodewordState per codeword; the second run ends with 10
+# that kept one state object per codeword; the second run ends with 10
 # codewords cut off, which the file leaves out.
 CODEWORDS_CSV_SHA256 = {
     ("adaptive", "its", "10", "7"):

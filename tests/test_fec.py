@@ -1,14 +1,16 @@
-"""Decode threshold and its calibration from a word error rate curve."""
+"""Accumulated-MI fold, decode threshold and its calibration from a word
+error rate curve."""
 
 import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmsharq.fec import CodeSpec, calibrate_mi_req, is_decodable, load_wer_curve
+from lmsharq.fec import CodeSpec, calibrate_mi_req, is_decodable, load_wer_curve, mi_update
 from lmsharq.mi import db_to_linear, mi_of
 
 
@@ -80,6 +82,70 @@ def test_decodability_is_monotone(bits, acc, extra_bits, extra_acc):
         assert is_decodable(spec, bits, min(acc + extra_acc, 1.0))
 
 
+# The per-burst MI values below are exact float literals, so the fold's
+# arithmetic is checkable by hand.
+
+def test_first_update_ignores_bit_count():
+    for bits in (2, 13380):
+        assert mi_update(0, 0.0, bits, 0.6) == (bits, 0.6)
+
+
+def test_equal_bursts_average_their_mi():
+    n, acc = mi_update(*mi_update(0, 0.0, 1000, 0.6), 1000, 0.9)
+    assert n == 2000
+    assert acc == pytest.approx(0.75, abs=1e-15)
+
+
+def test_accumulator_weighted_mean():
+    n, acc = mi_update(*mi_update(0, 0.0, 13380, 0.6), 6690, 0.9)
+    expected = (13380 * 0.6 + 6690 * 0.9) / 20070
+    assert acc == pytest.approx(expected, abs=1e-15)
+    assert acc == pytest.approx(0.7, abs=1e-12)
+    assert n == 20070
+
+
+def test_update_rejects_bad_arguments():
+    for bits in (0, -2):
+        with pytest.raises(ValueError, match="bits_sent"):
+            mi_update(0, 0.0, bits, 0.6)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    bursts=st.lists(
+        st.tuples(
+            st.integers(min_value=1, max_value=2000).map(lambda s: 2 * s),
+            st.sampled_from([0.6, 0.9]),
+        ),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_accumulator_never_drifts(bursts):
+    n, acc = 0, 0.0
+    for bits, mi in bursts:
+        n, acc = mi_update(n, acc, bits, mi)
+    total = sum(b for b, _ in bursts)
+    fresh = sum(b * mi for b, mi in bursts) / total
+    assert n == total
+    assert acc == pytest.approx(fresh, rel=1e-12)
+
+
+def test_accumulator_no_drift_on_real_curve(mi_table):
+    rng = np.random.default_rng(21)
+    es = float(db_to_linear(10.0))
+    n, acc = 0, 0.0
+    history = []
+    for _ in range(30):
+        bits = int(rng.integers(1, 3000)) * 2
+        rho = float(rng.uniform(0.05, 1.5))
+        n, acc = mi_update(n, acc, bits, mi_of(mi_table, rho * rho * es))
+        history.append((bits, rho))
+    total = sum(b for b, _ in history)
+    fresh = sum(b * mi_of(mi_table, r * r * es) for b, r in history) / total
+    assert acc == pytest.approx(fresh, rel=1e-12)
+
+
 def test_calibration_hits_an_exact_curve_point(mi_table):
     from lmsharq import presets
 
@@ -115,6 +181,24 @@ def test_calibration_rejects_non_monotone_curves(mi_table):
         calibrate_mi_req([(-4.0, 1e-3), (-3.8, 0.0)], 1e-3, mi_table)
     with pytest.raises(ValueError, match="two points"):
         calibrate_mi_req([(-4.0, 1e-3)], 1e-3, mi_table)
+
+
+@pytest.mark.parametrize("curve", [
+    [(-4.0, 1e-3), (-3.8, math.nan)],
+    [(-4.0, math.nan), (-3.8, 1e-5)],
+    [(-4.0, 1e-3), (math.nan, 1e-5)],
+    [(-4.0, 1e-3), (-3.8, 1e-5), (math.inf, 1e-6)],
+])
+def test_calibration_rejects_non_finite_curves(curve, mi_table):
+    with pytest.raises(ValueError, match="finite"):
+        calibrate_mi_req(curve, 1e-4, mi_table)
+
+
+def test_wer_curve_rows_must_be_two_numbers(tmp_path):
+    path = tmp_path / "wer.csv"
+    path.write_text("es_n0_db,wer\n-4.0,1e-3\n-29\n-3.8,1e-5\n")
+    with pytest.raises(ValueError, match="line 3 .* two numbers"):
+        load_wer_curve(path)
 
 
 def test_wer_curve_loading(tmp_path):

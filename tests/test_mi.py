@@ -219,6 +219,25 @@ def test_csv_load_rejects_bad_files(tmp_path):
         load_mi_csv(short)
 
 
+@pytest.mark.parametrize("row", ["-29", "-29,0.1,0.2", "-29,", "-29,x"])
+def test_csv_rows_must_be_two_numbers(row, tmp_path):
+    path = tmp_path / "mi.csv"
+    path.write_text(f"es_n0_db,mi_per_bit\n-30,0.01\n\n{row}\n-28,0.02\n")
+    with pytest.raises(ValueError, match="line 4 .* two numbers"):
+        load_mi_csv(path)
+
+
+@pytest.mark.parametrize("grid, mi", [
+    ([1.0, 2.0, 4.0], [0.1, np.nan, 0.3]),
+    ([1.0, 2.0, 4.0], [0.1, 0.2, np.inf]),
+    ([1.0, 2.0, np.inf], [0.1, 0.2, 0.3]),
+    ([1.0, np.nan, 4.0], [0.1, 0.2, 0.3]),
+])
+def test_table_rejects_non_finite_values(grid, mi):
+    with pytest.raises(ValueError, match="finite"):
+        MiTable(es_n0_linear=np.array(grid), mi_per_bit=np.array(mi))
+
+
 def test_shipped_table_reproducible_from_default_build(mi_table, fresh_mi_build, tmp_path):
     table, _ = fresh_mi_build
     from lmsharq import presets

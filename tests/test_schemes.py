@@ -1,4 +1,4 @@
-"""Burst sizing policies and the accumulated-MI bookkeeping."""
+"""Burst sizing policies."""
 
 import warnings
 
@@ -16,7 +16,6 @@ from lmsharq.schemes import (
     ENHANCED_TABLE_SEED,
     PROB_PRESETS,
     AdaptivePolicy,
-    CodewordState,
     DecodingProbTable,
     SchemeExhausted,
     StaticBitTable,
@@ -26,12 +25,7 @@ from lmsharq.schemes import (
     conditional_prob,
     equal_split,
     mi_needed,
-    mi_update,
 )
-
-# two-point table whose grid values are exact float literals, so the
-# accumulator arithmetic below is checkable by hand
-TOY_TABLE = MiTable(es_n0_linear=np.array([1.0, 2.0]), mi_per_bit=np.array([0.6, 0.9]))
 
 
 @pytest.fixture(scope="module")
@@ -84,79 +78,6 @@ def test_equal_split_is_whole_symbols_of_the_mother_codeword(spec, expected):
     assert list(bits) == sorted(bits, reverse=True)
     assert sum(bits) == symbols * MODULATION_BITS
     assert len(bits) == min(CLASSICAL_ROUNDS, symbols)
-
-
-def test_first_update_ignores_bit_count():
-    for bits in (2, 13380):
-        state = CodewordState(id=0)
-        mi_update(state, bits, 1.0, 1.0, TOY_TABLE)
-        assert state.mi_acc_per_bit == 0.6
-        assert state.n_total_sent == bits
-
-
-def test_equal_bursts_average_their_mi():
-    state = CodewordState(id=0)
-    mi_update(state, 1000, 1.0, 1.0, TOY_TABLE)   # per-burst MI 0.6
-    mi_update(state, 1000, 1.0, 2.0, TOY_TABLE)   # per-burst MI 0.9
-    assert state.mi_acc_per_bit == pytest.approx(0.75, abs=1e-15)
-
-
-def test_accumulator_weighted_mean():
-    state = CodewordState(id=0)
-    mi_update(state, 13380, 1.0, 1.0, TOY_TABLE)
-    mi_update(state, 6690, 1.0, 2.0, TOY_TABLE)
-    expected = (13380 * 0.6 + 6690 * 0.9) / 20070
-    assert state.mi_acc_per_bit == pytest.approx(expected, abs=1e-15)
-    assert state.mi_acc_per_bit == pytest.approx(0.7, abs=1e-12)
-    assert state.n_total_sent == 20070
-
-
-def test_update_rejects_bad_arguments():
-    state = CodewordState(id=0)
-    with pytest.raises(ValueError):
-        mi_update(state, 0, 1.0, 1.0, TOY_TABLE)
-    with pytest.raises(ValueError):
-        mi_update(state, 100, 0.0, 1.0, TOY_TABLE)
-    done = CodewordState(id=1, decoded=True)
-    with pytest.raises(ValueError):
-        mi_update(done, 100, 1.0, 1.0, TOY_TABLE)
-
-
-@settings(derandomize=True, deadline=None)
-@given(
-    bursts=st.lists(
-        st.tuples(
-            st.integers(min_value=1, max_value=2000).map(lambda s: 2 * s),
-            st.sampled_from([1.0, 2.0]),
-        ),
-        min_size=1,
-        max_size=12,
-    )
-)
-def test_accumulator_never_drifts(bursts):
-    state = CodewordState(id=0)
-    for bits, es in bursts:
-        mi_update(state, bits, 1.0, es, TOY_TABLE)
-    total = sum(b for b, _ in bursts)
-    fresh = sum(b * mi_of(TOY_TABLE, es) for b, es in bursts) / total
-    assert state.n_total_sent == total
-    assert state.mi_acc_per_bit == pytest.approx(fresh, rel=1e-12)
-    assert len(state.transmissions) == len(bursts)
-
-
-def test_accumulator_no_drift_on_real_curve(mi_table):
-    rng = np.random.default_rng(21)
-    es = float(db_to_linear(10.0))
-    state = CodewordState(id=0)
-    history = []
-    for _ in range(30):
-        bits = int(rng.integers(1, 3000)) * 2
-        rho = float(rng.uniform(0.05, 1.5))
-        mi_update(state, bits, rho, es, mi_table)
-        history.append((bits, rho))
-    total = sum(b for b, _ in history)
-    fresh = sum(b * mi_of(mi_table, r * r * es) for b, r in history) / total
-    assert state.mi_acc_per_bit == pytest.approx(fresh, rel=1e-12)
 
 
 def test_conditional_probabilities_exact():

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from lmsharq.channel import AttenuationSeries, LmsModel, LooParams, empirical_cdf, generate_series
 from lmsharq.errors import ConfigError
-from lmsharq.fec import CodeSpec, is_decodable
+from lmsharq.fec import CodeSpec, is_decodable, mi_update
 from lmsharq.metrics import RunMetrics
 from lmsharq.mi import db_to_linear, mi_inverse, mi_of
 from lmsharq.sim import (
@@ -216,14 +216,10 @@ def replayed_decisions(log, spec, mi_table):
     for c, bursts in enumerate(bursts_by_codeword(log)):
         if not log.finished[c]:
             continue
-        acc = 0.0
-        n = 0
+        n, acc = 0, 0.0
         verdicts = []
         for _, bits, rho in bursts:
-            mi = mi_of(mi_table, rho * rho * es)
-            n_new = n + bits
-            acc = (n * acc + bits * mi) / n_new
-            n = n_new
+            n, acc = mi_update(n, acc, bits, mi_of(mi_table, rho * rho * es))
             verdicts.append(is_decodable(spec, n, acc))
         yield not math.isnan(log.decode_time_s[c]), verdicts
 
@@ -247,7 +243,7 @@ def test_decode_verdicts_replay_exactly(which, request, code_spec, mi_table):
 @pytest.mark.parametrize("which", ["its_run", "classical_run", "enhanced_run"])
 def test_bursts_replay_bit_for_bit_from_the_series(which, request, its_model, mi_table):
     """Each burst sees the sample active at its start, and the accumulated
-    MI is the fold of a scalar mi_of per burst, to the last bit."""
+    MI is the fec.mi_update fold of a scalar mi_of per burst, to the last bit."""
     log = request.getfixturevalue(which)
     cfg = log.config
     series = generate_series(its_model, cfg.duration_s, cfg.seed)
@@ -257,9 +253,7 @@ def test_bursts_replay_bit_for_bit_from_the_series(which, request, its_model, mi
         for start, bits, rho_applied in bursts:
             rho = float(series.rho[int(start / series.sample_dt_s)])
             assert rho_applied.hex() == rho.hex()
-            n_new = n + bits
-            acc = (n * acc + bits * mi_of(mi_table, rho * rho * es)) / n_new
-            n = n_new
+            n, acc = mi_update(n, acc, bits, mi_of(mi_table, rho * rho * es))
         assert float(log.mi_acc_per_bit[c]).hex() == acc.hex()
 
 
