@@ -112,7 +112,8 @@ class AttenuationSeries:
             writer.writerow(("time_s", "rho_db"))
             rho_db = 20.0 * np.log10(self.rho)
             for t, r in zip(self.time_s, rho_db):
-                writer.writerow([f"{t:.6g}", f"{r:.6g}"])
+                # ten digits keep times 1 ms apart distinct below 10^7 s
+                writer.writerow([f"{t:.10g}", f"{r:.6g}"])
 
 
 @dataclass(frozen=True)

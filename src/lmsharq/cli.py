@@ -108,8 +108,11 @@ def _metric_row(log, n_bins: int) -> list[str]:
     )
 
 
-def _note_capped_horizon(requested: int, logs) -> None:
-    """One stderr line when a policy's table held runs below max_transmissions."""
+def _notes(requested: int, logs) -> None:
+    """The runs' policy notes on stderr, each distinct one once, then one
+    line when a policy's table held runs below max_transmissions."""
+    for note in dict.fromkeys(note for lg in logs for note in lg.policy.notes):
+        print(f"note: {note}", file=sys.stderr)
     capped = [lg.effective_max_transmissions for lg in logs
               if lg.effective_max_transmissions < requested]
     if capped:
@@ -140,6 +143,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_channel(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("seed cannot be negative")
     model = presets.load_environment(args.env)
     series = generate_series(model, args.duration_s, args.seed)
     series.to_csv(args.out)
@@ -160,7 +165,7 @@ def cmd_run(args) -> int:
     config = replace(_config(args), es_n0_ref_db=args.es_n0_db)
     model, spec, mi_table = _prepared(config)
     log = run(config, model, spec, mi_table)
-    _note_capped_horizon(config.max_transmissions, [log])
+    _notes(config.max_transmissions, [log])
     m = metrics.RunMetrics.from_log(log)
     print(f"scheme = {m.scheme}")
     print(f"environment = {'clear-sky' if config.clear_sky else config.environment}")
@@ -210,7 +215,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("schemes, esn0 and seeds must all be non-empty")
     model, spec, mi_table = _prepared(config)
     logs = sweep(config, es_list, schemes, seeds, model, spec=spec, mi_table=mi_table)
-    _note_capped_horizon(config.max_transmissions, logs)
+    _notes(config.max_transmissions, logs)
     n_bins = config.max_transmissions
     _write_rows(Path(args.out), _sweep_header(n_bins), (_metric_row(lg, n_bins) for lg in logs))
     print(f"wrote {len(logs)} rows to {args.out}")
@@ -237,11 +242,13 @@ def cmd_figures(args) -> int:
     n_bins = base.max_transmissions
     # a figure over probability presets carries each row's preset in an extra column
     probs = recipe.get("probs")
-    rows = []
+    rows, logs = [], []
     for preset in probs or (base.probs_preset,):
-        logs = sweep(replace(base, probs_preset=preset), es_list, recipe["schemes"],
-                     [args.seed], model, spec=spec, mi_table=mi_table)
-        rows += (_metric_row(log, n_bins) + ([preset] if probs else []) for log in logs)
+        point = sweep(replace(base, probs_preset=preset), es_list, recipe["schemes"],
+                      [args.seed], model, spec=spec, mi_table=mi_table)
+        logs += point
+        rows += (_metric_row(log, n_bins) + ([preset] if probs else []) for log in point)
+    _notes(n_bins, logs)
     _write_rows(out, _sweep_header(n_bins) + (("probs",) if probs else ()), rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,9 +64,13 @@ class DecodingProbTable:
 
 @dataclass
 class StaticBitTable:
-    """Bits to send at each transmission for a table-driven policy."""
+    """Bits to send at each transmission for a table-driven policy.
+
+    notes holds the limits its builder met, one sentence each.
+    """
 
     n_sent: tuple
+    notes: tuple = ()
 
     def __post_init__(self):
         self.n_sent = tuple(int(v) for v in self.n_sent)
@@ -144,6 +147,7 @@ class AdaptivePolicy:
 
     spec: CodeSpec
     mi_needed_per_bit: tuple
+    notes = ()  # deriving thresholds meets no limit; a StaticBitTable's may
 
     def __post_init__(self):
         if any(m <= 0.0 for m in self.mi_needed_per_bit):
@@ -221,23 +225,23 @@ def build_enhanced_table(
     cumulative decoding, over independent draws from the channel
     distribution, reaches the cumulative target of its stage. A stage
     that cannot reach its target with the bits left of the mother
-    codeword is clamped to that remainder and ends the table, with a
-    warning.
+    codeword is clamped to that remainder and ends the table. The table's
+    notes say so, and say when the first entry needs the whole mother
+    codeword or nothing is left for a later one.
     """
     budget = spec.mi_budget
     _, m_1 = mi_needed(cdf, conditional_prob(probs, 1), es_n0_ref_linear, mi_table)
     n_1 = _ceil_to_symbol(budget / m_1)
     if n_1 >= spec.mother_codeword_bits:
-        warnings.warn(
+        return StaticBitTable(n_sent=(spec.mother_codeword_bits,), notes=(
             "first transmission needs the whole mother codeword; table is the"
             " single-shot fallback",
-            stacklevel=2,
-        )
-        return StaticBitTable(n_sent=(spec.mother_codeword_bits,))
+        ))
     if len(probs.p) == 1:
         return StaticBitTable(n_sent=(n_1,))
     entries = [n_1]
     total = n_1
+    notes = ()
 
     # The drawn samples stay sorted, and np.interp is several times faster
     # on sorted input; each draw then reads its own: mi_of over the draws,
@@ -263,18 +267,12 @@ def build_enhanced_table(
         cum_target += probs.p[j - 1]
         remaining = spec.mother_codeword_bits - total
         if remaining < MODULATION_BITS:
-            warnings.warn(
-                f"mother codeword exhausted before transmission {j}; table ends",
-                stacklevel=2,
-            )
+            notes = (f"mother codeword exhausted before transmission {j}; table ends",)
             break
         row = mi_draws[j - 1]
         if decode_fraction(row, remaining) < cum_target:
-            warnings.warn(
-                f"transmission {j} clamped to the {remaining} bits left of the"
-                " mother codeword; table ends there",
-                stacklevel=2,
-            )
+            notes = (f"transmission {j} clamped to the {remaining} bits left of the"
+                     " mother codeword; table ends there",)
             entries.append(remaining)
             total += remaining
             break
@@ -305,4 +303,4 @@ def build_enhanced_table(
         entries.append(bits)
         total += bits
         acc += bits * row
-    return StaticBitTable(n_sent=tuple(entries))
+    return StaticBitTable(n_sent=tuple(entries), notes=notes)

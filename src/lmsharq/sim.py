@@ -10,6 +10,7 @@ has arrived take priority over new codewords.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -29,6 +30,7 @@ from lmsharq.schemes import (
     AdaptivePolicy,
     DecodingProbTable,
     SchemeExhausted,
+    StaticBitTable,
     build_enhanced_table,
     conditional_prob,
     equal_split,
@@ -68,8 +70,14 @@ class SimConfig:
             raise ConfigError("bit_rate_bps must be positive")
         if self.duration_s <= 0.0:
             raise ConfigError("duration_s must be positive")
+        for name in ("max_transmissions", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer")
         if self.max_transmissions < 1:
             raise ConfigError("max_transmissions must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed cannot be negative")
         if self.probs_preset not in PROB_PRESETS:
             raise ConfigError(f"unknown probability preset {self.probs_preset!r}")
 
@@ -90,6 +98,7 @@ class RunLog:
     Burst columns are in transmission order; burst_codeword is the id of
     the codeword each burst belongs to. The per-codeword n_total_sent and
     n_transmissions and the link totals are derived from the burst columns.
+    policy is the run's derive_policy, and its length is the run's horizon.
     """
 
     config: SimConfig
@@ -100,7 +109,7 @@ class RunLog:
     burst_bits: np.ndarray
     burst_rho: np.ndarray
     burst_codeword: np.ndarray
-    effective_max_transmissions: int
+    policy: StaticBitTable | AdaptivePolicy
     data_bits: int
 
     @cached_property
@@ -112,6 +121,11 @@ class RunLog:
     @cached_property
     def n_transmissions(self) -> np.ndarray:
         return np.bincount(self.burst_codeword, minlength=len(self.finished)).astype(np.int64)
+
+    @property
+    def effective_max_transmissions(self) -> int:
+        """The HARQ horizon: max_transmissions, capped by the policy's table."""
+        return len(self.policy)
 
     @property
     def total_bits(self) -> int:
@@ -143,6 +157,46 @@ def calibration_cdf(model: LmsModel) -> EmpiricalCdf:
     return empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
 
 
+def _clear_sky_series(config: SimConfig) -> AttenuationSeries:
+    """One unfaded sample that stays active for the whole run."""
+    return AttenuationSeries(rho=np.ones(1), sample_dt_s=config.duration_s)
+
+
+def derive_policy(
+    config: SimConfig,
+    model: Optional[LmsModel],
+    spec: CodeSpec,
+    mi_table: MiTable,
+) -> StaticBitTable | AdaptivePolicy:
+    """The run's HARQ policy, cut to at most config.max_transmissions rounds.
+
+    Classical IR splits the mother codeword equally. The threshold schemes
+    read the attenuation distribution: calibration_cdf(model), or the one
+    unfaded sample of clear sky. The notes of an enhanced table concern
+    its last round or the one after it, so a table cut shorter has none.
+    """
+    if config.scheme == "classical":
+        policy = equal_split(spec)
+    else:
+        if config.clear_sky:
+            cdf = empirical_cdf(_clear_sky_series(config))
+        elif model is None:
+            raise ConfigError("a channel model is required unless clear_sky is set")
+        else:
+            cdf = calibration_cdf(model)
+        probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
+        es_n0_lin = float(db_to_linear(config.es_n0_ref_db))
+        if config.scheme == "adaptive":
+            return AdaptivePolicy(spec, tuple(
+                mi_needed(cdf, conditional_prob(probs, j), es_n0_lin, mi_table)[1]
+                for j in range(1, len(probs) + 1)[:config.max_transmissions]
+            ))
+        policy = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
+    if len(policy) > config.max_transmissions:
+        policy = StaticBitTable(policy.n_sent[:config.max_transmissions])
+    return policy
+
+
 def _sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_lin: float) -> np.ndarray:
     """Per-bit MI of every sample of the series at a linear Es/N0."""
     return mi_of(mi_table, series.rho * series.rho * es_n0_lin)
@@ -159,19 +213,19 @@ def run(
 ) -> RunLog:
     """Simulate one configuration. Deterministic for a fixed config.
 
-    Each burst sees the channel sample active at its start. The per-bit
-    MI of every sample and the policy's per-round thresholds are computed
-    once per run, with the same float operations as a per-burst mi_of,
-    so the results do not depend on the precomputation. A given `series`
-    stands for generate_series(model, config.duration_s, config.seed), and
-    given `mi_samples` stand for mi_of over the series at the run's Es/N0,
-    one float64 per sample.
+    Each burst sees the channel sample active at its start, and each
+    burst's size comes from derive_policy. The per-bit MI of every sample
+    and the policy's per-round thresholds are computed once per run, with
+    the same float operations as a per-burst mi_of, so the results do not
+    depend on the precomputation. A given `series` stands for
+    generate_series(model, config.duration_s, config.seed), and given
+    `mi_samples` stand for mi_of over the series at the run's Es/N0, one
+    float64 per sample.
     """
     if config.clear_sky:
         if series is not None or mi_samples is not None:
             raise ConfigError("a clear-sky run takes no attenuation series or MI samples")
-        # one unfaded sample that stays active for the whole run
-        series = AttenuationSeries(rho=np.ones(1), sample_dt_s=config.duration_s)
+        series = _clear_sky_series(config)
     else:
         if model is None:
             raise ConfigError("a channel model is required unless clear_sky is set")
@@ -186,26 +240,12 @@ def run(
         ):
             raise ValueError("mi_samples must be a float64 array with one value per series sample")
 
-    es_n0_lin = float(db_to_linear(config.es_n0_ref_db))
-
-    if config.scheme == "classical":
-        policy = equal_split(spec)
-    else:
-        # only the threshold policies read the attenuation distribution
-        cdf = empirical_cdf(series) if config.clear_sky else calibration_cdf(model)
-        probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
-        if config.scheme == "enhanced":
-            policy = build_enhanced_table(cdf, probs, spec, es_n0_lin, mi_table)
-        else:
-            policy = AdaptivePolicy(spec, tuple(
-                mi_needed(cdf, conditional_prob(probs, j), es_n0_lin, mi_table)[1]
-                for j in range(1, min(config.max_transmissions, len(probs)) + 1)
-            ))
-    horizon = min(config.max_transmissions, len(policy))
+    policy = derive_policy(config, model, spec, mi_table)
+    horizon = len(policy)
 
     dt = series.sample_dt_s
     if mi_samples is None:
-        mi_samples = _sample_mi(mi_table, series, es_n0_lin)
+        mi_samples = _sample_mi(mi_table, series, float(db_to_linear(config.es_n0_ref_db)))
     mi_at = memoryview(mi_samples)  # indexing yields Python floats
 
     bit_rate = config.bit_rate_bps
@@ -283,7 +323,7 @@ def run(
         burst_bits=bits_col,
         burst_rho=series.rho[(burst_start / dt).astype(np.intp)],
         burst_codeword=np.array(burst_cw, dtype=np.int64),
-        effective_max_transmissions=horizon,
+        policy=policy,
         data_bits=spec.data_bits,
     )
 

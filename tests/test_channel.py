@@ -371,6 +371,26 @@ def test_series_csv_export(tmp_path, its_model):
     assert float(rho_db) == pytest.approx(20.0 * np.log10(series.rho[0]), rel=1e-4)
 
 
+# sha256 of the 600 s export at seed 1, recorded when times were written
+# with six significant digits; below 1000 s ten digits write the same bytes
+SERIES_CSV_600_SHA256 = "2cfe6af93ff079974c10e435488459b50873245ac35f50e800a49606287cdf7b"
+
+
+def test_series_csv_bytes_are_pinned(tmp_path, its_model):
+    out = tmp_path / "series.csv"
+    generate_series(its_model, 600.0, seed=1).to_csv(out)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SERIES_CSV_600_SHA256
+
+
+def test_series_csv_times_stay_distinct_past_1000_s(tmp_path, its_model):
+    series = generate_series(its_model, 1200.0, seed=1)
+    out = tmp_path / "series.csv"
+    series.to_csv(out)
+    times = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert len(times) == len(set(times)) == len(series.rho)
+    assert np.abs(np.array(times, dtype=float) - series.time_s).max() < 1e-9
+
+
 def test_model_file_loading(tmp_path, its_model):
     assert len(its_model.states) == 3
     assert np.allclose(np.asarray(its_model.transition_matrix).sum(axis=1), 1.0, atol=1e-9)

@@ -281,6 +281,72 @@ def test_an_uncapped_run_writes_no_note(capsys):
     assert capsys.readouterr().err == ""
 
 
+ENHANCED_RUN_STDOUT = """\
+scheme = enhanced
+environment = its
+es_n0_db = 10
+seed = 1
+generated = 1365
+decoded = 1360
+censored = 7
+wer = 0.003663
+efficiency_bits_per_symbol = 0.808785
+mean_delay_s = 0.736566
+p1 = 0.47033
+p2 = 0.293773
+p3 = 0.107692
+p4 = 0.124542
+"""
+
+
+def test_run_notes_the_clamped_round_on_stderr(capsys):
+    """The enhanced table's clamp reaches the user as a note, not a warning."""
+    assert main("run --scheme enhanced --env its --esn0 10 --duration-s 60".split()) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ENHANCED_RUN_STDOUT
+    assert captured.err == ("note: transmission 4 clamped to the 30424 bits left of the"
+                            " mother codeword; table ends there\n")
+
+
+@pytest.mark.parametrize("max_tx, err", [
+    ("3", ""),
+    ("6", "note: transmission 4 clamped to the 30424 bits left of the mother codeword;"
+          " table ends there\n"
+          "note: max_transmissions 6 capped at 4 by the policy table in 1 of 1 runs\n"),
+], ids=["cut", "capped"])
+def test_a_note_follows_the_table_the_run_uses(max_tx, err, capsys):
+    assert main(["run", "--scheme", "enhanced", "--env", "its", "--esn0", "10",
+                 "--duration-s", "5", "--max-transmissions", max_tx]) == 0
+    assert capsys.readouterr().err == err
+
+
+def test_sweep_writes_each_distinct_note_once(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--schemes", "enhanced,adaptive", "--env", "its", "--esn0", "7,10",
+                 "--seeds", "1,2", "--duration-s", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == (
+        "note: transmission 4 clamped to the 20860 bits left of the mother codeword;"
+        " table ends there\n"
+        "note: transmission 4 clamped to the 30424 bits left of the mother codeword;"
+        " table ends there\n"
+    )
+
+
+@pytest.mark.parametrize("args", [
+    "run --esn0 10 --duration-s 5 --seed -1",
+    "run --esn0 10 --duration-s 5 --seed -1 --clear-sky",
+    "channel --duration-s 5 --seed -1",
+    "sweep --esn0 10 --duration-s 5 --seeds=-1",
+    "figures --which eff-its --esn0 10 --seed -1",
+])
+def test_a_negative_seed_is_a_configuration_error(args, tmp_path, capsys):
+    out = {"run": [], "figures": ["--out-dir", str(tmp_path)]}.get(
+        args.split()[0], ["--out", str(tmp_path / "out.csv")])
+    assert main(args.split() + out) == 2
+    assert "configuration error: seed cannot be negative" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("args, code", [
     ("run --scheme classical --esn0 nan --duration-s 5", 2), ("run --esn0 inf --duration-s 5", 2),
     ("run --esn0=-inf --duration-s 5", 2), ("run --esn0 10 --duration-s nan", 2),

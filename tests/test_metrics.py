@@ -8,6 +8,7 @@ import pytest
 
 from lmsharq.errors import DataError
 from lmsharq.metrics import RunMetrics, delay
+from lmsharq.schemes import StaticBitTable
 from lmsharq.sim import RunLog, SimConfig
 
 CFG = SimConfig(clear_sky=True, duration_s=30.0)
@@ -20,7 +21,8 @@ def make_cw(bits_list, decoded=True):
 
 
 def make_log(codewords, horizon=4):
-    """A log of finished codewords whose bursts follow each other in id order."""
+    """A log of finished codewords whose bursts follow each other in id
+    order, under a policy of `horizon` rounds."""
     bits = [b for sizes, _ in codewords for b in sizes]
     owner = [c for c, (sizes, _) in enumerate(codewords) for _ in sizes]
     return RunLog(
@@ -33,7 +35,7 @@ def make_log(codewords, horizon=4):
         burst_bits=np.array(bits, dtype=np.int64),
         burst_rho=np.ones(len(bits)),
         burst_codeword=np.array(owner, dtype=np.int64),
-        effective_max_transmissions=horizon,
+        policy=StaticBitTable((13380,) * horizon),
         data_bits=8920,
     )
 
@@ -217,7 +219,6 @@ def standalone_metrics(log):
     )
 
 
-@pytest.mark.filterwarnings("ignore:transmission .* clamped:UserWarning")
 @pytest.mark.parametrize("scheme", ["classical", "enhanced", "adaptive"])
 @pytest.mark.parametrize("max_tx", [4, 6])
 def test_from_log_equals_the_standalone_metrics(scheme, max_tx, its_model, code_spec,

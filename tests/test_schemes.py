@@ -220,17 +220,19 @@ def test_offline_table_single_shot_fallback(its_calib_cdf, mi_table, code_spec):
     # a one-transmission target through the deepest fades cannot fit
     probs = DecodingProbTable(PROB_PRESETS["case1"])
     es = float(db_to_linear(7.0))
-    with pytest.warns(UserWarning, match="single-shot"):
-        table = build_enhanced_table(its_calib_cdf, probs, code_spec, es, mi_table)
+    table = build_enhanced_table(its_calib_cdf, probs, code_spec, es, mi_table)
     assert table.n_sent == (code_spec.mother_codeword_bits,)
+    assert table.notes == ("first transmission needs the whole mother codeword; table is the"
+                           " single-shot fallback",)
 
 
 def test_offline_table_clamps_the_last_stage(its_calib_cdf, mi_table, code_spec):
     probs = DecodingProbTable(PROB_PRESETS["case3"])
     es = float(db_to_linear(7.0))
-    with pytest.warns(UserWarning, match="clamped"):
-        table = build_enhanced_table(its_calib_cdf, probs, code_spec, es, mi_table)
+    table = build_enhanced_table(its_calib_cdf, probs, code_spec, es, mi_table)
     assert len(table.n_sent) == 4
+    assert table.notes == (f"transmission 4 clamped to the {table.n_sent[-1]} bits left of the"
+                           " mother codeword; table ends there",)
     assert sum(table.n_sent) == code_spec.mother_codeword_bits
     assert all(v > 0 and v % 2 == 0 for v in table.n_sent)
 
@@ -248,16 +250,18 @@ def test_offline_table_structure_and_determinism(small_cdf, mi_table, code_spec)
 
 def _reference_enhanced_table(cdf, probs, spec, es_n0_ref_linear, mi_table):
     """build_enhanced_table as first written: rng.choice over the sample
-    values, mi_of over the draws, and a fresh np.mean for every test."""
+    values, mi_of over the draws, and a fresh np.mean for every test.
+    Each limit the build meets is a note on the table."""
     budget = spec.mi_budget
     _, m_1 = mi_needed(cdf, conditional_prob(probs, 1), es_n0_ref_linear, mi_table)
     n_1 = _ceil_to_symbol(budget / m_1)
     if n_1 >= spec.mother_codeword_bits:
-        warnings.warn("first transmission needs the whole mother codeword; table is the"
-                      " single-shot fallback")
-        return (spec.mother_codeword_bits,)
+        return StaticBitTable((spec.mother_codeword_bits,), (
+            "first transmission needs the whole mother codeword; table is the"
+            " single-shot fallback",))
     entries = [n_1]
     total = n_1
+    notes = []
     rng = np.random.default_rng(ENHANCED_TABLE_SEED)
     draws = rng.choice(cdf.sorted_rho, size=(ENHANCED_TABLE_DRAWS, len(probs.p)))
     mi_draws = np.asarray(mi_of(mi_table, draws * draws * es_n0_ref_linear))
@@ -267,12 +271,12 @@ def _reference_enhanced_table(cdf, probs, spec, es_n0_ref_linear, mi_table):
         cum_target += probs.p[j - 1]
         remaining = spec.mother_codeword_bits - total
         if remaining < MODULATION_BITS:
-            warnings.warn(f"mother codeword exhausted before transmission {j}; table ends")
+            notes.append(f"mother codeword exhausted before transmission {j}; table ends")
             break
         col = mi_draws[:, j - 1]
         if np.mean(acc + remaining * col >= budget) < cum_target:
-            warnings.warn(f"transmission {j} clamped to the {remaining} bits left of the"
-                          " mother codeword; table ends there")
+            notes.append(f"transmission {j} clamped to the {remaining} bits left of the"
+                         " mother codeword; table ends there")
             entries.append(remaining)
             total += remaining
             break
@@ -287,15 +291,7 @@ def _reference_enhanced_table(cdf, probs, spec, es_n0_ref_linear, mi_table):
         entries.append(bits)
         total += bits
         acc = acc + bits * col
-    return tuple(entries)
-
-
-def built_with_warnings(build, *args):
-    """A builder's bit tuple and the (category, text) of every warning it raised."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        out = build(*args)
-    return getattr(out, "n_sent", out), [(w.category, str(w.message)) for w in caught]
+    return StaticBitTable(tuple(entries), tuple(notes))
 
 
 @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
@@ -309,8 +305,7 @@ def test_enhanced_table_equals_the_reference(env, preset, short, request, code_s
     probs = DecodingProbTable(PROB_PRESETS[preset])
     for es_db in range(-2, 17):
         args = (cdf, probs, spec, float(db_to_linear(float(es_db))), mi_table)
-        got = built_with_warnings(build_enhanced_table, *args)
-        assert got == built_with_warnings(_reference_enhanced_table, *args), es_db
+        assert build_enhanced_table(*args) == _reference_enhanced_table(*args), es_db
 
 
 # Per-bit MI of 0.5 or 1 at every draw (rho 0.5, 1, 1, 2 at Es/N0 4), so
@@ -326,10 +321,10 @@ DYADIC_SPEC = CodeSpec(mi_req_per_bit=0.25)
 def test_enhanced_table_counts_a_draw_that_meets_the_budget_exactly():
     probs = DecodingProbTable(PROB_PRESETS["case3"])
     args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, DYADIC_TABLE)
-    got = built_with_warnings(build_enhanced_table, *args)
-    assert got == built_with_warnings(_reference_enhanced_table, *args)
+    got = build_enhanced_table(*args)
+    assert got == _reference_enhanced_table(*args)
     assert DYADIC_SPEC.mi_budget == 13380.0
-    assert got[0][:2] == (13380, 6690)
+    assert got.n_sent[:2] == (13380, 6690)
 
 
 def test_enhanced_table_divides_the_count_by_the_number_of_draws():
@@ -342,18 +337,18 @@ def test_enhanced_table_divides_the_count_by_the_number_of_draws():
     target = (k / n + k / (n - 1)) / 2
     probs = DecodingProbTable((0.5, target - 0.5))
     args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, DYADIC_TABLE)
-    got = built_with_warnings(build_enhanced_table, *args)
-    assert got == built_with_warnings(_reference_enhanced_table, *args)
-    assert got == ((13380, 13380), [])
+    got = build_enhanced_table(*args)
+    assert got == _reference_enhanced_table(*args)
+    assert got == StaticBitTable((13380, 13380))
 
 
 def test_enhanced_table_gives_one_symbol_to_a_stage_the_earlier_bursts_meet():
     # three quarters of the draws decode on the first burst alone
     probs = DecodingProbTable((0.5, 0.2))
     args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, DYADIC_TABLE)
-    got = built_with_warnings(build_enhanced_table, *args)
-    assert got == built_with_warnings(_reference_enhanced_table, *args)
-    assert got == ((13380, MODULATION_BITS), [])
+    got = build_enhanced_table(*args)
+    assert got == _reference_enhanced_table(*args)
+    assert got == StaticBitTable((13380, MODULATION_BITS))
 
 
 # The lowest sample falls below the grid, whose first MI is 0: a quarter of
@@ -367,16 +362,16 @@ ZERO_MI_CDF = EmpiricalCdf(sorted_rho=np.array([0.25, 1.0, 1.0, 2.0]))
 @pytest.mark.parametrize(
     "second, expected",
     [
-        (0.4, ((13380, 13380), [])),
-        (0.45, ((13380, 40140), [(UserWarning, "transmission 2 clamped to the 40140 bits"
-                                  " left of the mother codeword; table ends there")])),
+        (0.4, StaticBitTable((13380, 13380))),
+        (0.45, StaticBitTable((13380, 40140), ("transmission 2 clamped to the 40140 bits"
+                                               " left of the mother codeword; table ends there",))),
     ],
 )
 def test_enhanced_table_never_decodes_a_draw_without_mi(second, expected):
     probs = DecodingProbTable((0.5, second))
     args = (ZERO_MI_CDF, probs, DYADIC_SPEC, 4.0, ZERO_MI_TABLE)
-    got = built_with_warnings(build_enhanced_table, *args)
-    assert got == built_with_warnings(_reference_enhanced_table, *args)
+    got = build_enhanced_table(*args)
+    assert got == _reference_enhanced_table(*args)
     assert got == expected
 
 
@@ -396,11 +391,11 @@ def test_enhanced_table_ignores_which_draws_were_cached_before(
         )
         for preset in ("case1", "case2", "case3")
     ]
-    cases = [(args, built_with_warnings(_reference_enhanced_table, *args)) for args in inputs]
+    cases = [(args, _reference_enhanced_table(*args)) for args in inputs]
     _enhanced_draws.cache_clear()
     for order in (cases, cases[::-1]):
         for args, expected in order:
-            assert built_with_warnings(build_enhanced_table, *args) == expected
+            assert build_enhanced_table(*args) == expected
     assert _enhanced_draws.cache_info().currsize == 3
     for rounds in (2, 4):
         for shared in _enhanced_draws(DYADIC_CDF.sorted_rho.size, rounds):
@@ -418,6 +413,6 @@ def test_enhanced_table_sizes_a_boundary_on_a_whole_symbol_count():
     table = MiTable(es_n0_linear=np.array([1.0, 4.0, 16.0]), mi_per_bit=np.array([0.437, 0.637, 1.0]))
     probs = DecodingProbTable((0.5, 0.4))
     args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, table)
-    got = built_with_warnings(build_enhanced_table, *args)
-    assert got == built_with_warnings(_reference_enhanced_table, *args)
-    assert got == ((21006, 3297 * MODULATION_BITS), [])
+    got = build_enhanced_table(*args)
+    assert got == _reference_enhanced_table(*args)
+    assert got == StaticBitTable((21006, 3297 * MODULATION_BITS))

@@ -1,11 +1,9 @@
 """Event loop behavior: scheduling, causality, decode bookkeeping."""
 
-import contextlib
 import copy
 import gc
 import hashlib
 import math
-import warnings
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -18,8 +16,9 @@ from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable, mi_update
 from lmsharq.metrics import RunMetrics
 from lmsharq.mi import db_to_linear, mi_inverse, mi_of
+from lmsharq.schemes import StaticBitTable
 from lmsharq.sim import (
-    CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, calibration_cdf, run, sweep,
+    CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, calibration_cdf, derive_policy, run, sweep,
 )
 
 TOL = 1e-9
@@ -72,7 +71,8 @@ def assert_same_log(got, want):
     for name in RUNLOG_COLUMNS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-    for name in ("total_bits", "total_symbols", "effective_max_transmissions", "data_bits"):
+    for name in ("total_bits", "total_symbols", "effective_max_transmissions", "data_bits",
+                 "policy"):
         assert getattr(got, name) == getattr(want, name), name
 
 
@@ -90,6 +90,26 @@ def test_config_consistency_checks():
 
 
 @pytest.mark.parametrize("clear_sky", [False, True])
+@pytest.mark.parametrize("name, value, message", [
+    ("seed", -1, "seed cannot be negative"),
+    ("seed", 1.0, "seed must be an integer"),
+    ("seed", True, "seed must be an integer"),
+    ("seed", "1", "seed must be an integer"),
+    ("max_transmissions", 2.5, "max_transmissions must be an integer"),
+    ("max_transmissions", 4.0, "max_transmissions must be an integer"),
+    ("max_transmissions", True, "max_transmissions must be an integer"),
+])
+def test_seed_and_max_transmissions_are_whole_numbers(name, value, message, clear_sky):
+    with pytest.raises(ConfigError, match=message):
+        SimConfig(clear_sky=clear_sky, **{name: value})
+
+
+def test_numpy_integers_are_whole_numbers():
+    cfg = SimConfig(seed=np.int64(0), max_transmissions=np.int32(2))
+    assert (cfg.seed, cfg.max_transmissions) == (0, 2)
+
+
+@pytest.mark.parametrize("clear_sky", [False, True])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["es_n0_ref_db", "t_propag_s", "bit_rate_bps", "duration_s"])
 def test_non_finite_config_values_are_rejected(name, value, clear_sky):
@@ -101,6 +121,11 @@ def test_non_finite_config_values_are_rejected(name, value, clear_sky):
 def test_missing_model_is_a_startup_error(code_spec, mi_table):
     with pytest.raises(ConfigError, match="model"):
         run(SimConfig(), None, code_spec, mi_table)
+    for scheme in ("enhanced", "adaptive"):
+        with pytest.raises(ConfigError, match="model"):
+            derive_policy(SimConfig(scheme=scheme), None, code_spec, mi_table)
+    # the classical table reads no channel
+    assert len(derive_policy(SimConfig(scheme="classical"), None, code_spec, mi_table)) == 4
 
 
 def test_short_series_is_a_data_error(monkeypatch, its_model, code_spec, mi_table):
@@ -257,6 +282,46 @@ def test_bursts_replay_bit_for_bit_from_the_series(which, request, its_model, mi
         assert float(log.mi_acc_per_bit[c]).hex() == acc.hex()
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("env", ["its", "clear"])
+def test_bursts_follow_the_recorded_policy(env, scheme, record_models, code_spec, mi_table):
+    """Each burst's size is the log's policy applied to what its codeword
+    had received before it, folded through fec.mi_update."""
+    log = record_run(env, scheme, 4, code_spec, mi_table, record_models)
+    assert log.policy == derive_policy(log.config, record_models.get(env), code_spec, mi_table)
+    es = float(db_to_linear(log.config.es_n0_ref_db))
+    rounds = []
+    for bursts in bursts_by_codeword(log):
+        n, acc = 0, 0.0
+        for j, (_, bits, rho) in enumerate(bursts, start=1):
+            assert bits == log.policy.bits(j, n, acc)
+            n, acc = mi_update(n, acc, bits, mi_of(mi_table, rho * rho * es))
+        rounds.append(len(bursts))
+    assert len(rounds) == len(log.finished) > 100
+    # clear sky decodes a threshold scheme's first burst, the shadowed track does not
+    assert max(rounds) > 1 if env == "its" or scheme == "classical" else max(rounds) == 1
+
+
+def test_a_policy_is_cut_to_the_horizon(its_model, code_spec, mi_table):
+    def policy(scheme, max_tx):
+        cfg = SimConfig(scheme=scheme, environment="its", max_transmissions=max_tx)
+        return derive_policy(cfg, its_model, code_spec, mi_table)
+
+    assert policy("classical", 2) == StaticBitTable((13380, 13380))
+    assert policy("classical", 6) == StaticBitTable((13380,) * 4)
+    assert [len(policy("adaptive", k)) for k in (1, 3, 4, 6)] == [1, 3, 4, 4]
+    assert policy("adaptive", 2).mi_needed_per_bit == policy("adaptive", 4).mi_needed_per_bit[:2]
+    # case3 on its clamps the enhanced table's fourth round, which a horizon
+    # of three cuts off with its note
+    full = policy("enhanced", 4)
+    assert len(full) == 4 and full.notes == (
+        f"transmission 4 clamped to the {full.n_sent[-1]} bits left of the mother codeword;"
+        " table ends there",)
+    assert policy("enhanced", 6) == full
+    assert policy("enhanced", 3) == StaticBitTable(full.n_sent[:3])
+    assert policy("adaptive", 4).notes == ()
+
+
 def test_burst_totals_reconcile(its_run):
     assert sum(its_run.burst_bits.tolist()) == its_run.total_bits
     for sent, bursts in zip(its_run.n_total_sent.tolist(), bursts_by_codeword(its_run)):
@@ -325,14 +390,6 @@ def record_digest(log):
 CLEAR_SKY_ES_DB = -2.0
 
 
-@contextlib.contextmanager
-def quiet_policy_build():
-    """Silence the enhanced table's expected warning: it clamps its last round."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "transmission .* clamped", UserWarning)
-        yield
-
-
 def record_run(env, scheme, max_tx, spec, table, models):
     """One pinned run: 120 s on a channel track, or 30 s of clear sky."""
     if env == "clear":
@@ -343,8 +400,7 @@ def record_run(env, scheme, max_tx, spec, table, models):
         cfg = SimConfig(scheme=scheme, environment=env, es_n0_ref_db=10.0,
                         duration_s=120.0, max_transmissions=max_tx)
         model = models[env]
-    with quiet_policy_build():
-        return run(cfg, model, spec, table)
+    return run(cfg, model, spec, table)
 
 
 RECORD_CASES = [
@@ -413,10 +469,9 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, code_spec, mi_table):
     cfg = SimConfig(scheme=scheme, environment="its", duration_s=60.0)
-    with quiet_policy_build():
-        first = run(cfg, its_model, code_spec, mi_table)
-        calls = count_calls(monkeypatch, "calibration_cdf")
-        again = run(cfg, its_model, code_spec, mi_table)  # from the memoised CDF
+    first = run(cfg, its_model, code_spec, mi_table)
+    calls = count_calls(monkeypatch, "calibration_cdf")
+    again = run(cfg, its_model, code_spec, mi_table)  # from the memoised CDF
     assert len(calls) == (scheme != "classical")
     assert record_digest(again) == record_digest(first)
 
@@ -425,8 +480,7 @@ def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, code_
 def test_only_threshold_policies_read_the_clear_sky_cdf(scheme, monkeypatch, code_spec, mi_table):
     calls = count_calls(monkeypatch, "empirical_cdf")
     cfg = SimConfig(scheme=scheme, clear_sky=True, duration_s=5.0)
-    with quiet_policy_build():
-        run(cfg, None, code_spec, mi_table)
+    run(cfg, None, code_spec, mi_table)
     assert len(calls) == (scheme != "classical")
 
 
@@ -439,8 +493,7 @@ def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, its_model
                                                     code_spec, mi_table):
     calibration_cdf.cache_clear()
     base = SimConfig(environment="its", duration_s=5.0)
-    with quiet_policy_build():
-        logs = sweep(base, [10.0], schemes, [1], its_model, spec=code_spec, mi_table=mi_table)
+    logs = sweep(base, [10.0], schemes, [1], its_model, spec=code_spec, mi_table=mi_table)
     assert len(logs) == len(schemes)
     # each miss generates one 3600 s calibration series
     assert calibration_cdf.cache_info().misses == expected
@@ -529,8 +582,7 @@ def test_the_least_recently_used_calibration_is_evicted(monkeypatch):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_run_shorter_than_its_first_burst_is_empty(scheme, its_model, code_spec, mi_table):
     cfg = SimConfig(scheme=scheme, environment="its", duration_s=0.01)
-    with quiet_policy_build():
-        log = run(cfg, its_model, code_spec, mi_table)
+    log = run(cfg, its_model, code_spec, mi_table)
     for name, dtype in RUNLOG_COLUMNS.items():
         col = getattr(log, name)
         assert col.shape == (0,) and col.dtype == dtype, name
@@ -540,9 +592,8 @@ def test_a_run_shorter_than_its_first_burst_is_empty(scheme, its_model, code_spe
 def its_sweep(its_model, code_spec, mi_table):
     """Two seeds by three schemes by two Es/N0 points on the shadowed track."""
     base = SimConfig(environment="its", duration_s=20.0)
-    with quiet_policy_build():
-        return sweep(base, [8.0, 12.0], SCHEMES, [3, 4], its_model,
-                     spec=code_spec, mi_table=mi_table)
+    return sweep(base, [8.0, 12.0], SCHEMES, [3, 4], its_model,
+                 spec=code_spec, mi_table=mi_table)
 
 
 def test_a_sweep_generates_one_series_per_seed(monkeypatch, its_model, code_spec, mi_table):
@@ -574,10 +625,19 @@ def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, code_spec, 
     assert len(run_calls) == len(logs) == 12
 
 
+def test_a_sweep_log_carries_the_policy_of_its_config(its_model, code_spec, mi_table):
+    clear = SimConfig(clear_sky=True, duration_s=5.0, max_transmissions=2)
+    logs = its_sweep(its_model, code_spec, mi_table) + sweep(
+        clear, [CLEAR_SKY_ES_DB, 10.0], SCHEMES, [1, 2], spec=code_spec, mi_table=mi_table)
+    for log in logs:
+        model = None if log.config.clear_sky else its_model
+        assert log.policy == derive_policy(log.config, model, code_spec, mi_table)
+        assert log.effective_max_transmissions == len(log.policy)
+
+
 def test_sweep_runs_equal_standalone_runs(its_model, code_spec, mi_table):
     for log in its_sweep(its_model, code_spec, mi_table):
-        with quiet_policy_build():
-            solo = run(log.config, its_model, code_spec, mi_table)
+        solo = run(log.config, its_model, code_spec, mi_table)
         assert_same_log(log, solo)
 
 
@@ -591,8 +651,7 @@ def test_a_long_run_leaves_the_collector_almost_nothing(scheme, its_model, code_
     gc.disable()
     try:
         before = len(gc.get_objects())
-        with quiet_policy_build():
-            log = run(cfg, its_model, code_spec, mi_table)
+        log = run(cfg, its_model, code_spec, mi_table)
         added = len(gc.get_objects()) - before
     finally:
         if was:
@@ -637,9 +696,7 @@ def test_schedule_invariants_hold_on_the_columns(scheme, max_tx, clear_sky, dura
     cfg = SimConfig(scheme=scheme, environment="its", es_n0_ref_db=es_db, duration_s=duration_s,
                     max_transmissions=max_tx, clear_sky=clear_sky)
     model = None if clear_sky else its_model
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the policy builders' notices
-        log = run(cfg, model, spec, mi_table)
+    log = run(cfg, model, spec, mi_table)
     rate, rtt = cfg.bit_rate_bps, cfg.rtt_s
     start = log.burst_start_s.tolist()
     bits = log.burst_bits.tolist()
