@@ -18,7 +18,7 @@ import numpy as np
 
 from lmsharq import metrics, presets
 from lmsharq.channel import empirical_cdf, generate_series
-from lmsharq.errors import ConfigError
+from lmsharq.errors import ConfigError, check_integer
 from lmsharq.fec import TARGET_WER, calibrate_mi_req, load_wer_curve
 from lmsharq.mi import (
     DEFAULT_MAX_DB,
@@ -49,7 +49,7 @@ def _numbers(parts, kind, text: str) -> list:
 
 
 def _parse_es_list(text: str) -> list[float]:
-    """Accept '10', '7,10,13' or 'start:stop:step' (stop inclusive)."""
+    """Accept '10', '7,10,13' or 'start:stop:step' (stop inclusive); never empty."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -63,7 +63,10 @@ def _parse_es_list(text: str) -> list[float]:
             out.append(round(x, 9))
             x += step
         return out
-    return _numbers([p for p in text.split(",") if p], float, text)
+    out = _numbers([p for p in text.split(",") if p], float, text)
+    if not out:
+        raise ConfigError(f"no Es/N0 values in {text!r}")
+    return out
 
 
 def _config(args) -> SimConfig:
@@ -143,8 +146,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_channel(args) -> int:
-    if args.seed < 0:
-        raise ConfigError("seed cannot be negative")
+    check_integer("seed", args.seed)
     model = presets.load_environment(args.env)
     series = generate_series(model, args.duration_s, args.seed)
     series.to_csv(args.out)
@@ -211,8 +213,8 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"unknown scheme {s!r}, expected one of {SCHEMES}")
     es_list = _parse_es_list(args.esn0)
     seeds = _numbers([s for s in args.seeds.split(",") if s], int, args.seeds)
-    if not schemes or not es_list or not seeds:
-        raise ConfigError("schemes, esn0 and seeds must all be non-empty")
+    if not schemes or not seeds:
+        raise ConfigError("schemes and seeds must both be non-empty")
     model, spec, mi_table = _prepared(config)
     logs = sweep(config, es_list, schemes, seeds, model, spec=spec, mi_table=mi_table)
     _notes(config.max_transmissions, logs)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
 
+from lmsharq.errors import ConfigError
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of, read_csv_pairs
 
 DATA_BITS = 8920
@@ -95,6 +96,8 @@ def calibrate_mi_req(
     The Es/N0 operating point is interpolated on the curve, linearly in
     log10(wer), then converted to per-bit MI through the table.
     """
+    if not 0.0 < target_wer < 1.0:
+        raise ConfigError(f"target_wer must be a finite number in (0, 1), got {target_wer:g}")
     if len(wer_curve) < 2:
         raise ValueError("wer_curve needs at least two points")
     es = [p[0] for p in wer_curve]

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lmsharq.errors import ConfigError
+from lmsharq.errors import ConfigError, check_integer
 
 MODULATION_BITS = 2
 
@@ -144,9 +144,13 @@ def build_mi_table(
 ) -> MiTable:
     """Estimate the per-bit MI curve on a dB grid.
 
-    Deterministic for a fixed seed. Raises ConfigError when the grid is
-    invalid or the sample count cannot deliver the target precision.
+    Deterministic for a fixed seed. Raises ConfigError before any draw
+    when the grid, the sample count or the seed is invalid, and after
+    the draws when the sample count cannot deliver the target precision.
     """
+    check_integer("seed", seed)
+    if not np.isfinite([es_n0_min_db, es_n0_max_db]).all():
+        raise ConfigError("es_n0_min_db and es_n0_max_db must be finite")
     if not es_n0_min_db < es_n0_max_db:
         raise ConfigError("es_n0_min_db must be below es_n0_max_db")
     if points < 2:

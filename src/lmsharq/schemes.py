@@ -39,10 +39,6 @@ ENHANCED_TABLE_SEED = 618033
 ENHANCED_TABLE_DRAWS = 50_000
 
 
-class SchemeExhausted(Exception):
-    """No further transmission is possible for this codeword."""
-
-
 @dataclass
 class DecodingProbTable:
     """Unconditional probabilities of first decoding at each transmission."""
@@ -83,15 +79,10 @@ class StaticBitTable:
         return len(self.n_sent)
 
     def bits(self, j: int, n_total_sent: int = 0, mi_acc_per_bit: float = 0.0) -> int:
-        """Bits of transmission j, whatever the codeword has received."""
+        """Bits of transmission j, whatever the codeword has received; 0 past the table."""
         if j < 1:
             raise ValueError("transmission index starts at 1")
-        try:
-            return self.n_sent[j - 1]
-        except IndexError:
-            raise SchemeExhausted(
-                f"transmission {j} beyond a table of {len(self.n_sent)}"
-            ) from None
+        return self.n_sent[j - 1] if j <= len(self.n_sent) else 0
 
 
 def equal_split(spec: CodeSpec) -> StaticBitTable:
@@ -150,6 +141,8 @@ class AdaptivePolicy:
     notes = ()  # deriving thresholds meets no limit; a StaticBitTable's may
 
     def __post_init__(self):
+        if not self.mi_needed_per_bit:
+            raise ValueError("threshold table is empty")
         if any(m <= 0.0 for m in self.mi_needed_per_bit):
             raise ValueError("mi_needed_per_bit must be positive")
 
@@ -161,24 +154,17 @@ class AdaptivePolicy:
 
         n_total_sent and mi_acc_per_bit describe what the undecoded
         codeword has received so far. Whole symbols only, at least one
-        symbol, never more than what is left of the mother codeword.
-        Raises SchemeExhausted past the last threshold or once the mother
-        codeword is fully consumed.
+        symbol, never more than what is left of the mother codeword. 0 past
+        the last threshold or once less than a symbol of it is left.
         """
         if j < 1:
             raise ValueError("transmission index starts at 1")
-        try:
-            mi_needed_per_bit = self.mi_needed_per_bit[j - 1]
-        except IndexError:
-            raise SchemeExhausted(
-                f"transmission {j} beyond {len(self.mi_needed_per_bit)} thresholds"
-            ) from None
         spec = self.spec
         remaining = spec.mother_codeword_bits - n_total_sent
-        if remaining < MODULATION_BITS:
-            raise SchemeExhausted("mother codeword exhausted")
+        if j > len(self.mi_needed_per_bit) or remaining < MODULATION_BITS:
+            return 0
         deficit = spec.mi_budget - n_total_sent * mi_acc_per_bit
-        return min(_ceil_to_symbol(deficit / mi_needed_per_bit), remaining)
+        return min(_ceil_to_symbol(deficit / self.mi_needed_per_bit[j - 1]), remaining)
 
 
 @functools.lru_cache(maxsize=3)

@@ -10,7 +10,6 @@ has arrived take priority over new codewords.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -21,7 +20,7 @@ import numpy as np
 from lmsharq.channel import (
     AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
 )
-from lmsharq.errors import ConfigError
+from lmsharq.errors import ConfigError, check_integer
 # is_decodable and mi_update are bound here for bench/spans.py, which wraps them by name
 from lmsharq.fec import CodeSpec, is_decodable, mi_update  # noqa: F401
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
@@ -29,7 +28,6 @@ from lmsharq.schemes import (
     PROB_PRESETS,
     AdaptivePolicy,
     DecodingProbTable,
-    SchemeExhausted,
     StaticBitTable,
     build_enhanced_table,
     conditional_prob,
@@ -70,14 +68,8 @@ class SimConfig:
             raise ConfigError("bit_rate_bps must be positive")
         if self.duration_s <= 0.0:
             raise ConfigError("duration_s must be positive")
-        for name in ("max_transmissions", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer")
-        if self.max_transmissions < 1:
-            raise ConfigError("max_transmissions must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed cannot be negative")
+        check_integer("max_transmissions", self.max_transmissions, least=1)
+        check_integer("seed", self.seed)
         if self.probs_preset not in PROB_PRESETS:
             raise ConfigError(f"unknown probability preset {self.probs_preset!r}")
 
@@ -241,7 +233,6 @@ def run(
             raise ValueError("mi_samples must be a float64 array with one value per series sample")
 
     policy = derive_policy(config, model, spec, mi_table)
-    horizon = len(policy)
 
     dt = series.sample_dt_s
     if mi_samples is None:
@@ -295,12 +286,9 @@ def run(
 
         if n_new * acc >= budget:
             decode_time[c] = t + airtime + t_propag
-        elif j < horizon:
-            try:
-                bits_next = policy_bits(j + 1, n_new, acc)
-            except SchemeExhausted:
-                pass
-            else:
+        else:
+            bits_next = policy_bits(j + 1, n_new, acc)  # 0: the codeword gets no further burst
+            if bits_next:
                 pending.append((t + airtime + rtt, c, bits_next, j + 1, n_new, acc))
         t += airtime
 

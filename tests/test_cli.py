@@ -109,6 +109,16 @@ def test_malformed_curve_maps_to_exit_four(tmp_path, capsys):
     assert "invalid data" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("target, code", [
+    ("-1", 2), ("nan", 2), ("0", 2), ("1.5", 2), ("1e-12", 4),
+])
+def test_a_calibration_target_outside_0_1_is_a_configuration_error(target, code, capsys):
+    # a probability inside (0, 1) that the curve does not reach stays bad data
+    assert main(["calibrate", "--target-wer", target]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error" if code == 2 else "invalid data")
+
+
 @pytest.mark.parametrize("option, header", [
     ("--mi-table", "es_n0_db,mi_per_bit"), ("--wer-curve", "es_n0_db,wer"),
 ])
@@ -136,7 +146,8 @@ def test_a_non_finite_mi_table_exits_four(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("args", [
     "sweep --esn0 abc", "sweep --esn0 7:x:1", "sweep --esn0 7::1", "sweep --seeds x",
     "sweep --seeds 1.5", "figures --which eff-its --esn0 abc",
-    "figures --which cases-its --esn0 7:x:1",
+    "figures --which cases-its --esn0 7:x:1", "figures --which eff-its --esn0 ,",
+    "sweep --esn0 ,",
 ])
 def test_a_malformed_list_is_a_configuration_error(args, tmp_path, capsys):
     out = ["--out-dir", str(tmp_path)] if args.startswith("figures") else [
@@ -338,6 +349,7 @@ def test_sweep_writes_each_distinct_note_once(tmp_path, capsys):
     "channel --duration-s 5 --seed -1",
     "sweep --esn0 10 --duration-s 5 --seeds=-1",
     "figures --which eff-its --esn0 10 --seed -1",
+    "mi-table --points 3 --seed -1",
 ])
 def test_a_negative_seed_is_a_configuration_error(args, tmp_path, capsys):
     out = {"run": [], "figures": ["--out-dir", str(tmp_path)]}.get(
@@ -352,7 +364,8 @@ def test_a_negative_seed_is_a_configuration_error(args, tmp_path, capsys):
     ("run --esn0=-inf --duration-s 5", 2), ("run --esn0 10 --duration-s nan", 2),
     ("run --esn0 10 --duration-s inf", 2), ("sweep --schemes classical --esn0 nan --duration-s 5", 2),
     ("sweep --esn0 10 --duration-s inf", 2), ("channel --duration-s nan", 4),
-    ("channel --duration-s inf", 4),
+    ("channel --duration-s inf", 4), ("mi-table --points 3 --max-db inf", 2),
+    ("mi-table --points 3 --min-db nan", 2),
 ])
 def test_non_finite_inputs_exit_with_their_code(args, code, tmp_path, capsys):
     out = tmp_path / "out.csv"

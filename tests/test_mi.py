@@ -7,6 +7,7 @@ import pytest
 from scipy.special import logsumexp
 
 from oracles import ORACLE_MI_PER_BIT, ORACLE_POINTS_DB, bisection_mi_inverse
+from lmsharq import mi
 from lmsharq.errors import ConfigError
 from lmsharq.mi import (
     MiTable,
@@ -42,6 +43,31 @@ def test_build_rejects_bad_configuration():
         build_mi_table(points=1)
     with pytest.raises(ConfigError):
         build_mi_table(samples=100)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(seed=-1), "seed cannot be negative"),
+    (dict(seed=np.int64(-1)), "seed cannot be negative"),
+    (dict(seed=1.0), "seed must be an integer"),
+    (dict(seed=True), "seed must be an integer"),
+    (dict(es_n0_max_db=np.inf), "finite"),
+    (dict(es_n0_min_db=np.nan), "finite"),
+    (dict(es_n0_min_db=-np.inf), "finite"),
+], ids=["negative", "numpy-negative", "float", "bool", "inf-max", "nan-min", "-inf-min"])
+def test_build_checks_seed_and_bounds_before_drawing(kwargs, message, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(mi, "_mc_mi_per_bit", no_draw)
+    with pytest.raises(ConfigError, match=message):
+        build_mi_table(points=3, **kwargs)
+
+
+def test_build_takes_numpy_integer_seeds():
+    a = build_mi_table(es_n0_min_db=19.0, es_n0_max_db=20.0, points=2, samples=20_000, seed=11)
+    b = build_mi_table(es_n0_min_db=19.0, es_n0_max_db=20.0, points=2, samples=20_000,
+                       seed=np.int64(11))
+    assert np.array_equal(a.mi_per_bit, b.mi_per_bit)
 
 
 def test_build_flags_insufficient_precision():

@@ -17,7 +17,6 @@ from lmsharq.schemes import (
     PROB_PRESETS,
     AdaptivePolicy,
     DecodingProbTable,
-    SchemeExhausted,
     StaticBitTable,
     _ceil_to_symbol,
     _enhanced_draws,
@@ -146,10 +145,12 @@ def test_sizing_of_a_fresh_codeword_at_unit_threshold():
     assert AdaptivePolicy(spec, (1.0,)).bits(1, 0, 0.0) == 48168
 
 
-def test_sizing_raises_once_the_mother_code_is_spent():
+def test_sizing_answers_0_once_the_mother_code_is_spent():
     spec = CodeSpec(mi_req_per_bit=0.9)
-    with pytest.raises(SchemeExhausted):
-        AdaptivePolicy(spec, (0.5,)).bits(1, 53520, 0.2)
+    assert AdaptivePolicy(spec, (0.5,)).bits(1, 53520, 0.2) == 0
+    # less than one symbol left is spent too
+    assert AdaptivePolicy(spec, (0.5,)).bits(1, 53519, 0.2) == 0
+    assert AdaptivePolicy(spec, (0.5,)).bits(1, 53518, 0.2) == MODULATION_BITS
 
 
 def test_sizing_rejects_bad_inputs():
@@ -158,6 +159,9 @@ def test_sizing_rejects_bad_inputs():
         AdaptivePolicy(spec, (0.0,)).bits(1)
     with pytest.raises(ValueError):
         AdaptivePolicy(spec, (-0.5,))
+    # a policy without rounds would answer bits(1) == 0, a first burst of no airtime
+    with pytest.raises(ValueError, match="threshold table is empty"):
+        AdaptivePolicy(spec, ())
 
 
 @settings(derandomize=True, deadline=None)
@@ -184,8 +188,7 @@ def test_fixed_table_lookup():
     table = equal_split(CodeSpec())
     assert [table.bits(j) for j in (1, 2, 3, 4)] == [13380] * 4
     assert table.bits(2, 13380, 0.9) == 13380
-    with pytest.raises(SchemeExhausted):
-        table.bits(5)
+    assert table.bits(5) == 0
     with pytest.raises(ValueError):
         table.bits(0)
 
@@ -202,8 +205,8 @@ def test_policies_reject_rounds_outside_their_table(policy):
     assert len(policy) == 4
     with pytest.raises(ValueError, match="starts at 1"):
         policy.bits(0)
-    with pytest.raises(SchemeExhausted):
-        policy.bits(5)
+    assert policy.bits(5) == 0
+    assert policy.bits(5, 13380, 0.1) == 0
 
 
 def test_offline_table_without_channel_uncertainty(mi_table, code_spec):

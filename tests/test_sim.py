@@ -290,16 +290,22 @@ def test_bursts_follow_the_recorded_policy(env, scheme, record_models, code_spec
     log = record_run(env, scheme, 4, code_spec, mi_table, record_models)
     assert log.policy == derive_policy(log.config, record_models.get(env), code_spec, mi_table)
     es = float(db_to_linear(log.config.es_n0_ref_db))
-    rounds = []
-    for bursts in bursts_by_codeword(log):
+    rounds, stopped = [], 0
+    for bursts, finished, decoded in zip(bursts_by_codeword(log), log.finished.tolist(),
+                                         (~np.isnan(log.decode_time_s)).tolist()):
         n, acc = 0, 0.0
         for j, (_, bits, rho) in enumerate(bursts, start=1):
             assert bits == log.policy.bits(j, n, acc)
             n, acc = mi_update(n, acc, bits, mi_of(mi_table, rho * rho * es))
         rounds.append(len(bursts))
+        if finished and not decoded:
+            # the loop stops an undecoded codeword where its policy answers 0
+            assert log.policy.bits(len(bursts) + 1, n, acc) == 0
+            stopped += 1
     assert len(rounds) == len(log.finished) > 100
     # clear sky decodes a threshold scheme's first burst, the shadowed track does not
     assert max(rounds) > 1 if env == "its" or scheme == "classical" else max(rounds) == 1
+    assert stopped > 0 if env == "its" else stopped == 0
 
 
 def test_a_policy_is_cut_to_the_horizon(its_model, code_spec, mi_table):
