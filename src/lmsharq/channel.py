@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from lmsharq.errors import ConfigError
+
 ROW_SUM_TOL = 1e-9
 
 
@@ -86,6 +88,14 @@ class LmsModel:
         pi, *_ = np.linalg.lstsq(a, b, rcond=None)
         pi = np.clip(pi, 0.0, None)
         return pi / pi.sum()
+
+
+@dataclass(frozen=True)
+class ClearSky:
+    """The unfaded channel: rho is 1 at every instant."""
+
+
+CLEAR_SKY = ClearSky()
 
 
 @dataclass
@@ -179,7 +189,7 @@ def _epoch_counts(n_samples: int, sample_frame_m: float, state_frame_m: float) -
 
 
 def generate_series(
-    model: LmsModel,
+    model: LmsModel | ClearSky,
     duration_s: float,
     seed: int,
 ) -> AttenuationSeries:
@@ -187,10 +197,15 @@ def generate_series(
 
     One Markov decision per state frame, one Loo draw per sample frame.
     Deterministic for a fixed seed. The chain starts from its stationary
-    distribution.
+    distribution. Clear sky is one unfaded sample that stays active for
+    the whole duration, whatever the seed.
     """
     if not 0.0 < duration_s < np.inf:
         raise ValueError("duration_s must be positive and finite")
+    if isinstance(model, ClearSky):
+        return AttenuationSeries(rho=np.ones(1), sample_dt_s=duration_s)
+    if not isinstance(model, LmsModel):
+        raise ConfigError(f"a channel model is required, got {model!r}")
     rng = np.random.default_rng(seed)
     dt = model.sample_frame_m / model.speed_mps
     n_samples = int(np.ceil(duration_s / dt))
@@ -250,8 +265,8 @@ def load_model(path) -> LmsModel:
     if not path.exists():
         raise FileNotFoundError(f"model parameter file not found: {path}")
     parser = configparser.ConfigParser()
-    parser.read(path)
     try:
+        parser.read(path)
         states = tuple(
             LooParams(
                 alpha_db=parser.getfloat(f"state.{k}", "alpha_db"),

@@ -81,7 +81,6 @@ def _config(args) -> SimConfig:
         es_n0_ref_db=0.0,
         probs_preset=getattr(args, "probs", None) or "case3",
         seed=getattr(args, "seed", 1),
-        clear_sky=getattr(args, "clear_sky", False),
         **overrides,
     )
 
@@ -89,8 +88,7 @@ def _config(args) -> SimConfig:
 def _prepared(config: SimConfig):
     mi_table = presets.default_mi_table()
     spec = presets.default_code_spec(mi_table)
-    model = None if config.clear_sky else presets.load_environment(config.environment)
-    return model, spec, mi_table
+    return presets.load_environment(config.environment), spec, mi_table
 
 
 def _write_rows(path: Path, header, rows) -> None:
@@ -170,7 +168,7 @@ def cmd_run(args) -> int:
     _notes(config.max_transmissions, [log])
     m = metrics.RunMetrics.from_log(log)
     print(f"scheme = {m.scheme}")
-    print(f"environment = {'clear-sky' if config.clear_sky else config.environment}")
+    print(f"environment = {config.environment}")
     print(f"es_n0_db = {_fmt(m.es_n0_ref_db)}")
     print(f"seed = {m.seed}")
     print(f"generated = {m.generated}")
@@ -219,7 +217,9 @@ def cmd_sweep(args) -> int:
     logs = sweep(config, es_list, schemes, seeds, model, spec=spec, mi_table=mi_table)
     _notes(config.max_transmissions, logs)
     n_bins = config.max_transmissions
-    _write_rows(Path(args.out), _sweep_header(n_bins), (_metric_row(lg, n_bins) for lg in logs))
+    # every row before the file, so a run that fails its metrics leaves no CSV
+    rows = [_metric_row(lg, n_bins) for lg in logs]
+    _write_rows(Path(args.out), _sweep_header(n_bins), rows)
     print(f"wrote {len(logs)} rows to {args.out}")
     return 0
 
@@ -294,7 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--duration-s", dest="duration_s", type=float)
     p.add_argument("--max-transmissions", dest="max_transmissions", type=int)
-    p.add_argument("--clear-sky", action="store_true")
     p.add_argument("--codewords-csv", help="also write one CSV row per codeword")
     p.set_defaults(func=cmd_run)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lmsharq.errors import DataError
+from lmsharq.errors import ConfigError, DataError
 from lmsharq.sim import RunLog, SimConfig
 
 
@@ -51,10 +51,14 @@ class RunMetrics:
 
         delay() runs over the decoded codewords' columns in id order, so
         every figure is the same to the last bit as a per-codeword reduction.
+        A log with no symbols comes from a run too short for its first burst,
+        which is a ConfigError.
         """
-        if log.total_symbols == 0:
-            raise DataError("empty run log: no symbols were transmitted")
         config = log.config
+        if log.total_symbols == 0:
+            airtime = log.policy.bits(1) / config.bit_rate_bps
+            raise ConfigError(f"empty run log: duration_s {config.duration_s:g} s ends before"
+                              f" the first burst's {airtime:g} s of airtime")
         decoded = ~np.isnan(log.decode_time_s)
         rounds = log.n_transmissions[decoded]
         delays = delay(log.n_total_sent[decoded], rounds, config)

@@ -183,29 +183,6 @@ def mi_of(table: MiTable, es_n0_linear):
     return float(out) if np.ndim(es_n0_linear) == 0 else out
 
 
-def mi_inverse(table: MiTable, mi_target: float) -> float:
-    """Linear Es/N0 whose interpolated MI equals mi_target.
-
-    mi_target must lie strictly inside the achievable MI interval.
-    """
-    lo = float(table.mi_per_bit[0])
-    hi = float(table.mi_per_bit[-1])
-    if not lo < mi_target < hi:
-        raise ValueError(
-            f"mi_target {mi_target!r} outside achievable interval ({lo:.6g}, {hi:.6g})"
-        )
-    idx = int(np.searchsorted(table.mi_per_bit, mi_target, side="left"))
-    # searchsorted lands on the first grid value >= target, so the segment
-    # below it rises strictly and interpolation is well defined
-    x0 = table.es_n0_linear[idx - 1]
-    x1 = table.es_n0_linear[idx]
-    y0 = table.mi_per_bit[idx - 1]
-    y1 = table.mi_per_bit[idx]
-    if y1 == mi_target:
-        return float(x1)
-    return float(x0 + (x1 - x0) * (mi_target - y0) / (y1 - y0))
-
-
 def save_mi_csv(table: MiTable, path) -> None:
     path = Path(path)
     with path.open("w", newline="") as fh:

@@ -3,7 +3,8 @@
 The package bundles two stand-in channel parameter sets ("its" for a
 tree-shadowed track, "open" for a mostly clear one), a digitized word
 error rate curve for the rate-1/6 mother code, and a cached per-bit MI
-table. The asset directory can be overridden with the LMSHARQ_ASSETS
+table. The name "clear-sky" stands for the unfaded channel, which needs
+no file. The asset directory can be overridden with the LMSHARQ_ASSETS
 environment variable to swap in real measured parameters.
 """
 
@@ -14,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from lmsharq import fec
-from lmsharq.channel import LmsModel, load_model
+from lmsharq.channel import CLEAR_SKY, ClearSky, LmsModel, load_model
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec
 from lmsharq.mi import MiTable, load_mi_csv
@@ -44,7 +45,11 @@ def environment_path(name: str) -> Path:
     return Path(name)
 
 
-def load_environment(name: str) -> LmsModel:
+def load_environment(name: str) -> LmsModel | ClearSky:
+    """The channel a name stands for. "clear-sky" reads no file, so a file
+    of that name is passed as ./clear-sky."""
+    if name == "clear-sky":
+        return CLEAR_SKY
     return load_model(environment_path(name))
 
 

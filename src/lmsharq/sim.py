@@ -10,15 +10,15 @@ has arrived take priority over new codewords.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
 from lmsharq.channel import (
-    AttenuationSeries, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
+    AttenuationSeries, ClearSky, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
 )
 from lmsharq.errors import ConfigError, check_integer
 # is_decodable and mi_update are bound here for bench/spans.py, which wraps them by name
@@ -54,7 +54,6 @@ class SimConfig:
     max_transmissions: int = 4
     probs_preset: str = "case3"
     seed: int = 1
-    clear_sky: bool = False
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -62,6 +61,11 @@ class SimConfig:
         for name in ("es_n0_ref_db", "t_propag_s", "bit_rate_bps", "duration_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        with np.errstate(over="ignore"):
+            es_n0_lin = float(db_to_linear(self.es_n0_ref_db))
+        if not sys.float_info.min <= es_n0_lin < math.inf:
+            raise ConfigError(f"es_n0_ref_db {self.es_n0_ref_db:g} dB is out of range: its"
+                              f" linear value {es_n0_lin:g} is not a finite, normal positive float")
         if self.t_propag_s < 0.0:
             raise ConfigError("t_propag_s cannot be negative")
         if self.bit_rate_bps <= 0.0:
@@ -136,46 +140,37 @@ class RunLog:
         return int(np.count_nonzero(~np.isnan(self.decode_time_s)))
 
 
-@lru_cache(maxsize=2)
-def calibration_cdf(model: LmsModel) -> EmpiricalCdf:
+@lru_cache(maxsize=3)
+def calibration_cdf(model: LmsModel | ClearSky) -> EmpiricalCdf:
     """Empirical attenuation distribution from a long calibration run.
 
     The 3600 s series at CALIB_SEED depends only on the model, an
-    immutable value, so the CDF is kept per process for the two models
-    used last. Callers share the read-only EmpiricalCdf, which holds
+    immutable value, so the CDF is kept per process for the three models
+    used last: the two shipped environments and clear sky fit together.
+    Callers share the read-only EmpiricalCdf, which holds
     8 * 3600 * speed_mps / sample_frame_m bytes: 4.8 MB for the shipped
-    environments.
+    environments, and one sample for clear sky.
     """
     return empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
 
 
-def _clear_sky_series(config: SimConfig) -> AttenuationSeries:
-    """One unfaded sample that stays active for the whole run."""
-    return AttenuationSeries(rho=np.ones(1), sample_dt_s=config.duration_s)
-
-
 def derive_policy(
     config: SimConfig,
-    model: Optional[LmsModel],
+    model: LmsModel | ClearSky,
     spec: CodeSpec,
     mi_table: MiTable,
 ) -> StaticBitTable | AdaptivePolicy:
     """The run's HARQ policy, cut to at most config.max_transmissions rounds.
 
     Classical IR splits the mother codeword equally. The threshold schemes
-    read the attenuation distribution: calibration_cdf(model), or the one
-    unfaded sample of clear sky. The notes of an enhanced table concern
-    its last round or the one after it, so a table cut shorter has none.
+    read the attenuation distribution, calibration_cdf(model). The notes
+    of an enhanced table concern its last round or the one after it, so a
+    table cut shorter has none.
     """
     if config.scheme == "classical":
         policy = equal_split(spec)
     else:
-        if config.clear_sky:
-            cdf = empirical_cdf(_clear_sky_series(config))
-        elif model is None:
-            raise ConfigError("a channel model is required unless clear_sky is set")
-        else:
-            cdf = calibration_cdf(model)
+        cdf = calibration_cdf(model)
         probs = DecodingProbTable(PROB_PRESETS[config.probs_preset])
         es_n0_lin = float(db_to_linear(config.es_n0_ref_db))
         if config.scheme == "adaptive":
@@ -196,12 +191,12 @@ def _sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_lin: float) -
 
 def run(
     config: SimConfig,
-    model: Optional[LmsModel],
+    model: LmsModel | ClearSky,
     spec: CodeSpec,
     mi_table: MiTable,
     *,
-    series: Optional[AttenuationSeries] = None,
-    mi_samples: Optional[np.ndarray] = None,
+    series: AttenuationSeries | None = None,
+    mi_samples: np.ndarray | None = None,
 ) -> RunLog:
     """Simulate one configuration. Deterministic for a fixed config.
 
@@ -214,23 +209,16 @@ def run(
     `mi_samples` stand for mi_of over the series at the run's Es/N0, one
     float64 per sample.
     """
-    if config.clear_sky:
-        if series is not None or mi_samples is not None:
-            raise ConfigError("a clear-sky run takes no attenuation series or MI samples")
-        series = _clear_sky_series(config)
-    else:
-        if model is None:
-            raise ConfigError("a channel model is required unless clear_sky is set")
-        if series is None:
-            series = generate_series(model, config.duration_s, config.seed)
-        # where the last sample ends: time_s[-1] + sample_dt_s, without building time_s
-        if (len(series.rho) - 1) * series.sample_dt_s + series.sample_dt_s < config.duration_s:
-            raise ValueError("attenuation series shorter than the run duration")
-        if mi_samples is not None and (
-            not isinstance(mi_samples, np.ndarray) or mi_samples.dtype != np.float64
-            or mi_samples.shape != series.rho.shape
-        ):
-            raise ValueError("mi_samples must be a float64 array with one value per series sample")
+    if series is None:
+        series = generate_series(model, config.duration_s, config.seed)
+    # where the last sample ends: time_s[-1] + sample_dt_s, without building time_s
+    if (len(series.rho) - 1) * series.sample_dt_s + series.sample_dt_s < config.duration_s:
+        raise ValueError("attenuation series shorter than the run duration")
+    if mi_samples is not None and (
+        not isinstance(mi_samples, np.ndarray) or mi_samples.dtype != np.float64
+        or mi_samples.shape != series.rho.shape
+    ):
+        raise ValueError("mi_samples must be a float64 array with one value per series sample")
 
     policy = derive_policy(config, model, spec, mi_table)
 
@@ -321,7 +309,7 @@ def sweep(
     es_n0_list_db,
     schemes,
     seeds,
-    model: Optional[LmsModel] = None,
+    model: LmsModel | ClearSky,
     *,
     spec: CodeSpec,
     mi_table: MiTable,
@@ -331,25 +319,20 @@ def sweep(
     Runs sharing a seed share the channel realization, which makes
     scheme comparisons paired: each seed's series is generated once and
     handed to all of its runs, and its per-sample MI is computed once per
-    Es/N0 point and handed to that point's runs of every scheme. `model`
-    may be None only for clear sky.
+    Es/N0 point and handed to that point's runs of every scheme.
     """
     seeds = [int(seed) for seed in seeds]
     es_n0_list_db = [float(es_db) for es_db in es_n0_list_db]
     # every run's config first, so a bad scheme or Es/N0 fails before any work
     configs = [replace(base_config, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
                for scheme in schemes for es_db in es_n0_list_db for seed in seeds]
-    series = dict.fromkeys(seeds)  # clear sky: no series to share
-    mi_samples = dict.fromkeys((seed, es_db) for es_db in es_n0_list_db for seed in seeds)
-    if not base_config.clear_sky:
-        if model is None:
-            raise ConfigError("a channel model is required unless clear_sky is set")
-        series = {seed: generate_series(model, base_config.duration_s, seed) for seed in series}
-        # one float64 per sample and point, held for the whole sweep
-        mi_samples = {
-            (seed, es_db): _sample_mi(mi_table, series[seed], float(db_to_linear(es_db)))
-            for seed, es_db in mi_samples
-        }
+    series = {seed: generate_series(model, base_config.duration_s, seed)
+              for seed in dict.fromkeys(seeds)}
+    # one float64 per sample and point, held for the whole sweep
+    mi_samples = {
+        (seed, es_db): _sample_mi(mi_table, series[seed], float(db_to_linear(es_db)))
+        for es_db in dict.fromkeys(es_n0_list_db) for seed in series
+    }
 
     return [run(cfg, model, spec, mi_table, series=series[cfg.seed],
                 mi_samples=mi_samples[cfg.seed, cfg.es_n0_ref_db]) for cfg in configs]

@@ -13,7 +13,9 @@ from scipy import stats
 
 from oracles import counting_quantile_check
 from lmsharq.channel import (
+    CLEAR_SKY,
     AttenuationSeries,
+    ClearSky,
     _epoch_counts,
     _markov_walk,
     EmpiricalCdf,
@@ -24,6 +26,7 @@ from lmsharq.channel import (
     load_model,
     quantile,
 )
+from lmsharq.errors import ConfigError
 
 IDENTITY = np.eye(3)
 
@@ -400,3 +403,24 @@ def test_model_file_loading(tmp_path, its_model):
     broken.write_text("[state.1]\nalpha_db = -4.0\n")
     with pytest.raises(ValueError, match="malformed"):
         load_model(broken)
+
+
+def test_a_model_file_without_sections_is_malformed(tmp_path):
+    headless = tmp_path / "headless.ini"
+    headless.write_text("alpha_db = -4.0\n")
+    with pytest.raises(ValueError, match="malformed model parameter file"):
+        load_model(headless)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_clear_sky_is_one_unfaded_sample_for_the_whole_duration(seed):
+    series = generate_series(CLEAR_SKY, 30.0, seed)
+    assert series.rho.tolist() == [1.0] and series.sample_dt_s == 30.0
+    # a value, so equal and hashable like a model
+    assert ClearSky() == CLEAR_SKY and hash(ClearSky()) == hash(CLEAR_SKY)
+
+
+@pytest.mark.parametrize("model", [None, "its"])
+def test_a_series_needs_a_channel_model(model):
+    with pytest.raises(ConfigError, match="a channel model is required"):
+        generate_series(model, 5.0, 1)

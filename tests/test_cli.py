@@ -58,7 +58,8 @@ def test_subcommand_help_exits_cleanly(sub, capsys):
 @pytest.mark.parametrize("argv", [
     ["run", "--esn0", "10", "--profile", "geo-baseline"],
     ["sweep", "--static", "classical-equal"],
-], ids=["run-profile", "sweep-static"])
+    ["run", "--esn0", "10", "--clear-sky"],
+], ids=["run-profile", "sweep-static", "run-clear-sky"])
 def test_removed_options_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -345,7 +346,7 @@ def test_sweep_writes_each_distinct_note_once(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     "run --esn0 10 --duration-s 5 --seed -1",
-    "run --esn0 10 --duration-s 5 --seed -1 --clear-sky",
+    "run --esn0 10 --duration-s 5 --seed -1 --env clear-sky",
     "channel --duration-s 5 --seed -1",
     "sweep --esn0 10 --duration-s 5 --seeds=-1",
     "figures --which eff-its --esn0 10 --seed -1",
@@ -359,6 +360,7 @@ def test_a_negative_seed_is_a_configuration_error(args, tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args, code", [
     ("run --scheme classical --esn0 nan --duration-s 5", 2), ("run --esn0 inf --duration-s 5", 2),
     ("run --esn0=-inf --duration-s 5", 2), ("run --esn0 10 --duration-s nan", 2),
@@ -366,6 +368,9 @@ def test_a_negative_seed_is_a_configuration_error(args, tmp_path, capsys):
     ("sweep --esn0 10 --duration-s inf", 2), ("channel --duration-s nan", 4),
     ("channel --duration-s inf", 4), ("mi-table --points 3 --max-db inf", 2),
     ("mi-table --points 3 --min-db nan", 2),
+    # finite in dB, but the linear Es/N0 overflows or underflows
+    ("run --esn0 4000 --duration-s 5", 2), ("run --esn0=-4000 --duration-s 5", 2),
+    ("sweep --esn0 10,4000 --duration-s 5", 2),
 ])
 def test_non_finite_inputs_exit_with_their_code(args, code, tmp_path, capsys):
     out = tmp_path / "out.csv"
@@ -375,9 +380,42 @@ def test_non_finite_inputs_exit_with_their_code(args, code, tmp_path, capsys):
 
 
 def test_a_clear_sky_run_is_labelled_clear_sky(capsys):
-    assert main("run --scheme classical --clear-sky --env open --esn0 10 --duration-s 5".split()) == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert "environment = clear-sky" in lines and not any("open" in line for line in lines)
+    assert main("run --scheme classical --env clear-sky --esn0 10 --duration-s 5".split()) == 0
+    assert "environment = clear-sky" in capsys.readouterr().out.splitlines()
+
+
+# sha256 of stdout + stderr and of the --codewords-csv file of
+# `run --scheme <scheme> --esn0 -2 --duration-s 30 --codewords-csv codewords.csv`,
+# recorded while clear sky was the --clear-sky flag rather than an environment
+CLEAR_SKY_RUN_SHA256 = {
+    "classical": ("445252b83cf4356af9a1d73d3a9843a3b98b2af8014fbb6a9edd85cd6772126b",
+                  "766c47781f1615fc13b6f0686ff5407c72fa947d57b2198a6bccf83f1975b974"),
+    "enhanced": ("5131eafe597e5b703fdd03c0f99e58fd3a06159a9efd9df55b247f6800602a23",
+                 "7e98a73af38853d1abe55ef15b562731900068cfa4720a0d7ad88a83222c9263"),
+    "adaptive": ("620b40cf63aafac33ec41b3c80c8be1b8de5a2f9f05b50e4b073c7b1e67f889e",
+                 "7e98a73af38853d1abe55ef15b562731900068cfa4720a0d7ad88a83222c9263"),
+}
+
+
+@pytest.mark.parametrize("scheme", sorted(CLEAR_SKY_RUN_SHA256))
+def test_a_clear_sky_run_is_pinned(scheme, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--env", "clear-sky", "--scheme", scheme, "--esn0", "-2",
+                 "--duration-s", "30", "--codewords-csv", "codewords.csv"]) == 0
+    captured = capsys.readouterr()
+    digests = (hashlib.sha256((captured.out + captured.err).encode()).hexdigest(),
+               hashlib.sha256((tmp_path / "codewords.csv").read_bytes()).hexdigest())
+    assert digests == CLEAR_SKY_RUN_SHA256[scheme]
+
+
+def test_a_clear_sky_environment_reads_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "clear-sky").write_text("not a model file\n")
+    assert main("channel --env clear-sky --duration-s 5 --out series.csv".split()) == 0
+    assert (tmp_path / "series.csv").read_bytes() == b"time_s,rho_db\r\n0,0\r\n"
+    # the file of that name is reached through its path, and it does not parse
+    assert main("channel --env ./clear-sky --duration-s 5 --out series.csv".split()) == 4
+    assert "malformed model parameter file clear-sky" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key, value", [("speed_mps", "inf"), ("row1", "nan 0.5 0.5")])
@@ -394,6 +432,15 @@ def test_a_non_finite_environment_file_exits_four(key, value, tmp_path, capsys):
 
 
 def test_a_run_with_no_burst_is_an_empty_log_error(capsys):
-    # a 10 ms run ends before the first 26.8 ms burst would
-    assert main(["run", "--esn0", "10", "--duration-s", "0.01"]) == 4
-    assert "empty run log" in capsys.readouterr().err
+    # a 10 ms run ends before the adaptive scheme's first 29.5 ms burst would
+    assert main(["run", "--esn0", "10", "--duration-s", "0.01"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: empty run log: duration_s 0.01 s ends before"
+        " the first burst's 0.029512 s of airtime\n")
+
+
+def test_a_sweep_shorter_than_its_first_burst_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--esn0", "10", "--duration-s", "0.01", "--out", str(out)]) == 2
+    assert "configuration error: empty run log: duration_s 0.01 s" in capsys.readouterr().err
+    assert not out.exists()

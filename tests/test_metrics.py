@@ -6,12 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lmsharq.errors import DataError
+from lmsharq.channel import CLEAR_SKY
+from lmsharq.errors import ConfigError, DataError
 from lmsharq.metrics import RunMetrics, delay
 from lmsharq.schemes import StaticBitTable
 from lmsharq.sim import RunLog, SimConfig
 
-CFG = SimConfig(clear_sky=True, duration_s=30.0)
+CFG = SimConfig(environment="clear-sky", duration_s=30.0)
 PEAK_EFFICIENCY = 8920 / 6690
 
 
@@ -97,7 +98,9 @@ def test_empty_log_is_rejected():
     log = make_log([])
     with pytest.raises(DataError, match="empty"):
         efficiency(log)
-    with pytest.raises(DataError, match="empty"):
+    # an empty log is a run shorter than its first burst, a configuration mistake
+    with pytest.raises(ConfigError, match="empty run log: duration_s 30 s ends before"
+                                          " the first burst's 0.02676 s of airtime"):
         RunMetrics.from_log(log)
 
 
@@ -184,8 +187,8 @@ def test_fixed_size_schemes_cannot_beat_the_single_burst_rate(its_grid, open_gri
 def test_unfaded_fixed_scheme_hits_the_single_burst_rate(code_spec, mi_table):
     from lmsharq.sim import run
 
-    cfg = SimConfig(scheme="classical", clear_sky=True, duration_s=30.0)
-    log = run(cfg, None, code_spec, mi_table)
+    cfg = SimConfig(scheme="classical", environment="clear-sky", duration_s=30.0)
+    log = run(cfg, CLEAR_SKY, code_spec, mi_table)
     assert log.generated > 500
     assert efficiency(log) == PEAK_EFFICIENCY
 
@@ -235,8 +238,9 @@ def test_from_log_equals_the_standalone_metrics(scheme, max_tx, its_model, code_
 def test_from_log_equals_the_standalone_metrics_when_nothing_decodes(code_spec, mi_table):
     from lmsharq.sim import run
 
-    cfg = SimConfig(scheme="classical", clear_sky=True, es_n0_ref_db=-10.0, duration_s=30.0)
-    log = run(cfg, None, code_spec, mi_table)
+    cfg = SimConfig(scheme="classical", environment="clear-sky", es_n0_ref_db=-10.0,
+                    duration_s=30.0)
+    log = run(cfg, CLEAR_SKY, code_spec, mi_table)
     assert log.generated > 0 and log.decoded == 0
     m = RunMetrics.from_log(log)
     assert math.isnan(m.mean_delay_s)

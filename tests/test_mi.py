@@ -1,4 +1,4 @@
-"""Per-bit MI table: construction, interpolation, inversion."""
+"""Per-bit MI table: construction and interpolation."""
 
 import hashlib
 
@@ -16,7 +16,6 @@ from lmsharq.mi import (
     db_to_linear,
     linear_to_db,
     load_mi_csv,
-    mi_inverse,
     mi_of,
     save_mi_csv,
 )
@@ -183,47 +182,10 @@ def test_bounded_for_any_positive_input(mi_table):
     assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
 
-def test_inverse_round_trips_on_rising_grid_points(mi_table):
-    # pick a window where the curve rises strictly, away from both tails
-    grid_db = linear_to_db(mi_table.es_n0_linear)
-    idx = np.where((grid_db > -10.0) & (grid_db < 5.0))[0]
-    assert np.all(np.diff(mi_table.mi_per_bit[idx]) > 0)
-    for i in idx[::10]:
-        x = float(mi_table.es_n0_linear[i])
-        assert mi_inverse(mi_table, mi_of(mi_table, x)) == pytest.approx(x, rel=1e-12)
-
-
 def test_inverse_near_saturation_knee(mi_table):
     # the 0.99 crossing sits just below 9 dB on the measured curve
-    knee_db = float(linear_to_db(mi_inverse(mi_table, 0.99)))
+    knee_db = float(linear_to_db(bisection_mi_inverse(mi_table, 0.99)))
     assert 8.5 <= knee_db <= 11.0
-
-
-def test_inverse_monotone_in_target(mi_table):
-    rng = np.random.default_rng(10)
-    lo = float(mi_table.mi_per_bit[0])
-    hi = float(mi_table.mi_per_bit[-1])
-    targets = np.sort(rng.uniform(lo + 1e-6, hi - 1e-6, size=200))
-    xs = [mi_inverse(mi_table, float(t)) for t in targets]
-    assert np.all(np.diff(xs) >= 0.0)
-
-
-def test_inverse_rejects_unreachable_targets(mi_table):
-    with pytest.raises(ValueError, match="achievable interval"):
-        mi_inverse(mi_table, 0.0)
-    with pytest.raises(ValueError, match="achievable interval"):
-        mi_inverse(mi_table, 1.0)
-
-
-def test_inverse_matches_bisection_oracle(mi_table):
-    lo = float(mi_table.mi_per_bit[0])
-    just_above_min = lo + 1e-5
-    targets = [just_above_min, 0.1, 0.5, 0.9]
-    for t in targets:
-        direct = mi_inverse(mi_table, t)
-        assert direct == pytest.approx(bisection_mi_inverse(mi_table, t), rel=1e-8)
-    # a target barely above the floor must resolve inside the first segments
-    assert mi_inverse(mi_table, just_above_min) < float(mi_table.es_n0_linear[3])
 
 
 def test_csv_round_trip(tmp_path, mi_table):

@@ -11,11 +11,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmsharq.channel import AttenuationSeries, LmsModel, LooParams, empirical_cdf, generate_series
+from oracles import bisection_mi_inverse
+from lmsharq.channel import (
+    CLEAR_SKY, AttenuationSeries, LmsModel, LooParams, empirical_cdf, generate_series,
+)
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable, mi_update
 from lmsharq.metrics import RunMetrics
-from lmsharq.mi import db_to_linear, mi_inverse, mi_of
+from lmsharq.mi import db_to_linear, mi_of
 from lmsharq.schemes import StaticBitTable
 from lmsharq.sim import (
     CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, calibration_cdf, derive_policy, run, sweep,
@@ -89,7 +92,13 @@ def test_config_consistency_checks():
         SimConfig(t_propag_s=-0.25)
 
 
-@pytest.mark.parametrize("clear_sky", [False, True])
+def make_config(through_replace, **fields):
+    """SimConfig(**fields), or the fields replaced into a default config as
+    sweep and figures build each run's config."""
+    return replace(SimConfig(), **fields) if through_replace else SimConfig(**fields)
+
+
+@pytest.mark.parametrize("through_replace", [False, True])
 @pytest.mark.parametrize("name, value, message", [
     ("seed", -1, "seed cannot be negative"),
     ("seed", 1.0, "seed must be an integer"),
@@ -99,9 +108,9 @@ def test_config_consistency_checks():
     ("max_transmissions", 4.0, "max_transmissions must be an integer"),
     ("max_transmissions", True, "max_transmissions must be an integer"),
 ])
-def test_seed_and_max_transmissions_are_whole_numbers(name, value, message, clear_sky):
+def test_seed_and_max_transmissions_are_whole_numbers(name, value, message, through_replace):
     with pytest.raises(ConfigError, match=message):
-        SimConfig(clear_sky=clear_sky, **{name: value})
+        make_config(through_replace, **{name: value})
 
 
 def test_numpy_integers_are_whole_numbers():
@@ -109,13 +118,27 @@ def test_numpy_integers_are_whole_numbers():
     assert (cfg.seed, cfg.max_transmissions) == (0, 2)
 
 
-@pytest.mark.parametrize("clear_sky", [False, True])
+@pytest.mark.parametrize("through_replace", [False, True])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("name", ["es_n0_ref_db", "t_propag_s", "bit_rate_bps", "duration_s"])
-def test_non_finite_config_values_are_rejected(name, value, clear_sky):
-    # an infinite clear-sky duration would otherwise be a run that never ends
+def test_non_finite_config_values_are_rejected(name, value, through_replace):
     with pytest.raises(ConfigError, match=f"{name} must be finite"):
-        SimConfig(clear_sky=clear_sky, **{name: value})
+        make_config(through_replace, **{name: value})
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("through_replace", [False, True])
+@pytest.mark.parametrize("es_db", [4000.0, 3090.0, -3090.0, -4000.0])
+def test_an_es_n0_with_no_normal_linear_value_is_rejected(es_db, through_replace):
+    # 10^309 overflows and 10^-309 is subnormal; neither may warn on the way
+    with pytest.raises(ConfigError, match="not a finite, normal positive float"):
+        make_config(through_replace, es_n0_ref_db=es_db)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_es_n0_at_the_edge_of_the_normal_range_is_accepted():
+    assert SimConfig(es_n0_ref_db=3080.0).es_n0_ref_db == 3080.0
+    assert SimConfig(es_n0_ref_db=-3070.0).es_n0_ref_db == -3070.0
 
 
 def test_missing_model_is_a_startup_error(code_spec, mi_table):
@@ -145,12 +168,6 @@ def test_a_short_given_series_is_the_same_data_error(its_model, code_spec, mi_ta
         run(SimConfig(duration_s=60.0), its_model, code_spec, mi_table, series=series)
 
 
-def test_a_clear_sky_run_takes_no_series(its_model, code_spec, mi_table):
-    series = generate_series(its_model, 30.0, 1)
-    with pytest.raises(ConfigError, match="clear-sky"):
-        run(SimConfig(clear_sky=True, duration_s=30.0), None, code_spec, mi_table, series=series)
-
-
 @pytest.mark.parametrize("bad", ["float32", "short", "long"])
 def test_given_mi_samples_are_float64_with_one_value_per_sample(bad, its_model, code_spec,
                                                                  mi_table):
@@ -162,15 +179,21 @@ def test_given_mi_samples_are_float64_with_one_value_per_sample(bad, its_model, 
             mi_samples=mi)
 
 
-def test_a_clear_sky_run_takes_no_mi_samples(code_spec, mi_table):
-    with pytest.raises(ConfigError, match="clear-sky"):
-        run(SimConfig(clear_sky=True, duration_s=30.0), None, code_spec, mi_table,
-            mi_samples=np.ones(1))
+def test_a_clear_sky_run_takes_a_series_and_mi_samples_like_any_run(code_spec, mi_table):
+    cfg = SimConfig(environment="clear-sky", es_n0_ref_db=CLEAR_SKY_ES_DB, duration_s=30.0)
+    series = generate_series(CLEAR_SKY, cfg.duration_s, cfg.seed)
+    mi = mi_of(mi_table, series.rho * series.rho * float(db_to_linear(cfg.es_n0_ref_db)))
+    assert_same_log(run(cfg, CLEAR_SKY, code_spec, mi_table, series=series, mi_samples=mi),
+                    run(cfg, CLEAR_SKY, code_spec, mi_table))
+    with pytest.raises(ValueError, match="attenuation series shorter than the run duration"):
+        run(cfg, CLEAR_SKY, code_spec, mi_table, series=generate_series(CLEAR_SKY, 29.9, 1))
+    with pytest.raises(ValueError, match="float64 array with one value per series sample"):
+        run(cfg, CLEAR_SKY, code_spec, mi_table, series=series, mi_samples=np.ones(2))
 
 
 def test_no_fades_decode_on_first_transmission(code_spec, mi_table):
-    cfg = SimConfig(clear_sky=True, es_n0_ref_db=10.0, duration_s=30.0)
-    log = run(cfg, None, code_spec, mi_table)
+    cfg = SimConfig(environment="clear-sky", es_n0_ref_db=10.0, duration_s=30.0)
+    log = run(cfg, CLEAR_SKY, code_spec, mi_table)
     assert log.generated > 500
     assert log.finished.all()
     assert log.decoded == log.generated
@@ -180,10 +203,10 @@ def test_no_fades_decode_on_first_transmission(code_spec, mi_table):
 def test_classical_splits_a_shorter_mother_codeword(code_spec, mi_table):
     spec = CodeSpec(4460, 26760, code_spec.mi_req_per_bit)
     # a clear link that needs all four quarters of the mother codeword
-    es_lin = mi_inverse(mi_table, 1.1 * spec.mi_req_per_bit)
-    cfg = SimConfig(scheme="classical", clear_sky=True,
+    es_lin = bisection_mi_inverse(mi_table, 1.1 * spec.mi_req_per_bit)
+    cfg = SimConfig(scheme="classical", environment="clear-sky",
                     es_n0_ref_db=10.0 * math.log10(es_lin), duration_s=30.0)
-    log = run(cfg, None, spec, mi_table)
+    log = run(cfg, CLEAR_SKY, spec, mi_table)
     assert log.generated > 100
     assert log.decoded == log.generated
     sent = {tuple(b for _, b, _ in bursts)
@@ -198,13 +221,13 @@ def test_a_codeword_that_meets_the_budget_exactly_decodes(code_spec, mi_table):
     reached = quarter * ((0.0 + quarter * mi) / quarter)  # after one classical burst
     spec = replace(code_spec, mi_req_per_bit=reached / code_spec.mother_codeword_bits)
     assert spec.mi_budget == reached and is_decodable(spec, quarter, reached / quarter)
-    cfg = SimConfig(scheme="classical", clear_sky=True, es_n0_ref_db=CLEAR_SKY_ES_DB,
+    cfg = SimConfig(scheme="classical", environment="clear-sky", es_n0_ref_db=CLEAR_SKY_ES_DB,
                     duration_s=5.0)
-    log = run(cfg, None, spec, mi_table)
+    log = run(cfg, CLEAR_SKY, spec, mi_table)
     assert log.generated > 100 and (log.n_transmissions == 1).all()
     # one ulp more and the first burst falls short
     spec = replace(spec, mi_req_per_bit=math.nextafter(spec.mi_req_per_bit, 1.0))
-    log = run(cfg, None, spec, mi_table)
+    log = run(cfg, CLEAR_SKY, spec, mi_table)
     assert log.finished.any() and (log.n_transmissions[log.finished] == 2).all()
 
 
@@ -288,7 +311,7 @@ def test_bursts_follow_the_recorded_policy(env, scheme, record_models, code_spec
     """Each burst's size is the log's policy applied to what its codeword
     had received before it, folded through fec.mi_update."""
     log = record_run(env, scheme, 4, code_spec, mi_table, record_models)
-    assert log.policy == derive_policy(log.config, record_models.get(env), code_spec, mi_table)
+    assert log.policy == derive_policy(log.config, record_models[env], code_spec, mi_table)
     es = float(db_to_linear(log.config.es_n0_ref_db))
     rounds, stopped = [], 0
     for bursts, finished, decoded in zip(bursts_by_codeword(log), log.finished.tolist(),
@@ -346,14 +369,14 @@ def test_run_is_deterministic(its_model, code_spec, mi_table):
 
 
 def test_sweep_order_and_single_point_equivalence(code_spec, mi_table):
-    base = SimConfig(clear_sky=True, duration_s=30.0)
-    logs = sweep(base, [10.0, 11.0], ("adaptive", "classical"), [1],
+    base = SimConfig(environment="clear-sky", duration_s=30.0)
+    logs = sweep(base, [10.0, 11.0], ("adaptive", "classical"), [1], CLEAR_SKY,
                  spec=code_spec, mi_table=mi_table)
     stamps = [(lg.config.scheme, lg.config.es_n0_ref_db) for lg in logs]
     assert stamps == [("adaptive", 10.0), ("adaptive", 11.0),
                       ("classical", 10.0), ("classical", 11.0)]
     solo = run(replace(base, scheme="adaptive", es_n0_ref_db=10.0),
-               None, code_spec, mi_table)
+               CLEAR_SKY, code_spec, mi_table)
     assert_same_log(logs[0], solo)
 
 
@@ -397,16 +420,12 @@ CLEAR_SKY_ES_DB = -2.0
 
 
 def record_run(env, scheme, max_tx, spec, table, models):
-    """One pinned run: 120 s on a channel track, or 30 s of clear sky."""
-    if env == "clear":
-        cfg = SimConfig(scheme=scheme, clear_sky=True, es_n0_ref_db=CLEAR_SKY_ES_DB,
-                        duration_s=30.0, max_transmissions=max_tx)
-        model = None
-    else:
-        cfg = SimConfig(scheme=scheme, environment=env, es_n0_ref_db=10.0,
-                        duration_s=120.0, max_transmissions=max_tx)
-        model = models[env]
-    return run(cfg, model, spec, table)
+    """One pinned run: 120 s on a channel track at 10 dB, or 30 s of clear sky."""
+    clear = env == "clear"
+    cfg = SimConfig(scheme=scheme, environment="clear-sky" if clear else env,
+                    es_n0_ref_db=CLEAR_SKY_ES_DB if clear else 10.0,
+                    duration_s=30.0 if clear else 120.0, max_transmissions=max_tx)
+    return run(cfg, models[env], spec, table)
 
 
 RECORD_CASES = [
@@ -442,7 +461,7 @@ RECORD_SHA256 = {
 
 @pytest.fixture(scope="module")
 def record_models(its_model, open_model):
-    return {"its": its_model, "open": open_model}
+    return {"its": its_model, "open": open_model, "clear": CLEAR_SKY}
 
 
 @pytest.mark.parametrize("env, scheme, max_tx", RECORD_CASES)
@@ -484,9 +503,9 @@ def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, code_
 
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_only_threshold_policies_read_the_clear_sky_cdf(scheme, monkeypatch, code_spec, mi_table):
-    calls = count_calls(monkeypatch, "empirical_cdf")
-    cfg = SimConfig(scheme=scheme, clear_sky=True, duration_s=5.0)
-    run(cfg, None, code_spec, mi_table)
+    calls = count_calls(monkeypatch, "calibration_cdf")
+    cfg = SimConfig(scheme=scheme, environment="clear-sky", duration_s=5.0)
+    run(cfg, CLEAR_SKY, code_spec, mi_table)
     assert len(calls) == (scheme != "classical")
 
 
@@ -632,11 +651,12 @@ def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, code_spec, 
 
 
 def test_a_sweep_log_carries_the_policy_of_its_config(its_model, code_spec, mi_table):
-    clear = SimConfig(clear_sky=True, duration_s=5.0, max_transmissions=2)
+    clear = SimConfig(environment="clear-sky", duration_s=5.0, max_transmissions=2)
     logs = its_sweep(its_model, code_spec, mi_table) + sweep(
-        clear, [CLEAR_SKY_ES_DB, 10.0], SCHEMES, [1, 2], spec=code_spec, mi_table=mi_table)
+        clear, [CLEAR_SKY_ES_DB, 10.0], SCHEMES, [1, 2], CLEAR_SKY, spec=code_spec,
+        mi_table=mi_table)
     for log in logs:
-        model = None if log.config.clear_sky else its_model
+        model = CLEAR_SKY if log.config.environment == "clear-sky" else its_model
         assert log.policy == derive_policy(log.config, model, code_spec, mi_table)
         assert log.effective_max_transmissions == len(log.policy)
 
@@ -699,9 +719,9 @@ def test_schedule_invariants_hold_on_the_columns(scheme, max_tx, clear_sky, dura
                                                  its_model, mi_table):
     data_bits = 2 * half_data_bits
     spec = CodeSpec(data_bits, inverse_rate * data_bits, mi_req)
-    cfg = SimConfig(scheme=scheme, environment="its", es_n0_ref_db=es_db, duration_s=duration_s,
-                    max_transmissions=max_tx, clear_sky=clear_sky)
-    model = None if clear_sky else its_model
+    model = CLEAR_SKY if clear_sky else its_model
+    cfg = SimConfig(scheme=scheme, environment="clear-sky" if clear_sky else "its",
+                    es_n0_ref_db=es_db, duration_s=duration_s, max_transmissions=max_tx)
     log = run(cfg, model, spec, mi_table)
     rate, rtt = cfg.bit_rate_bps, cfg.rtt_s
     start = log.burst_start_s.tolist()
@@ -733,12 +753,9 @@ def test_schedule_invariants_hold_on_the_columns(scheme, max_tx, clear_sky, dura
     assert log.n_transmissions.max(initial=0) <= log.effective_max_transmissions <= max_tx
     assert log.total_bits == sum(bits) == 2 * log.total_symbols
 
-    if clear_sky:
-        assert (log.burst_rho == 1.0).all()
-    else:
-        series = generate_series(its_model, duration_s, cfg.seed)
-        k = [int(s / series.sample_dt_s) for s in start]
-        assert log.burst_rho.tolist() == series.rho[k].tolist()
+    series = generate_series(model, duration_s, cfg.seed)
+    k = [int(s / series.sample_dt_s) for s in start]
+    assert log.burst_rho.tolist() == series.rho[k].tolist()
 
     if log.generated:
         m = RunMetrics.from_log(log)
