@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -32,6 +33,9 @@ from lmsharq.mi import (
 )
 from lmsharq.schemes import PROB_PRESETS
 from lmsharq.sim import SCHEMES, SimConfig, run, sweep
+
+# The options that name an output file; `figures --out-dir` names a directory.
+OUTPUT_FILES = ("out", "cdf_out", "codewords_csv")
 
 SWEEP_HEADER = ("scheme", "environment", "es_n0_db", "efficiency", "mean_delay_s")
 
@@ -318,9 +322,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and kept for the process."""
+    return build_parser()
+
+
+def _check_outputs(args) -> None:
+    """Every output's directory exists, checked before any work."""
+    files = (getattr(args, name, None) for name in OUTPUT_FILES)
+    dirs = [Path(path).parent for path in files if path]
+    if getattr(args, "out_dir", None):
+        dirs.append(Path(args.out_dir))
+    for directory in dirs:
+        if not directory.is_dir():
+            raise FileNotFoundError(f"output directory {directory} does not exist")
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
+        _check_outputs(args)
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -1,7 +1,12 @@
 """Command-line behavior: parsing, exit codes, CSV outputs."""
 
+import argparse
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -444,3 +449,115 @@ def test_a_sweep_shorter_than_its_first_burst_is_a_configuration_error(tmp_path,
     assert main(["sweep", "--esn0", "10", "--duration-s", "0.01", "--out", str(out)]) == 2
     assert "configuration error: empty run log: duration_s 0.01 s" in capsys.readouterr().err
     assert not out.exists()
+
+
+# Each output option pointed into a directory that does not exist. The work
+# each command would do first is stubbed to fail the test.
+MISSING_OUTPUT_ARGS = {
+    "run-codewords-csv": "run --esn0 10 --duration-s 5 --codewords-csv {missing}/cw.csv",
+    "channel-out": "channel --duration-s 5 --out {missing}/s.csv",
+    "channel-cdf-out": "channel --duration-s 5 --out s.csv --cdf-out {missing}/c.csv",
+    "sweep-out": "sweep --esn0 10 --duration-s 5 --out {missing}/sweep.csv",
+    "figures-out-dir": "figures --which eff-its --esn0 10 --out-dir {missing}",
+    "mi-table-out": "mi-table --out {missing}/x.csv",
+}
+
+
+@pytest.mark.parametrize("args", MISSING_OUTPUT_ARGS.values(), ids=MISSING_OUTPUT_ARGS.keys())
+def test_a_missing_output_directory_exits_three_before_any_work(args, tmp_path, monkeypatch, capsys):
+    from lmsharq import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the output directory was checked")
+
+    for name in ("run", "sweep", "generate_series", "build_mi_table"):
+        monkeypatch.setattr(cli, name, no_work)
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "missing"
+    assert main(args.format(missing=missing).split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"missing file or asset: output directory {missing} does not exist\n"
+    assert not any(tmp_path.iterdir())
+
+
+RUN_ARGV = "run --scheme enhanced --env its --esn0 10 --duration-s 60".split()
+
+
+def test_a_repeated_run_builds_no_parser_and_reads_no_shipped_file(monkeypatch, capsys):
+    from lmsharq import cli, fec, mi, presets
+
+    assert main(RUN_ARGV) == 0
+    first = capsys.readouterr()
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("a process constant was built again")
+
+    monkeypatch.setattr(cli, "build_parser", no_read)
+    monkeypatch.setattr(argparse, "ArgumentParser", no_read)
+    monkeypatch.setattr(presets.resources, "files", no_read)
+    for module, name in ((presets, "load_mi_csv"), (mi, "load_mi_csv"), (presets, "load_model"),
+                         (fec, "load_wer_curve"), (fec, "calibrate_mi_req")):
+        monkeypatch.setattr(module, name, no_read)
+    assert main(RUN_ARGV) == 0
+    assert capsys.readouterr() == first
+
+
+def test_switching_the_asset_directory_reads_the_new_one(tmp_path, monkeypatch, capsys):
+    from lmsharq import presets
+
+    # the same curve, 1 dB to the right, asks for more MI per bit
+    shipped = presets.load_reference_wer()
+    for name, curve in (("a", shipped), ("b", [(es + 1.0, wer) for es, wer in shipped])):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / presets.MI_TABLE_ASSET).write_bytes(
+            (presets.assets_dir() / presets.MI_TABLE_ASSET).read_bytes())
+        (tmp_path / name / presets.WER_CURVE_ASSET).write_text(
+            "es_n0_db,wer\n" + "".join(f"{es!r},{wer!r}\n" for es, wer in curve))
+    printed = []
+    for name in ("a", "b", "a"):
+        monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(tmp_path / name))
+        assert main(["calibrate"]) == 0
+        printed.append(capsys.readouterr().out)
+    monkeypatch.delenv(presets.ASSETS_ENV_VAR)
+    assert main(["calibrate"]) == 0
+    assert printed[0] == printed[2] == capsys.readouterr().out
+    assert float(printed[1].split()[-1]) > float(printed[0].split()[-1])
+
+
+def test_an_environment_file_edited_between_calls_is_read_again(tmp_path, capsys):
+    from lmsharq import presets
+
+    lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
+    env = tmp_path / "edited.ini"
+    env.write_text("\n".join(lines) + "\n")
+    argv = ["channel", "--env", str(env), "--duration-s", "5", "--out", str(tmp_path / "s.csv")]
+    assert main(argv) == 0
+    at = next(i for i, line in enumerate(lines) if line.split("=")[0].strip() == "speed_mps")
+    lines[at] = "speed_mps = inf"
+    env.write_text("\n".join(lines) + "\n")
+    assert main(argv) == 4
+    assert "finite" in capsys.readouterr().err
+
+
+def test_an_option_of_one_call_does_not_reach_the_next(tmp_path, capsys):
+    out = tmp_path / "cw.csv"
+    assert main(RUN_ARGV + ["--codewords-csv", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    assert main(RUN_ARGV) == 0
+    assert "codewords" not in capsys.readouterr().out
+    assert not any(tmp_path.iterdir())
+
+
+def test_a_repeated_in_process_run_prints_what_a_fresh_process_prints(capsys):
+    import lmsharq
+
+    src = str(Path(lmsharq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("LMSHARQ_ASSETS", None)
+    fresh = subprocess.run([sys.executable, "-m", "lmsharq.cli", *RUN_ARGV], env=env,
+                           capture_output=True, check=True).stdout
+    for _ in range(2):
+        assert main(RUN_ARGV) == 0
+        assert capsys.readouterr().out.encode() == fresh
