@@ -329,14 +329,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Every output's directory exists, checked before any work."""
-    files = (getattr(args, name, None) for name in OUTPUT_FILES)
-    dirs = [Path(path).parent for path in files if path]
+    """Every output can be written where it is named, checked before any work."""
+    files = [Path(path) for path in (getattr(args, name, None) for name in OUTPUT_FILES) if path]
+    for path in files:
+        if path.is_dir():
+            raise ConfigError(f"output file {path} is a directory")
+    dirs = [path.parent for path in files]
     if getattr(args, "out_dir", None):
         dirs.append(Path(args.out_dir))
     for directory in dirs:
-        if not directory.is_dir():
+        if not directory.exists():
             raise FileNotFoundError(f"output directory {directory} does not exist")
+        if not directory.is_dir():
+            raise ConfigError(f"output directory {directory} is not a directory")
 
 
 def main(argv=None) -> int:

@@ -11,7 +11,6 @@ published word-error-rate curve of the mother code on AWGN.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -88,7 +87,7 @@ def load_wer_curve(path) -> list[tuple[float, float]]:
 
 
 def calibrate_mi_req(
-    wer_curve: Sequence[tuple[float, float]],
+    wer_curve: list[tuple[float, float]],
     target_wer: float,
     mi_table: MiTable,
 ) -> float:

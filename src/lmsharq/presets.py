@@ -5,14 +5,11 @@ tree-shadowed track, "open" for a mostly clear one), a digitized word
 error rate curve for the rate-1/6 mother code, and a cached per-bit MI
 table. The name "clear-sky" stands for the unfaded channel, which needs
 no file. The asset directory can be overridden with the LMSHARQ_ASSETS
-environment variable to swap in real measured parameters. Each asset
-is read once per process and directory; a file given by path is read on
-every call.
+environment variable to swap in real measured parameters.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 from importlib import resources
 from pathlib import Path
@@ -29,13 +26,7 @@ MI_TABLE_ASSET = "qpsk_mi.csv"
 WER_CURVE_ASSET = "turbo_8920_r16_wer.csv"
 
 
-@functools.cache
-def _shipped_dir() -> Path:
-    return Path(str(resources.files("lmsharq") / "assets"))
-
-
 def assets_dir() -> Path:
-    """The asset directory: LMSHARQ_ASSETS, read on every call, or the shipped one."""
     override = os.environ.get(ASSETS_ENV_VAR)
     if override:
         path = Path(override)
@@ -44,42 +35,29 @@ def assets_dir() -> Path:
                 f"{ASSETS_ENV_VAR} points at {override!r}, which is not a directory"
             )
         return path
-    return _shipped_dir()
+    return Path(str(resources.files("lmsharq") / "assets"))
 
 
-# Every asset of an asset directory, read once per process and keyed by
-# (directory, asset): the MI table, the reference WER curve, the code
-# spec calibrated from both, and the named environments. The name dates
-# from when it held only MI tables. Clearing it makes the next call read
-# the files again, as the benchmark's traced set-up does.
-_mi_cache: dict[tuple[str, str], object] = {}
-
-
-def _kept(asset: str, load):
-    """`load(path)` of the asset in the current directory, kept once per directory.
-
-    A load that raises keeps nothing, so the next call tries again.
-    """
-    directory = assets_dir()
-    key = (str(directory), asset)
-    if key not in _mi_cache:
-        _mi_cache[key] = load(directory / asset)
-    return _mi_cache[key]
+def environment_path(name: str) -> Path:
+    """Resolve a named environment or pass a file path through."""
+    if name in ENVIRONMENTS:
+        return assets_dir() / f"{name}.ini"
+    return Path(name)
 
 
 def load_environment(name: str) -> LmsModel | ClearSky:
     """The channel a name stands for. "clear-sky" reads no file, so a file
-    of that name is passed as ./clear-sky. A named environment is read
-    once per asset directory, a file given by path on every call."""
+    of that name is passed as ./clear-sky."""
     if name == "clear-sky":
         return CLEAR_SKY
-    if name in ENVIRONMENTS:
-        return _kept(f"{name}.ini", load_model)
-    return load_model(Path(name))
+    return load_model(environment_path(name))
 
 
-def load_reference_wer() -> tuple[tuple[float, float], ...]:
-    return _kept(WER_CURVE_ASSET, lambda path: tuple(fec.load_wer_curve(path)))
+def load_reference_wer() -> list[tuple[float, float]]:
+    return fec.load_wer_curve(assets_dir() / WER_CURVE_ASSET)
+
+
+_mi_cache: dict[str, MiTable] = {}
 
 
 def default_mi_table() -> MiTable:
@@ -89,33 +67,21 @@ def default_mi_table() -> MiTable:
     rebuild; `lmsharq mi-table --out <dir>/qpsk_mi.csv` writes the default
     table, which reproduces the shipped file bit for bit.
     """
-    return _kept(MI_TABLE_ASSET, _load_mi_table)
-
-
-def _load_mi_table(path: Path) -> MiTable:
-    if not path.is_file():
-        raise FileNotFoundError(
-            f"no MI table at {path}; create it with "
-            f"`lmsharq mi-table --out {path}`"
-        )
-    table = load_mi_csv(path)
-    # every caller in the process shares the kept table, so it is read-only
-    table.es_n0_linear.flags.writeable = False
-    table.mi_per_bit.flags.writeable = False
-    return table
+    key = str(assets_dir())
+    if key not in _mi_cache:
+        path = Path(key) / MI_TABLE_ASSET
+        if not path.is_file():
+            raise FileNotFoundError(
+                f"no MI table at {path}; create it with "
+                f"`lmsharq mi-table --out {path}`"
+            )
+        _mi_cache[key] = load_mi_csv(path)
+    return _mi_cache[key]
 
 
 def default_code_spec(mi_table: MiTable | None = None) -> CodeSpec:
-    """Mother code spec with MI requirement calibrated from the WER curve.
-
-    The spec of the directory's own MI table is kept with its assets; any
-    other table is calibrated afresh.
-    """
-    if mi_table is None or mi_table is _mi_cache.get((str(assets_dir()), MI_TABLE_ASSET)):
-        return _kept("code spec", lambda _: _calibrated(default_mi_table()))
-    return _calibrated(mi_table)
-
-
-def _calibrated(mi_table: MiTable) -> CodeSpec:
+    """Mother code spec with MI requirement calibrated from the WER curve."""
+    if mi_table is None:
+        mi_table = default_mi_table()
     mi_req = fec.calibrate_mi_req(load_reference_wer(), fec.TARGET_WER, mi_table)
     return CodeSpec(mi_req_per_bit=mi_req)

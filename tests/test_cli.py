@@ -451,7 +451,8 @@ def test_a_sweep_shorter_than_its_first_burst_is_a_configuration_error(tmp_path,
     assert not out.exists()
 
 
-# Each output option pointed into a directory that does not exist. The work
+# Each output option pointed into a directory that does not exist (exit 3),
+# at an existing directory, or under a regular file (both exit 2). The work
 # each command would do first is stubbed to fail the test.
 MISSING_OUTPUT_ARGS = {
     "run-codewords-csv": "run --esn0 10 --duration-s 5 --codewords-csv {missing}/cw.csv",
@@ -461,17 +462,34 @@ MISSING_OUTPUT_ARGS = {
     "figures-out-dir": "figures --which eff-its --esn0 10 --out-dir {missing}",
     "mi-table-out": "mi-table --out {missing}/x.csv",
 }
+UNWRITABLE_OUTPUT_ARGS = {
+    "run-codewords-csv-is-a-directory": "run --esn0 10 --duration-s 5 --codewords-csv {folder}",
+    "channel-out-is-a-directory": "channel --duration-s 5 --out {folder}",
+    "channel-cdf-out-is-a-directory": "channel --duration-s 5 --out s.csv --cdf-out {folder}",
+    "sweep-out-is-a-directory": "sweep --esn0 10 --duration-s 5 --out {folder}",
+    "mi-table-out-is-a-directory": "mi-table --out {folder}",
+    "run-codewords-csv-under-a-file": "run --esn0 10 --duration-s 5 --codewords-csv {plain}/cw.csv",
+    "channel-out-under-a-file": "channel --duration-s 5 --out {plain}/s.csv",
+    "channel-cdf-out-under-a-file": "channel --duration-s 5 --out s.csv --cdf-out {plain}/c.csv",
+    "sweep-out-under-a-file": "sweep --esn0 10 --duration-s 5 --out {plain}/sweep.csv",
+    "figures-out-dir-is-a-file": "figures --which eff-its --esn0 10 --out-dir {plain}",
+    "mi-table-out-under-a-file": "mi-table --out {plain}/x.csv",
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    from lmsharq import cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("work started before the outputs were checked")
+
+    for name in ("run", "sweep", "generate_series", "build_mi_table"):
+        monkeypatch.setattr(cli, name, fail)
 
 
 @pytest.mark.parametrize("args", MISSING_OUTPUT_ARGS.values(), ids=MISSING_OUTPUT_ARGS.keys())
-def test_a_missing_output_directory_exits_three_before_any_work(args, tmp_path, monkeypatch, capsys):
-    from lmsharq import cli
-
-    def no_work(*args, **kwargs):
-        raise AssertionError("work started before the output directory was checked")
-
-    for name in ("run", "sweep", "generate_series", "build_mi_table"):
-        monkeypatch.setattr(cli, name, no_work)
+def test_a_missing_output_directory_exits_three_before_any_work(args, tmp_path, monkeypatch, capsys, no_work):
     monkeypatch.chdir(tmp_path)
     missing = tmp_path / "missing"
     assert main(args.format(missing=missing).split()) == 3
@@ -481,24 +499,36 @@ def test_a_missing_output_directory_exits_three_before_any_work(args, tmp_path, 
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", UNWRITABLE_OUTPUT_ARGS.values(), ids=UNWRITABLE_OUTPUT_ARGS.keys())
+def test_an_output_that_cannot_be_a_file_exits_two_before_any_work(args, tmp_path, monkeypatch, capsys, no_work):
+    monkeypatch.chdir(tmp_path)
+    folder, plain = tmp_path / "folder", tmp_path / "plain"
+    folder.mkdir()
+    plain.write_text("kept\n")
+    assert main(args.format(folder=folder, plain=plain).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    problem = (f"output file {folder} is a directory" if "{folder}" in args
+               else f"output directory {plain} is not a directory")
+    assert captured.err == f"configuration error: {problem}\n"
+    assert sorted(tmp_path.iterdir()) == [folder, plain]
+    assert not any(folder.iterdir()) and plain.read_text() == "kept\n"
+
+
 RUN_ARGV = "run --scheme enhanced --env its --esn0 10 --duration-s 60".split()
 
 
-def test_a_repeated_run_builds_no_parser_and_reads_no_shipped_file(monkeypatch, capsys):
-    from lmsharq import cli, fec, mi, presets
+def test_a_repeated_run_builds_no_parser(monkeypatch, capsys):
+    from lmsharq import cli
 
     assert main(RUN_ARGV) == 0
     first = capsys.readouterr()
 
-    def no_read(*args, **kwargs):
-        raise AssertionError("a process constant was built again")
+    def no_build(*args, **kwargs):
+        raise AssertionError("the parser was built again")
 
-    monkeypatch.setattr(cli, "build_parser", no_read)
-    monkeypatch.setattr(argparse, "ArgumentParser", no_read)
-    monkeypatch.setattr(presets.resources, "files", no_read)
-    for module, name in ((presets, "load_mi_csv"), (mi, "load_mi_csv"), (presets, "load_model"),
-                         (fec, "load_wer_curve"), (fec, "calibrate_mi_req")):
-        monkeypatch.setattr(module, name, no_read)
+    monkeypatch.setattr(cli, "build_parser", no_build)
+    monkeypatch.setattr(argparse, "ArgumentParser", no_build)
     assert main(RUN_ARGV) == 0
     assert capsys.readouterr() == first
 
@@ -525,13 +555,17 @@ def test_switching_the_asset_directory_reads_the_new_one(tmp_path, monkeypatch, 
     assert float(printed[1].split()[-1]) > float(printed[0].split()[-1])
 
 
-def test_an_environment_file_edited_between_calls_is_read_again(tmp_path, capsys):
+@pytest.mark.parametrize("named", [False, True], ids=["given-by-path", "named-in-an-asset-directory"])
+def test_an_environment_file_edited_between_calls_is_read_again(named, tmp_path, monkeypatch, capsys):
     from lmsharq import presets
 
     lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
-    env = tmp_path / "edited.ini"
+    if named:
+        monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(tmp_path))
+    env = tmp_path / "its.ini"
     env.write_text("\n".join(lines) + "\n")
-    argv = ["channel", "--env", str(env), "--duration-s", "5", "--out", str(tmp_path / "s.csv")]
+    argv = ["channel", "--env", "its" if named else str(env), "--duration-s", "5",
+            "--out", str(tmp_path / "s.csv")]
     assert main(argv) == 0
     at = next(i for i, line in enumerate(lines) if line.split("=")[0].strip() == "speed_mps")
     lines[at] = "speed_mps = inf"
