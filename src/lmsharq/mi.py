@@ -45,19 +45,22 @@ def linear_to_db(value):
     return 10.0 * np.log10(value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MiTable:
     """Tabulated per-bit mutual information on an increasing Es/N0 grid.
 
-    Treated as immutable after construction.
+    Immutable: it keeps its own read-only copies of both arrays, so the
+    checks below cannot be undone through the caller's arrays.
     """
 
     es_n0_linear: np.ndarray
     mi_per_bit: np.ndarray
 
     def __post_init__(self):
-        self.es_n0_linear = np.asarray(self.es_n0_linear, dtype=float)
-        self.mi_per_bit = np.asarray(self.mi_per_bit, dtype=float)
+        for name in ("es_n0_linear", "mi_per_bit"):
+            values = np.array(getattr(self, name), dtype=float)
+            values.setflags(write=False)
+            object.__setattr__(self, name, values)
         if self.es_n0_linear.ndim != 1 or self.es_n0_linear.size < 2:
             raise ValueError("grid needs at least two points")
         if self.es_n0_linear.size != self.mi_per_bit.size:
@@ -78,60 +81,82 @@ def _logsumexp_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
     Does the float operations of scipy.special.logsumexp's finite path:
     the terms tied for the column maximum leave the sum, the others are
     shifted by that maximum, exponentiated and added in row order, and
-    the tie count m comes back in as log1p(s / m) + log(m).
+    the tie count m comes back in as log1p(s / m) + log(m). Without a
+    tie m is 1 in every column, where s / m and + log(m) change no bit,
+    so both are skipped.
     """
-    a_max = np.max(rows, axis=0)
-    keep = np.empty(a_max.shape, dtype=bool)
-    m = np.full_like(a_max, len(rows))
-    for r in rows:
-        np.not_equal(r, a_max, out=keep)
-        m -= keep
-        r -= a_max
-        np.exp(r, out=r)
-        r *= keep
+    a_max = np.maximum(rows[0], rows[1])
+    for r in rows[2:]:
+        np.maximum(a_max, r, out=a_max)
+    keep = np.not_equal(rows, a_max)
+    rows -= a_max
+    np.exp(rows, out=rows)
+    rows *= keep
     s = rows[0]
     for r in rows[1:]:
         s += r
-    # m >= 1, so s / m leaves a zero sum at zero
-    s /= m
+    # each column has one term equal to its maximum, more only on a tie
+    tied = np.count_nonzero(keep) < (len(rows) - 1) * a_max.size
+    if tied:
+        m = np.subtract(len(rows), np.sum(keep, axis=0), dtype=float)
+        s /= m
     np.log1p(s, out=out)
-    out += np.log(m, out=m)
+    if tied:
+        out += np.log(m, out=m)
     out += a_max
     return out
 
 
-def _mc_mi_per_bit(snr_linear: float, samples: int, rng: np.random.Generator):
+class _Work:
+    """The arrays of one build, refilled at every grid point."""
+
+    def __init__(self, samples: int):
+        self.sent = np.empty(samples, dtype=np.intp)
+        self.noise_re = np.empty(samples)
+        self.noise_im = np.empty(samples)
+        self.per_bit = np.empty(samples)
+        # one block's buffers
+        self.noise = np.empty(_BLOCK, dtype=complex)
+        self.y = np.empty(_BLOCK, dtype=complex)
+        self.d = np.empty(_BLOCK, dtype=complex)
+        self.noise2 = np.empty(_BLOCK)
+        self.expo = np.empty((_QPSK.size, _BLOCK))
+
+
+def _mc_mi_per_bit(snr_linear: float, rng: np.random.Generator, work: _Work):
     """One grid point: Monte Carlo per-bit MI estimate and its std error."""
-    # draw order: symbols, then the real and the imaginary noise parts
-    sent = rng.integers(0, 4, size=samples)
-    noise = np.empty(samples, dtype=complex)
-    noise.real = rng.standard_normal(samples)
-    noise.imag = rng.standard_normal(samples)
-    noise *= np.sqrt(0.5 / snr_linear)
-    per_bit = np.empty(samples)
-    # log p(y|x_j) up to a common constant, one row per constellation
-    # point, over blocks of samples that stay in cache
-    expo = np.empty((_QPSK.size, _BLOCK))
-    y = np.empty(_BLOCK, dtype=complex)
-    d = np.empty(_BLOCK, dtype=complex)
-    noise2 = np.empty(_BLOCK)
+    samples = work.per_bit.size
+    # draw order: symbols, then the real and the imaginary noise parts;
+    # drawing in blocks or into `out` leaves the stream unchanged
+    for lo in range(0, samples, _BLOCK):
+        hi = min(lo + _BLOCK, samples)
+        work.sent[lo:hi] = rng.integers(0, 4, size=hi - lo)
+    rng.standard_normal(out=work.noise_re)
+    rng.standard_normal(out=work.noise_im)
+    scale = np.sqrt(0.5 / snr_linear)
     for lo in range(0, samples, _BLOCK):
         hi = min(lo + _BLOCK, samples)
         k = hi - lo
-        rows, n2, yb, db = expo[:, :k], noise2[:k], y[:k], d[:k]
-        np.abs(noise[lo:hi], out=n2)
+        nb, n2, yb, db = work.noise[:k], work.noise2[:k], work.y[:k], work.d[:k]
+        rows = work.expo[:, :k]
+        nb.real = work.noise_re[lo:hi]
+        nb.imag = work.noise_im[lo:hi]
+        nb *= scale
+        # log p(y|x_j) up to a common constant, one row per constellation point
+        np.abs(nb, out=n2)
         np.square(n2, out=n2)
-        np.add(_QPSK.take(sent[lo:hi], out=yb), noise[lo:hi], out=yb)
+        np.add(_QPSK.take(work.sent[lo:hi], out=yb), nb, out=yb)
         for point, r in zip(_QPSK, rows):
             np.abs(np.subtract(yb, point, out=db), out=r)
             np.square(r, out=r)
             np.subtract(n2, r, out=r)
             r *= snr_linear
-        out = _logsumexp_rows(rows, per_bit[lo:hi])
+        out = _logsumexp_rows(rows, work.per_bit[lo:hi])
         # integrand log2(4) - lse / ln 2 bits per symbol, then per coded bit
         out /= np.log(2.0)
         np.subtract(np.log2(4.0), out, out=out)
         out /= MODULATION_BITS
+    per_bit = work.per_bit
     return float(np.mean(per_bit)), float(np.std(per_bit) / np.sqrt(samples))
 
 
@@ -149,21 +174,20 @@ def build_mi_table(
     the draws when the sample count cannot deliver the target precision.
     """
     check_integer("seed", seed)
+    check_integer("points", points, 2)
+    check_integer("samples", samples, MIN_SAMPLES)
     if not np.isfinite([es_n0_min_db, es_n0_max_db]).all():
         raise ConfigError("es_n0_min_db and es_n0_max_db must be finite")
     if not es_n0_min_db < es_n0_max_db:
         raise ConfigError("es_n0_min_db must be below es_n0_max_db")
-    if points < 2:
-        raise ConfigError("need at least two grid points")
-    if samples < MIN_SAMPLES:
-        raise ConfigError(f"samples must be at least {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
     grid_db = np.linspace(es_n0_min_db, es_n0_max_db, points)
     grid_lin = db_to_linear(grid_db)
     mi = np.empty(points)
+    work = _Work(samples)
     worst_se = 0.0
     for i, snr in enumerate(grid_lin):
-        mi[i], se = _mc_mi_per_bit(float(snr), samples, rng)
+        mi[i], se = _mc_mi_per_bit(float(snr), rng, work)
         worst_se = max(worst_se, se)
     if worst_se >= TARGET_STD_ERROR:
         raise ConfigError(

@@ -35,6 +35,16 @@ def test_table_rejects_malformed_grids():
         MiTable(es_n0_linear=np.array([1.0]), mi_per_bit=np.array([0.1]))
 
 
+def test_table_keeps_its_own_read_only_arrays():
+    grid, values = np.array([1.0, 2.0]), np.array([0.1, 0.2])
+    table = MiTable(es_n0_linear=grid, mi_per_bit=values)
+    grid[1], values[0] = 0.5, np.nan
+    assert mi_of(table, 1.5) == pytest.approx(0.15)
+    for array in (table.es_n0_linear, table.mi_per_bit):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
 def test_build_rejects_bad_configuration():
     with pytest.raises(ConfigError):
         build_mi_table(es_n0_min_db=5.0, es_n0_max_db=-5.0)
@@ -52,20 +62,29 @@ def test_build_rejects_bad_configuration():
     (dict(es_n0_max_db=np.inf), "finite"),
     (dict(es_n0_min_db=np.nan), "finite"),
     (dict(es_n0_min_db=-np.inf), "finite"),
-], ids=["negative", "numpy-negative", "float", "bool", "inf-max", "nan-min", "-inf-min"])
+    (dict(points=3.5), "points must be an integer"),
+    (dict(points=True), "points must be an integer"),
+    (dict(points=np.int64(1)), "points must be at least 2"),
+    (dict(samples=20000.0), "samples must be an integer"),
+    (dict(samples=True), "samples must be an integer"),
+    (dict(samples=np.int64(100)), "samples must be at least 10000"),
+], ids=["negative", "numpy-negative", "float", "bool", "inf-max", "nan-min", "-inf-min",
+        "float-points", "bool-points", "numpy-one-point", "float-samples", "bool-samples",
+        "numpy-few-samples"])
 def test_build_checks_seed_and_bounds_before_drawing(kwargs, message, monkeypatch):
     def no_draw(*args):
         raise AssertionError("drew samples")
 
     monkeypatch.setattr(mi, "_mc_mi_per_bit", no_draw)
     with pytest.raises(ConfigError, match=message):
-        build_mi_table(points=3, **kwargs)
+        build_mi_table(**{"points": 3, **kwargs})
 
 
 def test_build_takes_numpy_integer_seeds():
+    # NumPy integers are as good as int for the grid size and sample count too
     a = build_mi_table(es_n0_min_db=19.0, es_n0_max_db=20.0, points=2, samples=20_000, seed=11)
-    b = build_mi_table(es_n0_min_db=19.0, es_n0_max_db=20.0, points=2, samples=20_000,
-                       seed=np.int64(11))
+    b = build_mi_table(es_n0_min_db=19.0, es_n0_max_db=20.0, points=np.int64(2),
+                       samples=np.int64(20_000), seed=np.int64(11))
     assert np.array_equal(a.mi_per_bit, b.mi_per_bit)
 
 
@@ -93,11 +112,17 @@ def _tie_rows(rng, ties):
     return rows
 
 
-@pytest.mark.parametrize("case", ["random", "wide", "tie2", "tie3", "tie4", "underflow", "tie2-underflow"])
+@pytest.mark.parametrize("case", ["random", "wide", "tie2", "tie3", "tie4", "underflow", "tie2-underflow",
+                                  "one-tied-column"])
 def test_logsumexp_rows_matches_scipy_bit_for_bit(case):
     rng = np.random.default_rng(12)
     if case == "random":
         rows = rng.normal(scale=5.0, size=(4, 20000))
+    elif case == "one-tied-column":
+        # one tie in a block without others must still take the tie path
+        rows = rng.normal(scale=5.0, size=(4, 20000))
+        rows[[1, 3], 7777] = rows[:, 7777].max() + 0.5
+        assert np.count_nonzero((rows == rows.max(axis=0)).sum(axis=0) > 1) == 1
     elif case == "wide":
         rows = rng.normal(scale=1e3, size=(4, 20000))
     elif case.startswith("tie"):
@@ -112,6 +137,41 @@ def test_logsumexp_rows_matches_scipy_bit_for_bit(case):
     expected = logsumexp(rows.T, axis=1)
     got = _logsumexp_rows(rows.copy(), np.empty(rows.shape[1]))
     assert got.tobytes() == expected.tobytes()
+
+
+def _reference_build(es_n0_min_db, es_n0_max_db, points, samples, seed):
+    """build_mi_table done the plain way: whole-array draws, one complex
+    noise array per point and scipy's logsumexp over the four rows."""
+    rng = np.random.default_rng(seed)
+    grid = db_to_linear(np.linspace(es_n0_min_db, es_n0_max_db, points))
+    qpsk = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
+    means, worst_se = [], 0.0
+    for snr in map(float, grid):
+        sent = rng.integers(0, 4, size=samples)
+        noise = np.empty(samples, dtype=complex)
+        noise.real = rng.standard_normal(samples)
+        noise.imag = rng.standard_normal(samples)
+        noise *= np.sqrt(0.5 / snr)
+        y = qpsk[sent] + noise
+        expo = (np.abs(noise) ** 2)[:, None] - np.abs(y[:, None] - qpsk) ** 2
+        expo *= snr
+        per_bit = (np.log2(4.0) - logsumexp(expo, axis=1) / np.log(2.0)) / mi.MODULATION_BITS
+        means.append(np.mean(per_bit))
+        worst_se = max(worst_se, float(np.std(per_bit) / np.sqrt(samples)))
+    assert worst_se < mi.TARGET_STD_ERROR
+    return MiTable(grid, np.clip(np.maximum.accumulate(means), 0.0, 1.0))
+
+
+@pytest.mark.parametrize("samples", [10_000, 16_384, 16_385, 3 * 16_384 + 7])
+def test_build_matches_the_plain_reference_bit_for_bit(samples):
+    # four points per build, so every point after the first reuses the
+    # build's arrays; 10-13 dB keeps 10k samples inside the precision
+    # gate, and below the saturation where every sample scores exactly 1
+    args = (10.0, 13.0, 4, samples, 5)
+    got, expected = build_mi_table(*args), _reference_build(*args)
+    assert np.all(got.mi_per_bit < 1.0)
+    assert got.es_n0_linear.tobytes() == expected.es_n0_linear.tobytes()
+    assert got.mi_per_bit.tobytes() == expected.mi_per_bit.tobytes()
 
 
 # sha256 of es_n0_linear.tobytes() + mi_per_bit.tobytes() for three
