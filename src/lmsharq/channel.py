@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +43,14 @@ class LooParams:
                 raise ValueError(f"{name} must be finite")
         if self.psi_db <= 0.0:
             raise ValueError("psi_db must be positive")
+        # generate_series raises 10 to alpha_db / 20 and to mp_db / 10
+        for name, per, what in (("alpha_db", 20.0, "amplitude"), ("mp_db", 10.0, "power")):
+            db = getattr(self, name)
+            with np.errstate(over="ignore", under="ignore"):
+                linear = float(np.power(10.0, db / per))
+            if not sys.float_info.min <= linear < math.inf:
+                raise ValueError(f"{name} {db:g} dB is out of range: its linear {what} {linear:g}"
+                                 " is not a finite, normal float")
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from lmsharq.mi import (
     save_mi_csv,
 )
 from lmsharq.schemes import PROB_PRESETS
-from lmsharq.sim import SCHEMES, SimConfig, run, sweep
+from lmsharq.sim import SCHEMES, SimConfig, derive_policy, run, sample_mi, sweep
 
 # The options that name an output file; `figures --out-dir` names a directory.
 OUTPUT_FILES = ("out", "cdf_out", "codewords_csv")
@@ -168,7 +168,9 @@ def cmd_channel(args) -> int:
 def cmd_run(args) -> int:
     config = replace(_config(args), es_n0_ref_db=args.es_n0_db)
     model, spec, mi_table = _prepared(config)
-    log = run(config, model, spec, mi_table)
+    series = generate_series(model, config.duration_s, config.seed)
+    policy = derive_policy(config, model, spec, mi_table)
+    log = run(config, spec, policy, series, sample_mi(mi_table, series, config.es_n0_ref_db))
     _notes(config.max_transmissions, [log])
     m = metrics.RunMetrics.from_log(log)
     print(f"scheme = {m.scheme}")

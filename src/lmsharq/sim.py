@@ -41,7 +41,7 @@ CALIB_DURATION_S = 3600.0
 CALIB_SEED = 90210
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One run of the link simulation, over a QPSK link at bit_rate_bps."""
 
@@ -94,7 +94,7 @@ class RunLog:
     Burst columns are in transmission order; burst_codeword is the id of
     the codeword each burst belongs to. The per-codeword n_total_sent and
     n_transmissions and the link totals are derived from the burst columns.
-    policy is the run's derive_policy, and its length is the run's horizon.
+    policy is the one the run played, and its length is the run's horizon.
     """
 
     config: SimConfig
@@ -184,47 +184,34 @@ def derive_policy(
     return policy
 
 
-def _sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_lin: float) -> np.ndarray:
-    """Per-bit MI of every sample of the series at a linear Es/N0."""
-    return mi_of(mi_table, series.rho * series.rho * es_n0_lin)
+def sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_ref_db: float) -> np.ndarray:
+    """Per-bit MI of every sample of the series at an Es/N0 in dB, one
+    float64 per sample: the mi_samples of run."""
+    return mi_of(mi_table, series.rho * series.rho * float(db_to_linear(es_n0_ref_db)))
 
 
 def run(
     config: SimConfig,
-    model: LmsModel | ClearSky,
     spec: CodeSpec,
-    mi_table: MiTable,
-    *,
-    series: AttenuationSeries | None = None,
-    mi_samples: np.ndarray | None = None,
+    policy: StaticBitTable | AdaptivePolicy,
+    series: AttenuationSeries,
+    mi_samples: np.ndarray,
 ) -> RunLog:
-    """Simulate one configuration. Deterministic for a fixed config.
+    """Play the HARQ schedule of one configuration. Deterministic.
 
-    Each burst sees the channel sample active at its start, and each
-    burst's size comes from derive_policy. The per-bit MI of every sample
-    and the policy's per-round thresholds are computed once per run, with
-    the same float operations as a per-burst mi_of, so the results do not
-    depend on the precomputation. A given `series` stands for
-    generate_series(model, config.duration_s, config.seed), and given
-    `mi_samples` stand for mi_of over the series at the run's Es/N0, one
-    float64 per sample.
+    Each burst sees the channel sample active at its start, mi_samples[k]
+    is the per-bit MI of sample k (sample_mi), and policy sizes every
+    burst (derive_policy). The series gives only the sample spacing and
+    the burst_rho column, and the spec the decode budget and data_bits.
     """
-    if series is None:
-        series = generate_series(model, config.duration_s, config.seed)
     # where the last sample ends: time_s[-1] + sample_dt_s, without building time_s
     if (len(series.rho) - 1) * series.sample_dt_s + series.sample_dt_s < config.duration_s:
         raise ValueError("attenuation series shorter than the run duration")
-    if mi_samples is not None and (
-        not isinstance(mi_samples, np.ndarray) or mi_samples.dtype != np.float64
-        or mi_samples.shape != series.rho.shape
-    ):
+    if (not isinstance(mi_samples, np.ndarray) or mi_samples.dtype != np.float64
+            or mi_samples.shape != series.rho.shape):
         raise ValueError("mi_samples must be a float64 array with one value per series sample")
 
-    policy = derive_policy(config, model, spec, mi_table)
-
     dt = series.sample_dt_s
-    if mi_samples is None:
-        mi_samples = _sample_mi(mi_table, series, float(db_to_linear(config.es_n0_ref_db)))
     mi_at = memoryview(mi_samples)  # indexing yields Python floats
 
     bit_rate = config.bit_rate_bps
@@ -317,9 +304,10 @@ def sweep(
     """Cross-product of schemes, Es/N0 points and seeds, in stable order.
 
     Runs sharing a seed share the channel realization, which makes
-    scheme comparisons paired: each seed's series is generated once and
-    handed to all of its runs, and its per-sample MI is computed once per
-    Es/N0 point and handed to that point's runs of every scheme.
+    scheme comparisons paired: each seed's series is generated once, and
+    its per-sample MI is mapped once per Es/N0 point for every scheme. A
+    policy does not depend on the seed, so each scheme and point derives
+    its policy once and plays it on every seed.
     """
     seeds = [int(seed) for seed in seeds]
     es_n0_list_db = [float(es_db) for es_db in es_n0_list_db]
@@ -329,10 +317,10 @@ def sweep(
     series = {seed: generate_series(model, base_config.duration_s, seed)
               for seed in dict.fromkeys(seeds)}
     # one float64 per sample and point, held for the whole sweep
-    mi_samples = {
-        (seed, es_db): _sample_mi(mi_table, series[seed], float(db_to_linear(es_db)))
-        for es_db in dict.fromkeys(es_n0_list_db) for seed in series
-    }
-
-    return [run(cfg, model, spec, mi_table, series=series[cfg.seed],
-                mi_samples=mi_samples[cfg.seed, cfg.es_n0_ref_db]) for cfg in configs]
+    mi_samples = {(seed, es_db): sample_mi(mi_table, series[seed], es_db)
+                  for es_db in dict.fromkeys(es_n0_list_db) for seed in series}
+    # configs are frozen, so the seedless ones key the policies
+    unseeded = [replace(cfg, seed=0) for cfg in configs]
+    policies = {key: derive_policy(key, model, spec, mi_table) for key in dict.fromkeys(unseeded)}
+    return [run(cfg, spec, policies[key], series[cfg.seed], mi_samples[cfg.seed, cfg.es_n0_ref_db])
+            for cfg, key in zip(configs, unseeded)]

@@ -19,7 +19,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from lmsharq import presets
 from lmsharq.metrics import RunMetrics
-from lmsharq.sim import SCHEMES, SimConfig, calibration_cdf, run
+from lmsharq.sim import SCHEMES, SimConfig, calibration_cdf, sweep
 
 SWEEP_ES_DB = tuple(range(7, 14))
 
@@ -57,6 +57,13 @@ def open_calib_cdf(open_model):
     return calibration_cdf(open_model)
 
 
+def run_one(config, model, spec, mi_table):
+    """The RunLog of one config, from a sweep of its one scheme, point and seed."""
+    [log] = sweep(config, [config.es_n0_ref_db], [config.scheme], [config.seed], model,
+                  spec=spec, mi_table=mi_table)
+    return log
+
+
 def _grid(env, model, spec, table, schemes, probs="case3"):
     """Full-length runs over the sweep grid; metrics only, logs dropped."""
     base = SimConfig(environment=env, probs_preset=probs)
@@ -65,7 +72,7 @@ def _grid(env, model, spec, table, schemes, probs="case3"):
         for es in SWEEP_ES_DB:
             cfg = replace(base, scheme=scheme, es_n0_ref_db=float(es))
             t0 = time.perf_counter()
-            log = run(cfg, model, spec, table)
+            log = run_one(cfg, model, spec, table)
             elapsed = time.perf_counter() - t0
             out[scheme, es] = (RunMetrics.from_log(log), elapsed)
     return out

@@ -63,6 +63,25 @@ def test_loo_params_must_be_finite(name, value):
         LooParams(**fields)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, value, what", [
+    ("alpha_db", 7000.0, "amplitude"), ("alpha_db", 6170.0, "amplitude"),
+    ("alpha_db", -6160.0, "amplitude"), ("mp_db", 4000.0, "power"), ("mp_db", 3083.0, "power"),
+    ("mp_db", -3080.0, "power"),
+])
+def test_loo_params_reject_a_db_value_with_no_normal_linear_value(name, value, what):
+    # 10^(alpha_db / 20) and 10^(mp_db / 10) overflow or fall below the normal floats
+    fields = {"alpha_db": -4.0, "psi_db": 1.0, "mp_db": -15.0, name: value}
+    with pytest.raises(ValueError, match=f"{name} {value:g} dB is out of range: its linear {what}"):
+        LooParams(**fields)
+
+
+@pytest.mark.filterwarnings("error")
+def test_loo_params_accept_db_values_at_the_edge_of_the_normal_range():
+    for alpha_db, mp_db in ((6160.0, 3080.0), (-6150.0, -3076.0)):
+        assert LooParams(alpha_db, 1.0, mp_db).alpha_db == alpha_db
+
+
 @pytest.mark.parametrize("name", ["state_frame_m", "sample_frame_m", "speed_mps"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0])
 def test_model_geometry_must_be_positive_and_finite(name, value):

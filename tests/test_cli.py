@@ -436,6 +436,28 @@ def test_a_non_finite_environment_file_exits_four(key, value, tmp_path, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("state, key, value, what", [
+    (1, "alpha_db", "7000", "amplitude"), (2, "mp_db", "4000", "power"),
+])
+def test_an_environment_file_whose_db_value_overflows_exits_four(state, key, value, what,
+                                                                 tmp_path, capsys):
+    # finite in dB, but 10^(7000 / 20) and 10^(4000 / 10) overflow a float
+    from lmsharq import presets
+
+    lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
+    section = lines.index(f"[state.{state}]")
+    at = next(i for i in range(section, len(lines)) if lines[i].split("=")[0].strip() == key)
+    lines[at] = f"{key} = {value}"
+    env = tmp_path / "edited.ini"
+    env.write_text("\n".join(lines) + "\n")
+    assert main(["run", "--env", str(env), "--esn0", "10", "--duration-s", "30"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"invalid data: {key} {value} dB is out of range: its linear {what}"
+                            " inf is not a finite, normal float\n")
+
+
 def test_a_run_with_no_burst_is_an_empty_log_error(capsys):
     # a 10 ms run ends before the adaptive scheme's first 29.5 ms burst would
     assert main(["run", "--esn0", "10", "--duration-s", "0.01"]) == 2

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import run_one
 from lmsharq.channel import CLEAR_SKY
 from lmsharq.errors import ConfigError, DataError
 from lmsharq.metrics import RunMetrics, delay
@@ -185,21 +186,18 @@ def test_fixed_size_schemes_cannot_beat_the_single_burst_rate(its_grid, open_gri
 
 
 def test_unfaded_fixed_scheme_hits_the_single_burst_rate(code_spec, mi_table):
-    from lmsharq.sim import run
-
     cfg = SimConfig(scheme="classical", environment="clear-sky", duration_s=30.0)
-    log = run(cfg, CLEAR_SKY, code_spec, mi_table)
+    log = run_one(cfg, CLEAR_SKY, code_spec, mi_table)
     assert log.generated > 500
     assert efficiency(log) == PEAK_EFFICIENCY
 
 
 def test_efficiency_counts_the_data_bits_of_the_run_code(its_model, code_spec, mi_table):
     from lmsharq.fec import CodeSpec
-    from lmsharq.sim import run
 
     half = CodeSpec(4460, 26760, code_spec.mi_req_per_bit)
     cfg = SimConfig(environment="its", es_n0_ref_db=10.0, duration_s=60.0)
-    log = run(cfg, its_model, half, mi_table)
+    log = run_one(cfg, its_model, half, mi_table)
     m = RunMetrics.from_log(log)
     assert log.decoded > 0
     assert m.efficiency_bits_per_symbol == 4460 * log.decoded / log.total_symbols
@@ -226,21 +224,17 @@ def standalone_metrics(log):
 @pytest.mark.parametrize("max_tx", [4, 6])
 def test_from_log_equals_the_standalone_metrics(scheme, max_tx, its_model, code_spec,
                                                 mi_table):
-    from lmsharq.sim import run
-
     cfg = SimConfig(scheme=scheme, environment="its", es_n0_ref_db=8.0, duration_s=120.0,
                     max_transmissions=max_tx)
-    log = run(cfg, its_model, code_spec, mi_table)
+    log = run_one(cfg, its_model, code_spec, mi_table)
     assert 0 < log.decoded < log.generated
     assert repr(RunMetrics.from_log(log)) == repr(standalone_metrics(log))
 
 
 def test_from_log_equals_the_standalone_metrics_when_nothing_decodes(code_spec, mi_table):
-    from lmsharq.sim import run
-
     cfg = SimConfig(scheme="classical", environment="clear-sky", es_n0_ref_db=-10.0,
                     duration_s=30.0)
-    log = run(cfg, CLEAR_SKY, code_spec, mi_table)
+    log = run_one(cfg, CLEAR_SKY, code_spec, mi_table)
     assert log.generated > 0 and log.decoded == 0
     m = RunMetrics.from_log(log)
     assert math.isnan(m.mean_delay_s)

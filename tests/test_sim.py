@@ -3,6 +3,7 @@
 import copy
 import gc
 import hashlib
+import inspect
 import math
 from dataclasses import FrozenInstanceError, replace
 
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_one
 from oracles import bisection_mi_inverse
 from lmsharq.channel import (
     CLEAR_SKY, AttenuationSeries, LmsModel, LooParams, empirical_cdf, generate_series,
@@ -21,7 +23,8 @@ from lmsharq.metrics import RunMetrics
 from lmsharq.mi import db_to_linear, mi_of
 from lmsharq.schemes import StaticBitTable
 from lmsharq.sim import (
-    CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, calibration_cdf, derive_policy, run, sweep,
+    CALIB_DURATION_S, CALIB_SEED, SCHEMES, SimConfig, calibration_cdf, derive_policy, run,
+    sample_mi, sweep,
 )
 
 TOL = 1e-9
@@ -30,7 +33,7 @@ TOL = 1e-9
 @pytest.fixture(scope="module")
 def its_run(its_model, code_spec, mi_table):
     cfg = SimConfig(environment="its", es_n0_ref_db=10.0, duration_s=120.0)
-    return run(cfg, its_model, code_spec, mi_table)
+    return run_one(cfg, its_model, code_spec, mi_table)
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +41,7 @@ def classical_run(its_model, code_spec, mi_table):
     cfg = SimConfig(
         scheme="classical", environment="its", es_n0_ref_db=10.0, duration_s=120.0
     )
-    return run(cfg, its_model, code_spec, mi_table)
+    return run_one(cfg, its_model, code_spec, mi_table)
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +49,7 @@ def enhanced_run(its_model, code_spec, mi_table):
     cfg = SimConfig(
         scheme="enhanced", environment="its", es_n0_ref_db=10.0, duration_s=120.0
     )
-    return run(cfg, its_model, code_spec, mi_table)
+    return run_one(cfg, its_model, code_spec, mi_table)
 
 
 def bursts_by_codeword(log):
@@ -77,6 +80,17 @@ def assert_same_log(got, want):
     for name in ("total_bits", "total_symbols", "effective_max_transmissions", "data_bits",
                  "policy"):
         assert getattr(got, name) == getattr(want, name), name
+
+
+def test_a_config_cannot_change_after_its_checks():
+    cfg = SimConfig(duration_s=30.0)
+    with pytest.raises(FrozenInstanceError):
+        cfg.scheme = "hybrid"
+    assert cfg.scheme == "adaptive"
+    # a changed copy goes through the checks again, and a config is a dict key
+    with pytest.raises(ConfigError, match="scheme"):
+        replace(cfg, scheme="hybrid")
+    assert {cfg: 1}[replace(cfg, seed=1)] == 1
 
 
 def test_config_consistency_checks():
@@ -143,7 +157,7 @@ def test_an_es_n0_at_the_edge_of_the_normal_range_is_accepted():
 
 def test_missing_model_is_a_startup_error(code_spec, mi_table):
     with pytest.raises(ConfigError, match="model"):
-        run(SimConfig(), None, code_spec, mi_table)
+        run_one(SimConfig(), None, code_spec, mi_table)
     for scheme in ("enhanced", "adaptive"):
         with pytest.raises(ConfigError, match="model"):
             derive_policy(SimConfig(scheme=scheme), None, code_spec, mi_table)
@@ -157,43 +171,103 @@ def test_short_series_is_a_data_error(monkeypatch, its_model, code_spec, mi_tabl
     def stub(model, duration_s, seed):
         return AttenuationSeries(rho=np.array([1.0, 1.0]), sample_dt_s=0.1)
 
+    calibration_cdf(its_model)  # memoised, so the policy reads no stubbed series
     monkeypatch.setattr(sim_mod, "generate_series", stub)
     with pytest.raises(ValueError, match="shorter"):
-        run(SimConfig(duration_s=60.0), its_model, code_spec, mi_table)
+        run_one(SimConfig(duration_s=60.0), its_model, code_spec, mi_table)
 
 
 def test_a_short_given_series_is_the_same_data_error(its_model, code_spec, mi_table):
+    cfg = SimConfig(duration_s=60.0)
     series = generate_series(its_model, 59.9, 1)
+    policy = derive_policy(cfg, its_model, code_spec, mi_table)
     with pytest.raises(ValueError, match="attenuation series shorter than the run duration"):
-        run(SimConfig(duration_s=60.0), its_model, code_spec, mi_table, series=series)
+        run(cfg, code_spec, policy, series, sample_mi(mi_table, series, cfg.es_n0_ref_db))
 
 
 @pytest.mark.parametrize("bad", ["float32", "short", "long"])
 def test_given_mi_samples_are_float64_with_one_value_per_sample(bad, its_model, code_spec,
                                                                  mi_table):
+    cfg = SimConfig(duration_s=30.0)
     series = generate_series(its_model, 30.0, 1)
     mi = mi_of(mi_table, series.rho * series.rho * float(db_to_linear(10.0)))
     mi = {"float32": mi.astype(np.float32), "short": mi[:-1], "long": np.append(mi, mi[-1])}[bad]
     with pytest.raises(ValueError, match="float64 array with one value per series sample"):
-        run(SimConfig(duration_s=30.0), its_model, code_spec, mi_table, series=series,
-            mi_samples=mi)
+        run(cfg, code_spec, derive_policy(cfg, its_model, code_spec, mi_table), series, mi)
 
 
 def test_a_clear_sky_run_takes_a_series_and_mi_samples_like_any_run(code_spec, mi_table):
     cfg = SimConfig(environment="clear-sky", es_n0_ref_db=CLEAR_SKY_ES_DB, duration_s=30.0)
-    series = generate_series(CLEAR_SKY, cfg.duration_s, cfg.seed)
-    mi = mi_of(mi_table, series.rho * series.rho * float(db_to_linear(cfg.es_n0_ref_db)))
-    assert_same_log(run(cfg, CLEAR_SKY, code_spec, mi_table, series=series, mi_samples=mi),
-                    run(cfg, CLEAR_SKY, code_spec, mi_table))
+    policy = derive_policy(cfg, CLEAR_SKY, code_spec, mi_table)
+    short = generate_series(CLEAR_SKY, 29.9, 1)
     with pytest.raises(ValueError, match="attenuation series shorter than the run duration"):
-        run(cfg, CLEAR_SKY, code_spec, mi_table, series=generate_series(CLEAR_SKY, 29.9, 1))
+        run(cfg, code_spec, policy, short, sample_mi(mi_table, short, cfg.es_n0_ref_db))
+    series = generate_series(CLEAR_SKY, cfg.duration_s, cfg.seed)
     with pytest.raises(ValueError, match="float64 array with one value per series sample"):
-        run(cfg, CLEAR_SKY, code_spec, mi_table, series=series, mi_samples=np.ones(2))
+        run(cfg, code_spec, policy, series, np.ones(2))
+
+
+def test_run_takes_five_positional_inputs_and_nothing_else():
+    params = inspect.signature(run).parameters.values()
+    assert [p.name for p in params] == ["config", "spec", "policy", "series", "mi_samples"]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD and p.default is p.empty for p in params)
+
+
+# A hand-built schedule at 8 bits/s: a 4-bit first burst takes 0.5 s, a 2-bit
+# retransmission 0.25 s, and the feedback is in 1 s after a burst ends.
+# Sample 0 (up to 2.375 s) carries 0.25 bits of MI per bit, sample 1 a full
+# bit. The budget of 8 * 0.25 = 2 takes a first burst in sample 1, or a
+# first burst in sample 0 and its retransmission in sample 1. Every time and
+# every accumulated MI is a binary fraction, so each one is exact.
+HAND_BUILT = dict(
+    # per burst
+    start=[0.0, 0.5, 1.0, 1.5, 1.75, 2.25, 2.5, 2.75],
+    bits=[4, 4, 4, 2, 4, 2, 2, 4],
+    codeword=[0, 1, 2, 0, 3, 1, 2, 4],
+    rho=[0.5] * 6 + [1.0] * 2,
+    # per codeword. Codewords 0 and 1 spend both their rounds in sample 0
+    # and stop undecoded: codeword 1's retransmission ends in sample 1 but
+    # starts in sample 0. Codeword 2 decodes on its retransmission, and
+    # codeword 4 on its first burst. The retransmissions of codewords 0 and
+    # 2 start the moment their feedback is in.
+    mi_acc=[0.25, 0.25, 0.5, 0.25, 1.0],
+    decode_time=[math.nan, math.nan, 3.25, math.nan, 3.75],
+    finished=[True, True, True, False, True],
+)
+
+
+@pytest.mark.parametrize("duration_s, bursts", [
+    # codeword 3's retransmission, due at 3.25 s, would end at 3.5 s
+    (3.4, 8),
+    # codeword 4's first burst would end at 3.25 s, so it never starts,
+    # and codeword 3 is cut off in the queue
+    (3.2, 7),
+])
+def test_a_hand_built_schedule_plays_burst_by_burst(duration_s, bursts, monkeypatch):
+    calls = [count_calls(monkeypatch, name)
+             for name in ("generate_series", "derive_policy", "calibration_cdf", "mi_of")]
+    cfg = SimConfig(scheme="classical", environment="hand-built", t_propag_s=0.5,
+                    bit_rate_bps=8.0, duration_s=duration_s)
+    spec = CodeSpec(data_bits=4, mother_codeword_bits=8, mi_req_per_bit=0.25)
+    policy = StaticBitTable((4, 2))
+    series = AttenuationSeries(rho=np.array([0.5, 1.0]), sample_dt_s=2.375)
+    log = run(cfg, spec, policy, series, np.array([0.25, 1.0]))
+
+    assert calls == [[], [], [], []]  # the schedule alone
+    assert log.burst_start_s.tolist() == HAND_BUILT["start"][:bursts]
+    assert log.burst_bits.tolist() == HAND_BUILT["bits"][:bursts]
+    assert log.burst_codeword.tolist() == HAND_BUILT["codeword"][:bursts]
+    assert log.burst_rho.tolist() == HAND_BUILT["rho"][:bursts]
+    n = max(HAND_BUILT["codeword"][:bursts]) + 1
+    assert log.mi_acc_per_bit.tolist() == HAND_BUILT["mi_acc"][:n]
+    assert np.array_equal(log.decode_time_s, HAND_BUILT["decode_time"][:n], equal_nan=True)
+    assert log.finished.tolist() == HAND_BUILT["finished"][:n]
+    assert log.policy is policy and log.data_bits == 4
 
 
 def test_no_fades_decode_on_first_transmission(code_spec, mi_table):
     cfg = SimConfig(environment="clear-sky", es_n0_ref_db=10.0, duration_s=30.0)
-    log = run(cfg, CLEAR_SKY, code_spec, mi_table)
+    log = run_one(cfg, CLEAR_SKY, code_spec, mi_table)
     assert log.generated > 500
     assert log.finished.all()
     assert log.decoded == log.generated
@@ -206,7 +280,7 @@ def test_classical_splits_a_shorter_mother_codeword(code_spec, mi_table):
     es_lin = bisection_mi_inverse(mi_table, 1.1 * spec.mi_req_per_bit)
     cfg = SimConfig(scheme="classical", environment="clear-sky",
                     es_n0_ref_db=10.0 * math.log10(es_lin), duration_s=30.0)
-    log = run(cfg, CLEAR_SKY, spec, mi_table)
+    log = run_one(cfg, CLEAR_SKY, spec, mi_table)
     assert log.generated > 100
     assert log.decoded == log.generated
     sent = {tuple(b for _, b, _ in bursts)
@@ -223,11 +297,11 @@ def test_a_codeword_that_meets_the_budget_exactly_decodes(code_spec, mi_table):
     assert spec.mi_budget == reached and is_decodable(spec, quarter, reached / quarter)
     cfg = SimConfig(scheme="classical", environment="clear-sky", es_n0_ref_db=CLEAR_SKY_ES_DB,
                     duration_s=5.0)
-    log = run(cfg, CLEAR_SKY, spec, mi_table)
+    log = run_one(cfg, CLEAR_SKY, spec, mi_table)
     assert log.generated > 100 and (log.n_transmissions == 1).all()
     # one ulp more and the first burst falls short
     spec = replace(spec, mi_req_per_bit=math.nextafter(spec.mi_req_per_bit, 1.0))
-    log = run(cfg, CLEAR_SKY, spec, mi_table)
+    log = run_one(cfg, CLEAR_SKY, spec, mi_table)
     assert log.finished.any() and (log.n_transmissions[log.finished] == 2).all()
 
 
@@ -360,8 +434,8 @@ def test_burst_totals_reconcile(its_run):
 
 def test_run_is_deterministic(its_model, code_spec, mi_table):
     cfg = SimConfig(environment="its", es_n0_ref_db=9.0, duration_s=60.0)
-    a = run(cfg, its_model, code_spec, mi_table)
-    b = run(cfg, its_model, code_spec, mi_table)
+    a = run_one(cfg, its_model, code_spec, mi_table)
+    b = run_one(cfg, its_model, code_spec, mi_table)
     assert a.total_bits == b.total_bits
     assert a.n_total_sent.tolist() == b.n_total_sent.tolist()
     assert a.finished.tolist() == b.finished.tolist()
@@ -375,7 +449,7 @@ def test_sweep_order_and_single_point_equivalence(code_spec, mi_table):
     stamps = [(lg.config.scheme, lg.config.es_n0_ref_db) for lg in logs]
     assert stamps == [("adaptive", 10.0), ("adaptive", 11.0),
                       ("classical", 10.0), ("classical", 11.0)]
-    solo = run(replace(base, scheme="adaptive", es_n0_ref_db=10.0),
+    solo = run_one(replace(base, scheme="adaptive", es_n0_ref_db=10.0),
                CLEAR_SKY, code_spec, mi_table)
     assert_same_log(logs[0], solo)
 
@@ -389,7 +463,7 @@ def test_rare_failures_at_the_low_end_of_the_sweep(its_grid):
 
 def test_another_seed_meets_the_same_tolerances(its_model, code_spec, mi_table):
     cfg = SimConfig(environment="its", es_n0_ref_db=10.0, seed=2)
-    log = run(cfg, its_model, code_spec, mi_table)
+    log = run_one(cfg, its_model, code_spec, mi_table)
     m = RunMetrics.from_log(log)
     targets = (0.5, 0.3, 0.1, 0.0999)
     assert m.generated >= 2000
@@ -425,7 +499,7 @@ def record_run(env, scheme, max_tx, spec, table, models):
     cfg = SimConfig(scheme=scheme, environment="clear-sky" if clear else env,
                     es_n0_ref_db=CLEAR_SKY_ES_DB if clear else 10.0,
                     duration_s=30.0 if clear else 120.0, max_transmissions=max_tx)
-    return run(cfg, models[env], spec, table)
+    return run_one(cfg, models[env], spec, table)
 
 
 RECORD_CASES = [
@@ -477,7 +551,7 @@ def test_codeword_records_are_pinned(env, scheme, max_tx, record_models, code_sp
 
 
 def count_calls(monkeypatch, name):
-    """Count the calls sim.run makes to a function of lmsharq.sim."""
+    """Count the calls made through a function's lmsharq.sim binding."""
     import lmsharq.sim as sim_mod
 
     calls = []
@@ -494,9 +568,9 @@ def count_calls(monkeypatch, name):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, code_spec, mi_table):
     cfg = SimConfig(scheme=scheme, environment="its", duration_s=60.0)
-    first = run(cfg, its_model, code_spec, mi_table)
+    first = run_one(cfg, its_model, code_spec, mi_table)
     calls = count_calls(monkeypatch, "calibration_cdf")
-    again = run(cfg, its_model, code_spec, mi_table)  # from the memoised CDF
+    again = run_one(cfg, its_model, code_spec, mi_table)  # from the memoised CDF
     assert len(calls) == (scheme != "classical")
     assert record_digest(again) == record_digest(first)
 
@@ -505,7 +579,7 @@ def test_only_threshold_policies_calibrate(scheme, monkeypatch, its_model, code_
 def test_only_threshold_policies_read_the_clear_sky_cdf(scheme, monkeypatch, code_spec, mi_table):
     calls = count_calls(monkeypatch, "calibration_cdf")
     cfg = SimConfig(scheme=scheme, environment="clear-sky", duration_s=5.0)
-    run(cfg, CLEAR_SKY, code_spec, mi_table)
+    run_one(cfg, CLEAR_SKY, code_spec, mi_table)
     assert len(calls) == (scheme != "classical")
 
 
@@ -607,7 +681,7 @@ def test_the_least_recently_used_calibration_is_evicted(monkeypatch):
 @pytest.mark.parametrize("scheme", SCHEMES)
 def test_a_run_shorter_than_its_first_burst_is_empty(scheme, its_model, code_spec, mi_table):
     cfg = SimConfig(scheme=scheme, environment="its", duration_s=0.01)
-    log = run(cfg, its_model, code_spec, mi_table)
+    log = run_one(cfg, its_model, code_spec, mi_table)
     for name, dtype in RUNLOG_COLUMNS.items():
         col = getattr(log, name)
         assert col.shape == (0,) and col.dtype == dtype, name
@@ -650,6 +724,19 @@ def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, code_spec, 
     assert len(run_calls) == len(logs) == 12
 
 
+def test_a_sweep_derives_one_policy_per_scheme_and_point(monkeypatch, its_model, code_spec,
+                                                        mi_table):
+    policy_calls = count_calls(monkeypatch, "derive_policy")
+    run_calls = count_calls(monkeypatch, "run")
+    logs = its_sweep(its_model, code_spec, mi_table)
+    # three schemes by two points, each played on both seeds
+    assert len(policy_calls) == 6
+    assert len(run_calls) == len(logs) == 12
+    for first, second in zip(logs[::2], logs[1::2]):
+        assert (first.config.seed, second.config.seed) == (3, 4)
+        assert second.policy is first.policy
+
+
 def test_a_sweep_log_carries_the_policy_of_its_config(its_model, code_spec, mi_table):
     clear = SimConfig(environment="clear-sky", duration_s=5.0, max_transmissions=2)
     logs = its_sweep(its_model, code_spec, mi_table) + sweep(
@@ -663,7 +750,7 @@ def test_a_sweep_log_carries_the_policy_of_its_config(its_model, code_spec, mi_t
 
 def test_sweep_runs_equal_standalone_runs(its_model, code_spec, mi_table):
     for log in its_sweep(its_model, code_spec, mi_table):
-        solo = run(log.config, its_model, code_spec, mi_table)
+        solo = run_one(log.config, its_model, code_spec, mi_table)
         assert_same_log(log, solo)
 
 
@@ -677,7 +764,7 @@ def test_a_long_run_leaves_the_collector_almost_nothing(scheme, its_model, code_
     gc.disable()
     try:
         before = len(gc.get_objects())
-        log = run(cfg, its_model, code_spec, mi_table)
+        log = run_one(cfg, its_model, code_spec, mi_table)
         added = len(gc.get_objects()) - before
     finally:
         if was:
@@ -722,7 +809,7 @@ def test_schedule_invariants_hold_on_the_columns(scheme, max_tx, clear_sky, dura
     model = CLEAR_SKY if clear_sky else its_model
     cfg = SimConfig(scheme=scheme, environment="clear-sky" if clear_sky else "its",
                     es_n0_ref_db=es_db, duration_s=duration_s, max_transmissions=max_tx)
-    log = run(cfg, model, spec, mi_table)
+    log = run_one(cfg, model, spec, mi_table)
     rate, rtt = cfg.bit_rate_bps, cfg.rtt_s
     start = log.burst_start_s.tolist()
     bits = log.burst_bits.tolist()
