@@ -234,7 +234,8 @@ def generate_series(
     direct *= per_sample([s.psi_db for s in model.states])
     direct += per_sample([s.alpha_db for s in model.states])
     direct /= 20.0
-    np.power(10.0, direct, out=direct)
+    with np.errstate(over="ignore"):  # an overflow leaves inf, rejected below
+        np.power(10.0, direct, out=direct)
     mp_lin = 10.0 ** (np.array([s.mp_db for s in model.states]) / 10.0)
 
     # diffuse = sigma * (re + 1j * im), real part drawn first
@@ -250,12 +251,11 @@ def generate_series(
     # np.abs, not np.hypot: the two can differ in the last bit
     rho = np.abs(diffuse)
     del diffuse
+    overflows = np.count_nonzero(~np.isfinite(rho))
+    if overflows:
+        raise ValueError(f"rho overflows a float in {overflows} of {n_samples} samples:"
+                         " the model's dB values are out of range")
     return AttenuationSeries(rho=rho, sample_dt_s=dt, state=np.repeat(states, counts))
-
-
-def empirical_cdf(series: AttenuationSeries) -> EmpiricalCdf:
-    # EmpiricalCdf sorts into a new array, which is the only copy made
-    return EmpiricalCdf(sorted_rho=series.rho)
 
 
 def quantile(cdf: EmpiricalCdf, q: float) -> float:

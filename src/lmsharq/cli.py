@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import functools
 import math
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from lmsharq import metrics, presets
-from lmsharq.channel import empirical_cdf, generate_series
+from lmsharq.channel import EmpiricalCdf, generate_series
 from lmsharq.errors import ConfigError, check_integer
 from lmsharq.fec import TARGET_WER, calibrate_mi_req, load_wer_curve
 from lmsharq.mi import (
@@ -73,20 +73,12 @@ def _parse_es_list(text: str) -> list[float]:
     return out
 
 
-def _config(args) -> SimConfig:
-    overrides = {}
-    for name in ("duration_s", "max_transmissions"):
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    return SimConfig(
-        scheme=getattr(args, "scheme", "adaptive"),
-        environment=args.env,
-        es_n0_ref_db=0.0,
-        probs_preset=getattr(args, "probs", None) or "case3",
-        seed=getattr(args, "seed", 1),
-        **overrides,
-    )
+def _config(args, **fields) -> SimConfig:
+    """The run's config from the options given and the fields named;
+    SimConfig fills in the rest."""
+    given = {f.name: getattr(args, f.name) for f in dataclasses.fields(SimConfig)
+             if getattr(args, f.name, None) is not None}
+    return SimConfig(**given, **fields)
 
 
 def _prepared(config: SimConfig):
@@ -103,13 +95,14 @@ def _write_rows(path: Path, header, rows) -> None:
 
 
 def _metric_row(log, n_bins: int) -> list[str]:
+    config = log.config
     m = metrics.RunMetrics.from_log(log)
     fractions = list(m.decode_fraction_per_transmission)[:n_bins]
     fractions += [0.0] * (n_bins - len(fractions))
     return (
-        [m.scheme, log.config.environment, _fmt(m.es_n0_ref_db), _fmt(m.efficiency_bits_per_symbol), _fmt(m.mean_delay_s)]
+        [config.scheme, config.environment, _fmt(config.es_n0_ref_db), _fmt(m.efficiency_bits_per_symbol), _fmt(m.mean_delay_s)]
         + [_fmt(f) for f in fractions]
-        + [_fmt(m.wer), str(m.seed)]
+        + [_fmt(m.wer), str(config.seed)]
     )
 
 
@@ -149,12 +142,12 @@ def cmd_calibrate(args) -> int:
 
 def cmd_channel(args) -> int:
     check_integer("seed", args.seed)
-    model = presets.load_environment(args.env)
+    model = presets.load_environment(args.environment)
     series = generate_series(model, args.duration_s, args.seed)
     series.to_csv(args.out)
     print(f"wrote {len(series.rho)} samples to {args.out}")
     if args.cdf_out:
-        cdf = empirical_cdf(series)
+        cdf = EmpiricalCdf(series.rho)
         n = len(cdf.sorted_rho)
         rows = (
             (_fmt(20.0 * math.log10(r)), _fmt((i + 1) / n))
@@ -166,17 +159,17 @@ def cmd_channel(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config = replace(_config(args), es_n0_ref_db=args.es_n0_db)
+    config = _config(args)
     model, spec, mi_table = _prepared(config)
     series = generate_series(model, config.duration_s, config.seed)
     policy = derive_policy(config, model, spec, mi_table)
     log = run(config, spec, policy, series, sample_mi(mi_table, series, config.es_n0_ref_db))
     _notes(config.max_transmissions, [log])
     m = metrics.RunMetrics.from_log(log)
-    print(f"scheme = {m.scheme}")
+    print(f"scheme = {config.scheme}")
     print(f"environment = {config.environment}")
-    print(f"es_n0_db = {_fmt(m.es_n0_ref_db)}")
-    print(f"seed = {m.seed}")
+    print(f"es_n0_db = {_fmt(config.es_n0_ref_db)}")
+    print(f"seed = {config.seed}")
     print(f"generated = {m.generated}")
     print(f"decoded = {m.decoded}")
     print(f"censored = {m.censored}")
@@ -212,9 +205,6 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     config = _config(args)
     schemes = [s for s in args.schemes.split(",") if s]
-    for s in schemes:
-        if s not in SCHEMES:
-            raise ConfigError(f"unknown scheme {s!r}, expected one of {SCHEMES}")
     es_list = _parse_es_list(args.esn0)
     seeds = _numbers([s for s in args.seeds.split(",") if s], int, args.seeds)
     if not schemes or not seeds:
@@ -245,15 +235,15 @@ def cmd_figures(args) -> int:
     recipe = FIGURES[args.which]
     out = Path(args.out_dir) / f"{args.which}.csv"
     es_list = _parse_es_list(args.esn0)
-    base = SimConfig(environment=recipe["env"], seed=args.seed)
+    base = _config(args, environment=recipe["env"])
     model, spec, mi_table = _prepared(base)
     n_bins = base.max_transmissions
     # a figure over probability presets carries each row's preset in an extra column
     probs = recipe.get("probs")
     rows, logs = [], []
     for preset in probs or (base.probs_preset,):
-        point = sweep(replace(base, probs_preset=preset), es_list, recipe["schemes"],
-                      [args.seed], model, spec=spec, mi_table=mi_table)
+        point = sweep(dataclasses.replace(base, probs_preset=preset), es_list, recipe["schemes"],
+                      [base.seed], model, spec=spec, mi_table=mi_table)
         logs += point
         rows += (_metric_row(log, n_bins) + ([preset] if probs else []) for log in point)
     _notes(n_bins, logs)
@@ -285,39 +275,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("channel", help="generate an attenuation series and export it")
-    p.add_argument("--env", default="its")
-    p.add_argument("--duration-s", type=float, default=600.0)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--env", dest="environment", default=SimConfig.environment)
+    p.add_argument("--duration-s", type=float, default=SimConfig.duration_s)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
     p.add_argument("--out", default="series.csv")
     p.add_argument("--cdf-out")
     p.set_defaults(func=cmd_channel)
 
     p = sub.add_parser("run", help="one simulation run, metrics on stdout")
-    p.add_argument("--scheme", default="adaptive", choices=SCHEMES)
-    p.add_argument("--env", default="its")
-    p.add_argument("--esn0", dest="es_n0_db", type=float, required=True)
-    p.add_argument("--probs", choices=sorted(PROB_PRESETS))
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--duration-s", dest="duration_s", type=float)
-    p.add_argument("--max-transmissions", dest="max_transmissions", type=int)
+    # the options that set a SimConfig field have its name and no default
+    p.add_argument("--scheme", choices=SCHEMES)
+    p.add_argument("--env", dest="environment")
+    p.add_argument("--esn0", dest="es_n0_ref_db", type=float, required=True)
+    p.add_argument("--probs", dest="probs_preset", choices=sorted(PROB_PRESETS))
+    p.add_argument("--seed", type=int)
+    p.add_argument("--duration-s", type=float)
+    p.add_argument("--max-transmissions", type=int)
     p.add_argument("--codewords-csv", help="also write one CSV row per codeword")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("sweep", help="cross-product of schemes and Es/N0 points, tidy CSV")
     p.add_argument("--schemes", default="classical,enhanced,adaptive")
     p.add_argument("--esn0", default="7:13:1")
-    p.add_argument("--env", default="its")
+    p.add_argument("--env", dest="environment")
     p.add_argument("--seeds", default="1")
-    p.add_argument("--probs", choices=sorted(PROB_PRESETS))
-    p.add_argument("--duration-s", dest="duration_s", type=float)
-    p.add_argument("--max-transmissions", dest="max_transmissions", type=int)
+    p.add_argument("--probs", dest="probs_preset", choices=sorted(PROB_PRESETS))
+    p.add_argument("--duration-s", type=float)
+    p.add_argument("--max-transmissions", type=int)
     p.add_argument("--out", default="sweep.csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figures", help="write the CSV behind one of the standard plots")
     p.add_argument("--which", required=True)
     p.add_argument("--esn0", default="7:13:1")
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_figures)
 
@@ -353,6 +344,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"configuration error: the run does not fit in memory: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:
         print(f"missing file or asset: {exc}", file=sys.stderr)

@@ -121,7 +121,4 @@ def calibrate_mi_req(
             frac = 0.0 if l1 == l0 else (log_t - l0) / (l1 - l0)
             es_op_db = e0 + frac * (e1 - e0)
             break
-    else:
-        # exact match on an endpoint
-        es_op_db = es[wer.index(target_wer)]
     return float(mi_of(mi_table, float(db_to_linear(es_op_db))))

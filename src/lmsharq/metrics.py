@@ -32,11 +32,9 @@ def delay(n_bits_total, n_transmissions, config: SimConfig):
 
 @dataclass(frozen=True)
 class RunMetrics:
-    """Summary bundle for one run."""
+    """Figures of merit and codeword counts of one run; the run's identity
+    is its log's config."""
 
-    scheme: str
-    es_n0_ref_db: float
-    seed: int
     generated: int
     decoded: int
     censored: int
@@ -62,15 +60,11 @@ class RunMetrics:
         decoded = ~np.isnan(log.decode_time_s)
         rounds = log.n_transmissions[decoded]
         delays = delay(log.n_total_sent[decoded], rounds, config)
-        n = int(np.count_nonzero(log.finished))
-        n_decoded = int(rounds.size)
+        n, n_decoded = log.generated, log.decoded
         bins = np.bincount(rounds - 1, minlength=log.effective_max_transmissions).astype(float)
         if n:
             bins /= n
         return cls(
-            scheme=config.scheme,
-            es_n0_ref_db=config.es_n0_ref_db,
-            seed=config.seed,
             generated=n,
             decoded=n_decoded,
             censored=len(log.finished) - n,

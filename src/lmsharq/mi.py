@@ -201,8 +201,8 @@ def build_mi_table(
 def mi_of(table: MiTable, es_n0_linear):
     """Per-bit MI at a linear Es/N0, clamped to the table range."""
     x = np.asarray(es_n0_linear, dtype=float)
-    if np.any(x <= 0.0):
-        raise ValueError("es_n0_linear must be positive")
+    if not ((0.0 < x) & (x < np.inf)).all():
+        raise ValueError("es_n0_linear must be positive and finite")
     out = np.interp(x, table.es_n0_linear, table.mi_per_bit)
     return float(out) if np.ndim(es_n0_linear) == 0 else out
 

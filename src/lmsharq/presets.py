@@ -38,19 +38,13 @@ def assets_dir() -> Path:
     return Path(str(resources.files("lmsharq") / "assets"))
 
 
-def environment_path(name: str) -> Path:
-    """Resolve a named environment or pass a file path through."""
-    if name in ENVIRONMENTS:
-        return assets_dir() / f"{name}.ini"
-    return Path(name)
-
-
 def load_environment(name: str) -> LmsModel | ClearSky:
-    """The channel a name stands for. "clear-sky" reads no file, so a file
-    of that name is passed as ./clear-sky."""
+    """The channel a name stands for: a shipped environment, clear sky or a
+    file path. "clear-sky" reads no file, so a file of that name is passed
+    as ./clear-sky."""
     if name == "clear-sky":
         return CLEAR_SKY
-    return load_model(environment_path(name))
+    return load_model(assets_dir() / f"{name}.ini" if name in ENVIRONMENTS else name)
 
 
 def load_reference_wer() -> list[tuple[float, float]]:
@@ -79,9 +73,7 @@ def default_mi_table() -> MiTable:
     return _mi_cache[key]
 
 
-def default_code_spec(mi_table: MiTable | None = None) -> CodeSpec:
+def default_code_spec(mi_table: MiTable) -> CodeSpec:
     """Mother code spec with MI requirement calibrated from the WER curve."""
-    if mi_table is None:
-        mi_table = default_mi_table()
     mi_req = fec.calibrate_mi_req(load_reference_wer(), fec.TARGET_WER, mi_table)
     return CodeSpec(mi_req_per_bit=mi_req)

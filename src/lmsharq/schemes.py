@@ -58,18 +58,19 @@ class DecodingProbTable:
         return len(self.p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class StaticBitTable:
     """Bits to send at each transmission for a table-driven policy.
 
-    notes holds the limits its builder met, one sentence each.
+    notes holds the limits its builder met, one sentence each. Immutable,
+    so one table can be played by every run of a sweep.
     """
 
     n_sent: tuple
     notes: tuple = ()
 
     def __post_init__(self):
-        self.n_sent = tuple(int(v) for v in self.n_sent)
+        object.__setattr__(self, "n_sent", tuple(int(v) for v in self.n_sent))
         if not self.n_sent:
             raise ValueError("bit table is empty")
         if any(v <= 0 for v in self.n_sent):
@@ -234,7 +235,9 @@ def build_enhanced_table(
     # bit for bit.
     picked, positions = _enhanced_draws(cdf.sorted_rho.size, len(probs.p))
     rho = cdf.sorted_rho.take(picked)
-    mi_draws = mi_of(mi_table, rho * rho * es_n0_ref_linear).take(positions)
+    with np.errstate(over="ignore"):  # an Es/N0 that overflows is inf, which mi_of rejects
+        es_n0 = rho * rho * es_n0_ref_linear
+    mi_draws = mi_of(mi_table, es_n0).take(positions)
     acc = mi_draws[0] * n_1
     # Work buffers for the decode test of every draw. Counting the draws
     # that decode and dividing once is np.mean of the mask, bit for bit:

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from lmsharq.channel import (
-    AttenuationSeries, ClearSky, EmpiricalCdf, LmsModel, empirical_cdf, generate_series,
+    AttenuationSeries, ClearSky, EmpiricalCdf, LmsModel, generate_series,
 )
 from lmsharq.errors import ConfigError, check_integer
 # is_decodable and mi_update are bound here for bench/spans.py, which wraps them by name
@@ -151,7 +151,7 @@ def calibration_cdf(model: LmsModel | ClearSky) -> EmpiricalCdf:
     8 * 3600 * speed_mps / sample_frame_m bytes: 4.8 MB for the shipped
     environments, and one sample for clear sky.
     """
-    return empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
+    return EmpiricalCdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED).rho)
 
 
 def derive_policy(
@@ -186,8 +186,11 @@ def derive_policy(
 
 def sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_ref_db: float) -> np.ndarray:
     """Per-bit MI of every sample of the series at an Es/N0 in dB, one
-    float64 per sample: the mi_samples of run."""
-    return mi_of(mi_table, series.rho * series.rho * float(db_to_linear(es_n0_ref_db)))
+    float64 per sample: the mi_samples of run. An Es/N0 that overflows is
+    inf, which mi_of rejects."""
+    with np.errstate(over="ignore"):
+        es_n0 = series.rho * series.rho * float(db_to_linear(es_n0_ref_db))
+    return mi_of(mi_table, es_n0)
 
 
 def run(
@@ -309,7 +312,7 @@ def sweep(
     policy does not depend on the seed, so each scheme and point derives
     its policy once and plays it on every seed.
     """
-    seeds = [int(seed) for seed in seeds]
+    seeds = list(seeds)
     es_n0_list_db = [float(es_db) for es_db in es_n0_list_db]
     # every run's config first, so a bad scheme or Es/N0 fails before any work
     configs = [replace(base_config, scheme=scheme, es_n0_ref_db=es_db, seed=seed)

@@ -21,7 +21,6 @@ from lmsharq.channel import (
     EmpiricalCdf,
     LmsModel,
     LooParams,
-    empirical_cdf,
     generate_series,
     load_model,
     quantile,
@@ -255,7 +254,7 @@ def test_empirical_cdf_makes_one_copy_and_leaves_the_series_alone(its_model):
     before = series.rho.copy()
     tracemalloc.start()
     try:
-        cdf = empirical_cdf(series)
+        cdf = EmpiricalCdf(series.rho)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -317,7 +316,7 @@ def test_per_state_loo_marginals(its_model):
 def test_constant_series_gives_a_step_cdf():
     series = AttenuationSeries(rho=np.ones(3), sample_dt_s=1.0)
     assert series.time_s.tolist() == [0.0, 1.0, 2.0]
-    cdf = empirical_cdf(series)
+    cdf = EmpiricalCdf(series.rho)
     assert _cdf_eval(cdf, 1.0) == 1.0
     assert _cdf_eval(cdf, 1.0 - 1e-9) == 0.0
     for q in (0.0, 0.3, 1.0):
@@ -372,7 +371,7 @@ def test_quantile_cdf_round_trip(its_calib_cdf):
 
 def test_quantile_against_counting_oracle(its_model):
     series = generate_series(its_model, 100.0, seed=14)
-    cdf = empirical_cdf(series)
+    cdf = EmpiricalCdf(series.rho)
     rng = np.random.default_rng(424242)
     q = rng.random(1000)
     claimed = np.array([quantile(cdf, float(v)) for v in q])

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
-from lmsharq.cli import _parse_es_list, main
+from lmsharq.cli import _parse_es_list, build_parser, main
 from lmsharq.errors import ConfigError
+from lmsharq.sim import SimConfig
 
 EXPECTED_SWEEP_HEADER = [
     "scheme", "environment", "es_n0_db", "efficiency", "mean_delay_s",
@@ -177,6 +179,22 @@ def test_run_output_is_reproducible(tmp_path, capsys):
     assert csv_path.read_bytes() == first_bytes
     assert "scheme = adaptive" in first_out
     assert "efficiency_bits_per_symbol = " in first_out
+
+
+def test_run_options_leave_every_other_config_field_unset():
+    args = build_parser().parse_args(["run", "--esn0", "10"])
+    given = {f.name: getattr(args, f.name, None) for f in dataclasses.fields(SimConfig)}
+    assert given == {**dict.fromkeys(given), "es_n0_ref_db": 10.0}
+
+
+def test_a_run_prints_the_same_bytes_with_its_defaults_spelled_out(capsys):
+    argv = ["run", "--esn0", "10", "--duration-s", "30"]
+    assert main(argv) == 0
+    short = capsys.readouterr()
+    d = SimConfig()
+    assert main(argv + ["--scheme", d.scheme, "--env", d.environment, "--probs", d.probs_preset,
+                        "--seed", str(d.seed), "--max-transmissions", str(d.max_transmissions)]) == 0
+    assert capsys.readouterr() == short
 
 
 def test_sweep_writes_the_tidy_layout(tmp_path):
@@ -423,26 +441,8 @@ def test_a_clear_sky_environment_reads_no_file(tmp_path, monkeypatch, capsys):
     assert "malformed model parameter file clear-sky" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("speed_mps", "inf"), ("row1", "nan 0.5 0.5")])
-def test_a_non_finite_environment_file_exits_four(key, value, tmp_path, capsys):
-    from lmsharq import presets
-
-    lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
-    at = next(i for i, line in enumerate(lines) if line.split("=")[0].strip() == key)
-    lines[at] = f"{key} = {value}"
-    env = tmp_path / "edited.ini"
-    env.write_text("\n".join(lines) + "\n")
-    assert main(["run", "--env", str(env), "--esn0", "10", "--duration-s", "5"]) == 4
-    assert "finite" in capsys.readouterr().err
-
-
-@pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("state, key, value, what", [
-    (1, "alpha_db", "7000", "amplitude"), (2, "mp_db", "4000", "power"),
-])
-def test_an_environment_file_whose_db_value_overflows_exits_four(state, key, value, what,
-                                                                 tmp_path, capsys):
-    # finite in dB, but 10^(7000 / 20) and 10^(4000 / 10) overflow a float
+def edited_its(tmp_path, key, value, state=1):
+    """A copy of its.ini whose first `key` line from [state.<state>] on is `key = value`."""
     from lmsharq import presets
 
     lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
@@ -451,11 +451,64 @@ def test_an_environment_file_whose_db_value_overflows_exits_four(state, key, val
     lines[at] = f"{key} = {value}"
     env = tmp_path / "edited.ini"
     env.write_text("\n".join(lines) + "\n")
-    assert main(["run", "--env", str(env), "--esn0", "10", "--duration-s", "30"]) == 4
+    return str(env)
+
+
+@pytest.mark.parametrize("key, value", [("speed_mps", "inf"), ("row1", "nan 0.5 0.5")])
+def test_a_non_finite_environment_file_exits_four(key, value, tmp_path, capsys):
+    env = edited_its(tmp_path, key, value)
+    assert main(["run", "--env", env, "--esn0", "10", "--duration-s", "5"]) == 4
+    assert "finite" in capsys.readouterr().err
+
+
+OVERFLOW_ERRORS = {
+    "amplitude": "alpha_db 7000 dB is out of range: its linear amplitude inf is not a finite,"
+                 " normal float",
+    "power": "mp_db 4000 dB is out of range: its linear power inf is not a finite, normal float",
+    "rho": "rho overflows a float in 63 of 5000 samples: the model's dB values are out of range",
+    "es_n0": "es_n0_linear must be positive and finite",
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("state, key, value, what", [
+    (1, "alpha_db", "7000", "amplitude"), (2, "mp_db", "4000", "power"),
+    (1, "psi_db", "3000", "rho"), (2, "mp_db", "3080", "es_n0"),
+])
+def test_an_environment_file_whose_db_value_overflows_exits_four(state, key, value, what,
+                                                                 tmp_path, capsys):
+    # Finite in dB, but 10^(7000 / 20) and 10^(4000 / 10) overflow a float. So do a
+    # direct ray 10^(3000 z / 20) for a normal draw z above 2.1, and rho * rho * Es/N0
+    # where a 3080 dB multipath power makes rho about 10^154.
+    env = edited_its(tmp_path, key, value, state)
+    assert main(["run", "--env", env, "--esn0", "10", "--duration-s", "30"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"invalid data: {key} {value} dB is out of range: its linear {what}"
-                            " inf is not a finite, normal float\n")
+    assert captured.err == f"invalid data: {OVERFLOW_ERRORS[what]}\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_channel_series_that_overflows_exits_four(tmp_path, capsys):
+    env = edited_its(tmp_path, "psi_db", "3000")
+    out = tmp_path / "series.csv"
+    assert main(["channel", "--env", env, "--duration-s", "30", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == f"invalid data: {OVERFLOW_ERRORS['rho']}\n"
+    assert not out.exists()
+
+
+def test_a_run_too_large_for_memory_is_a_configuration_error(monkeypatch, capsys):
+    from lmsharq import cli
+
+    def out_of_memory(*args):
+        # what NumPy raises for a 1e9 s series, without allocating it
+        raise MemoryError("Unable to allocate 24.8 GiB for an array with shape"
+                          " (3333333333,) and data type float64")
+
+    monkeypatch.setattr(cli, "generate_series", out_of_memory)
+    assert main(["run", "--esn0", "10", "--duration-s", "1e9"]) == 2
+    assert capsys.readouterr().err == (
+        "configuration error: the run does not fit in memory: Unable to allocate 24.8 GiB"
+        " for an array with shape (3333333333,) and data type float64\n")
 
 
 def test_a_run_with_no_burst_is_an_empty_log_error(capsys):

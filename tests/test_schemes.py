@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmsharq.channel import EmpiricalCdf, empirical_cdf, generate_series, quantile
+from lmsharq.channel import EmpiricalCdf, generate_series, quantile
 from lmsharq.fec import CodeSpec
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
@@ -29,7 +29,7 @@ from lmsharq.schemes import (
 
 @pytest.fixture(scope="module")
 def small_cdf(its_model):
-    return empirical_cdf(generate_series(its_model, 100.0, seed=5))
+    return EmpiricalCdf(generate_series(its_model, 100.0, seed=5).rho)
 
 
 def test_probability_table_validation():

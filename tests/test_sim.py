@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from conftest import run_one
 from oracles import bisection_mi_inverse
 from lmsharq.channel import (
-    CLEAR_SKY, AttenuationSeries, LmsModel, LooParams, empirical_cdf, generate_series,
+    CLEAR_SKY, AttenuationSeries, EmpiricalCdf, LmsModel, LooParams, generate_series,
 )
 from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec, is_decodable, mi_update
@@ -91,6 +91,14 @@ def test_a_config_cannot_change_after_its_checks():
     with pytest.raises(ConfigError, match="scheme"):
         replace(cfg, scheme="hybrid")
     assert {cfg: 1}[replace(cfg, seed=1)] == 1
+
+
+def test_a_bit_table_cannot_change_after_its_checks():
+    # a sweep plays one policy on every seed
+    table = StaticBitTable((13380, 13380))
+    with pytest.raises(FrozenInstanceError):
+        table.n_sent = (0,)
+    assert table.n_sent == (13380, 13380)
 
 
 def test_config_consistency_checks():
@@ -647,7 +655,7 @@ def test_a_model_changed_in_place_is_calibrated_again(field, its_model):
     before = calibration_cdf(its_model)
     model = MODEL_CHANGES[field](its_model)
     got = calibration_cdf(model)
-    want = empirical_cdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED))
+    want = EmpiricalCdf(generate_series(model, CALIB_DURATION_S, CALIB_SEED).rho)
     assert got.sorted_rho.tobytes() == want.sorted_rho.tobytes()
     assert got.sorted_rho.tobytes() != before.sorted_rho.tobytes()
 
@@ -735,6 +743,14 @@ def test_a_sweep_derives_one_policy_per_scheme_and_point(monkeypatch, its_model,
     for first, second in zip(logs[::2], logs[1::2]):
         assert (first.config.seed, second.config.seed) == (3, 4)
         assert second.policy is first.policy
+
+
+@pytest.mark.parametrize("seed", [1.5, True, "2"])
+def test_a_sweep_seed_that_is_not_an_integer_is_a_configuration_error(seed, its_model, code_spec,
+                                                                      mi_table):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        sweep(SimConfig(duration_s=5.0), [10.0], ["classical"], [seed], its_model,
+              spec=code_spec, mi_table=mi_table)
 
 
 def test_a_sweep_log_carries_the_policy_of_its_config(its_model, code_spec, mi_table):
