@@ -15,6 +15,7 @@ import csv
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -170,8 +171,28 @@ def _markov_walk(cum: np.ndarray, u: np.ndarray, first: int) -> np.ndarray:
     return np.array(states, dtype=np.int64)
 
 
+@lru_cache(maxsize=8)
+def _chain(model: LmsModel):
+    """The model's constants that generate_series reads: the cumulative
+    stationary vector, the cumulative transition rows and the per-state
+    psi_db, alpha_db and diffuse sigma arrays, read-only."""
+    mp_lin = 10.0 ** (np.array([s.mp_db for s in model.states]) / 10.0)
+    constants = (
+        np.cumsum(model.stationary()),
+        np.cumsum(model.transition_matrix, axis=1),
+        np.array([s.psi_db for s in model.states]),
+        np.array([s.alpha_db for s in model.states]),
+        np.sqrt(mp_lin / 2.0),
+    )
+    for a in constants:
+        a.setflags(write=False)
+    return constants
+
+
+@lru_cache(maxsize=8)
 def _epoch_counts(n_samples: int, sample_frame_m: float, state_frame_m: float) -> np.ndarray:
-    """Number of samples in each state epoch.
+    """Number of samples in each state epoch, read-only: the process keeps
+    the counts of the last eight argument triples.
 
     Sample i belongs to epoch float(i) * sample_frame_m // state_frame_m,
     which never decreases with i. Each epoch e >= 1 therefore starts at the
@@ -194,7 +215,9 @@ def _epoch_counts(n_samples: int, sample_frame_m: float, state_frame_m: float) -
     if below[:, -1].any() or not below[:, 0].all():
         raise RuntimeError("epoch boundary outside its search window")
     starts = guess - 2 + below.sum(axis=1)
-    return np.diff(starts, prepend=0, append=n_samples)
+    counts = np.diff(starts, prepend=0, append=n_samples)
+    counts.setflags(write=False)
+    return counts
 
 
 def generate_series(
@@ -219,24 +242,24 @@ def generate_series(
     dt = model.sample_frame_m / model.speed_mps
     n_samples = int(np.ceil(duration_s / dt))
     counts = _epoch_counts(n_samples, model.sample_frame_m, model.state_frame_m)
+    cum_stationary, cum_rows, psi_db, alpha_db, sigma = _chain(model)
 
     u = rng.random(len(counts))
-    first = int(np.searchsorted(np.cumsum(model.stationary()), u[0]))
-    states = _markov_walk(np.cumsum(model.transition_matrix, axis=1), u, first)
+    first = int(np.searchsorted(cum_stationary, u[0]))
+    states = _markov_walk(cum_rows, u, first)
 
     def per_sample(values):
-        return np.repeat(np.asarray(values)[states], counts)
+        return np.repeat(values[states], counts)
 
     # Long calibration series make every n_samples array count, so
     # temporaries are freed as soon as they are used and updated in place.
     # Generator.normal(alpha, psi) is alpha + psi * standard_normal.
     direct = rng.standard_normal(n_samples)
-    direct *= per_sample([s.psi_db for s in model.states])
-    direct += per_sample([s.alpha_db for s in model.states])
+    direct *= per_sample(psi_db)
+    direct += per_sample(alpha_db)
     direct /= 20.0
     with np.errstate(over="ignore"):  # an overflow leaves inf, rejected below
         np.power(10.0, direct, out=direct)
-    mp_lin = 10.0 ** (np.array([s.mp_db for s in model.states]) / 10.0)
 
     # diffuse = sigma * (re + 1j * im), real part drawn first
     diffuse = np.empty(n_samples, dtype=np.complex128)
@@ -245,7 +268,7 @@ def generate_series(
     rng.standard_normal(out=draw)
     diffuse.imag = draw
     del draw
-    diffuse *= per_sample(np.sqrt(mp_lin / 2.0))
+    diffuse *= per_sample(sigma)
     diffuse += direct
     del direct
     # np.abs, not np.hypot: the two can differ in the last bit
@@ -268,14 +291,17 @@ def quantile(cdf: EmpiricalCdf, q: float) -> float:
     return float(cdf.sorted_rho[k])
 
 
-def load_model(path) -> LmsModel:
-    """Read a model parameter file (INI format, see shipped assets)."""
+def load_model(path, data: bytes | None = None) -> LmsModel:
+    """Read a model parameter file (INI format, see shipped assets), or
+    parse its content `data`; path then only names the file in errors."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"model parameter file not found: {path}")
+    if data is None:
+        if not path.exists():
+            raise FileNotFoundError(f"model parameter file not found: {path}")
+        data = path.read_bytes()
     parser = configparser.ConfigParser()
     try:
-        parser.read(path)
+        parser.read_string(data.decode(), source=str(path))
         states = tuple(
             LooParams(
                 alpha_db=parser.getfloat(f"state.{k}", "alpha_db"),

@@ -351,7 +351,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file or asset: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, IsADirectoryError) as exc:  # a directory where a file is read
         print(f"invalid data: {exc}", file=sys.stderr)
         return 4
 

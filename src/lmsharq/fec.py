@@ -75,12 +75,13 @@ def is_decodable(spec: CodeSpec, total_bits_sent: int, mi_acc_per_bit: float) ->
     return total_bits_sent * mi_acc_per_bit >= spec.mi_budget
 
 
-def load_wer_curve(path) -> list[tuple[float, float]]:
-    """Read an (es_n0_db, wer) curve, ordered by increasing Es/N0."""
+def load_wer_curve(path, data: bytes | None = None) -> list[tuple[float, float]]:
+    """Read an (es_n0_db, wer) curve, ordered by increasing Es/N0, from
+    the file or from its content `data`."""
     path = Path(path)
-    if not path.exists():
+    if data is None and not path.exists():
         raise FileNotFoundError(f"WER curve file not found: {path}")
-    curve = read_csv_pairs(path, WER_CSV_HEADER)
+    curve = read_csv_pairs(path, WER_CSV_HEADER, data)
     if len(curve) < 2:
         raise ValueError(f"WER curve in {path} has fewer than two points")
     return curve

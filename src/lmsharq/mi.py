@@ -9,6 +9,7 @@ of bits carried by one symbol.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +51,9 @@ class MiTable:
     """Tabulated per-bit mutual information on an increasing Es/N0 grid.
 
     Immutable: it keeps its own read-only copies of both arrays, so the
-    checks below cannot be undone through the caller's arrays.
+    checks below cannot be undone through the caller's arrays. np.interp
+    copies a read-only array on every call, so mi_of reads a private
+    writable copy of each.
     """
 
     es_n0_linear: np.ndarray
@@ -59,6 +62,7 @@ class MiTable:
     def __post_init__(self):
         for name in ("es_n0_linear", "mi_per_bit"):
             values = np.array(getattr(self, name), dtype=float)
+            object.__setattr__(self, "_interp_" + name, values.copy())
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         if self.es_n0_linear.ndim != 1 or self.es_n0_linear.size < 2:
@@ -203,7 +207,7 @@ def mi_of(table: MiTable, es_n0_linear):
     x = np.asarray(es_n0_linear, dtype=float)
     if not ((0.0 < x) & (x < np.inf)).all():
         raise ValueError("es_n0_linear must be positive and finite")
-    out = np.interp(x, table.es_n0_linear, table.mi_per_bit)
+    out = np.interp(x, table._interp_es_n0_linear, table._interp_mi_per_bit)
     return float(out) if np.ndim(es_n0_linear) == 0 else out
 
 
@@ -216,32 +220,34 @@ def save_mi_csv(table: MiTable, path) -> None:
             writer.writerow([f"{linear_to_db(x):.6g}", f"{y:.6g}"])
 
 
-def read_csv_pairs(path, header: tuple) -> list[tuple[float, float]]:
+def read_csv_pairs(path, header: tuple, data: bytes | None = None) -> list[tuple[float, float]]:
     """The number pairs of a two-column CSV file under the given header.
 
-    Blank lines are skipped; any other row that is not two numbers is a
-    ValueError naming its line.
+    data is the file's content when the caller has read it; path then
+    only names the file in errors. Blank lines are skipped; any other row
+    that is not two numbers is a ValueError naming its line.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
-        if first is None or tuple(h.strip() for h in first) != header:
-            raise ValueError(f"expected header {','.join(header)} in {path}")
-        rows = []
-        for row in filter(None, reader):
-            try:
-                x, y = map(float, row)
-            except ValueError:
-                raise ValueError(
-                    f"line {reader.line_num} of {path}: expected two numbers, got {row}"
-                ) from None
-            rows.append((x, y))
+    if data is None:
+        data = path.read_bytes()
+    reader = csv.reader(io.StringIO(data.decode(), newline=""))
+    first = next(reader, None)
+    if first is None or tuple(h.strip() for h in first) != header:
+        raise ValueError(f"expected header {','.join(header)} in {path}")
+    rows = []
+    for row in filter(None, reader):
+        try:
+            x, y = map(float, row)
+        except ValueError:
+            raise ValueError(
+                f"line {reader.line_num} of {path}: expected two numbers, got {row}"
+            ) from None
+        rows.append((x, y))
     return rows
 
 
-def load_mi_csv(path) -> MiTable:
-    rows = read_csv_pairs(path, CSV_HEADER)
+def load_mi_csv(path, data: bytes | None = None) -> MiTable:
+    rows = read_csv_pairs(path, CSV_HEADER, data)
     if len(rows) < 2:
         raise ValueError(f"table in {path} has fewer than two rows")
     grid_db = np.array([r[0] for r in rows])

@@ -24,6 +24,32 @@ ASSETS_ENV_VAR = "LMSHARQ_ASSETS"
 ENVIRONMENTS = ("its", "open")
 MI_TABLE_ASSET = "qpsk_mi.csv"
 WER_CURVE_ASSET = "turbo_8920_r16_wer.csv"
+_PACKAGE_ASSETS = Path(str(resources.files("lmsharq") / "assets"))
+
+# Values kept per kind; each is a few kB. A file's value is keyed by its
+# path and bytes, the code spec by the WER curve and the MI table's arrays.
+_KEPT = 4
+_mi_cache: dict = {}
+_model_cache: dict = {}
+_wer_cache: dict = {}
+_spec_cache: dict = {}
+
+
+def _kept(cache: dict, key, make):
+    """cache[key], made on a miss; the oldest key goes once the cache is full."""
+    if key not in cache:
+        value = make()
+        if len(cache) >= _KEPT:
+            del cache[next(iter(cache))]
+        cache[key] = value
+    return cache[key]
+
+
+def _parsed(cache: dict, load, path: Path):
+    """load(path, data) of the file's bytes as read now, kept per (path,
+    bytes): the same bytes give the same value, an edited file a new one."""
+    data = path.read_bytes()
+    return _kept(cache, (str(path), data), lambda: load(path, data))
 
 
 def assets_dir() -> Path:
@@ -35,7 +61,7 @@ def assets_dir() -> Path:
                 f"{ASSETS_ENV_VAR} points at {override!r}, which is not a directory"
             )
         return path
-    return Path(str(resources.files("lmsharq") / "assets"))
+    return _PACKAGE_ASSETS
 
 
 def load_environment(name: str) -> LmsModel | ClearSky:
@@ -44,14 +70,13 @@ def load_environment(name: str) -> LmsModel | ClearSky:
     as ./clear-sky."""
     if name == "clear-sky":
         return CLEAR_SKY
-    return load_model(assets_dir() / f"{name}.ini" if name in ENVIRONMENTS else name)
+    path = assets_dir() / f"{name}.ini" if name in ENVIRONMENTS else Path(name)
+    return _parsed(_model_cache, load_model, path)
 
 
-def load_reference_wer() -> list[tuple[float, float]]:
-    return fec.load_wer_curve(assets_dir() / WER_CURVE_ASSET)
-
-
-_mi_cache: dict[str, MiTable] = {}
+def load_reference_wer() -> tuple[tuple[float, float], ...]:
+    return _parsed(_wer_cache, lambda path, data: tuple(fec.load_wer_curve(path, data)),
+                   assets_dir() / WER_CURVE_ASSET)
 
 
 def default_mi_table() -> MiTable:
@@ -61,19 +86,18 @@ def default_mi_table() -> MiTable:
     rebuild; `lmsharq mi-table --out <dir>/qpsk_mi.csv` writes the default
     table, which reproduces the shipped file bit for bit.
     """
-    key = str(assets_dir())
-    if key not in _mi_cache:
-        path = Path(key) / MI_TABLE_ASSET
-        if not path.is_file():
-            raise FileNotFoundError(
-                f"no MI table at {path}; create it with "
-                f"`lmsharq mi-table --out {path}`"
-            )
-        _mi_cache[key] = load_mi_csv(path)
-    return _mi_cache[key]
+    path = assets_dir() / MI_TABLE_ASSET
+    if not path.exists():
+        raise FileNotFoundError(
+            f"no MI table at {path}; create it with "
+            f"`lmsharq mi-table --out {path}`"
+        )
+    return _parsed(_mi_cache, load_mi_csv, path)
 
 
 def default_code_spec(mi_table: MiTable) -> CodeSpec:
     """Mother code spec with MI requirement calibrated from the WER curve."""
-    mi_req = fec.calibrate_mi_req(load_reference_wer(), fec.TARGET_WER, mi_table)
-    return CodeSpec(mi_req_per_bit=mi_req)
+    curve = load_reference_wer()
+    key = (curve, mi_table.es_n0_linear.tobytes(), mi_table.mi_per_bit.tobytes())
+    return _kept(_spec_cache, key, lambda: CodeSpec(
+        mi_req_per_bit=fec.calibrate_mi_req(curve, fec.TARGET_WER, mi_table)))

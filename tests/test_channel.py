@@ -16,6 +16,7 @@ from lmsharq.channel import (
     CLEAR_SKY,
     AttenuationSeries,
     ClearSky,
+    _chain,
     _epoch_counts,
     _markov_walk,
     EmpiricalCdf,
@@ -247,6 +248,28 @@ def test_epoch_counts_with_equal_frames(n, frame_m):
 @pytest.mark.parametrize("sample_frame_m, state_frame_m", [(0.1, 5.0), (0.3, 7.0), (0.07, 1.1)])
 def test_epoch_counts_at_calibration_length(sample_frame_m, state_frame_m):
     assert_epochs_match_division(600_000, sample_frame_m, state_frame_m)
+
+
+def test_epoch_counts_are_kept_read_only():
+    counts = _epoch_counts(1001, 0.1, 5.0)
+    assert _epoch_counts(1001, 0.1, 5.0) is counts
+    with pytest.raises(ValueError, match="read-only"):
+        counts[0] = 0
+    assert_epochs_match_division(1001, 0.1, 5.0)
+
+
+def test_a_models_chain_constants_are_kept_read_only(its_model):
+    constants = _chain(its_model)
+    assert _chain(dataclasses.replace(its_model)) is constants  # an equal model
+    for array in constants:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    cum_stationary, cum_rows, psi_db, alpha_db, sigma = constants
+    assert np.array_equal(cum_stationary, np.cumsum(its_model.stationary()))
+    assert np.array_equal(cum_rows, np.cumsum(its_model.transition_matrix, axis=1))
+    assert psi_db.tolist() == [s.psi_db for s in its_model.states]
+    assert alpha_db.tolist() == [s.alpha_db for s in its_model.states]
+    assert sigma.tolist() == [math.sqrt(10.0 ** (s.mp_db / 10.0) / 2.0) for s in its_model.states]
 
 
 def test_empirical_cdf_makes_one_copy_and_leaves_the_series_alone(its_model):

@@ -649,6 +649,155 @@ def test_an_environment_file_edited_between_calls_is_read_again(named, tmp_path,
     assert "finite" in capsys.readouterr().err
 
 
+def shipped_assets(directory):
+    """A new directory holding a copy of each shipped asset file."""
+    from lmsharq import presets
+
+    directory.mkdir()
+    for asset in presets.assets_dir().iterdir():
+        (directory / asset.name).write_bytes(asset.read_bytes())
+    return directory
+
+
+def shift_db(text):
+    """A two-column CSV with its first column, in dB, 1 dB higher."""
+    head, *rows = text.splitlines()
+    return "\n".join([head] + [f"{float(x) + 1.0!r},{y}" for x, y in (r.split(",") for r in rows)]) + "\n"
+
+
+# asset: (an edit that changes the output, the command that reads it)
+ASSET_EDITS = {
+    "its.ini": (lambda text: text.replace("alpha_db = -4.0", "alpha_db = -6.0"),
+                "run --esn0 10 --duration-s 30"),
+    "turbo_8920_r16_wer.csv": (shift_db, "calibrate"),
+    "qpsk_mi.csv": (shift_db, "calibrate"),
+}
+
+
+@pytest.mark.parametrize("asset", sorted(ASSET_EDITS))
+def test_an_asset_edited_between_calls_is_read_again(asset, tmp_path, monkeypatch, capsys):
+    from lmsharq import presets
+
+    edit, argv = ASSET_EDITS[asset]
+    live = shipped_assets(tmp_path / "live")
+    monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(live))
+    assert main(argv.split()) == 0
+    before = capsys.readouterr().out
+    (live / asset).write_text(edit((live / asset).read_text()))
+    assert main(argv.split()) == 0
+    after = capsys.readouterr().out
+    # the edited files in a directory no call has read yet
+    monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(shipped_assets(tmp_path / "fresh")))
+    (tmp_path / "fresh" / asset).write_bytes((live / asset).read_bytes())
+    assert main(argv.split()) == 0
+    assert after == capsys.readouterr().out != before
+
+
+ASSET_LOADS = {
+    "its.ini": ("load_model", lambda presets: presets.load_environment("its")),
+    "turbo_8920_r16_wer.csv": ("fec.load_wer_curve", lambda presets: presets.load_reference_wer()),
+    "qpsk_mi.csv": ("load_mi_csv", lambda presets: presets.default_mi_table()),
+}
+
+
+def count_preset_calls(monkeypatch, presets, name):
+    """The first argument of each call presets makes to `name` ("fec.x" for one of fec's)."""
+    module = presets.fec if name.startswith("fec.") else presets
+    name = name.removeprefix("fec.")
+    real, calls = getattr(module, name), []
+
+    def counting(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("asset", sorted(ASSET_LOADS))
+def test_an_assets_bytes_are_parsed_once_however_often_it_is_loaded(asset, tmp_path, monkeypatch):
+    from lmsharq import presets
+
+    parser, load = ASSET_LOADS[asset]
+    live = shipped_assets(tmp_path / "live")
+    monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(live))
+    calls = count_preset_calls(monkeypatch, presets, parser)
+    first = load(presets)
+    assert all(load(presets) is first for _ in range(5))
+    assert calls == [live / asset]
+    shipped = (live / asset).read_bytes()
+    (live / asset).write_text(ASSET_EDITS[asset][0](shipped.decode()))
+    edited = load(presets)
+    assert edited is not first
+    assert load(presets) is edited and len(calls) == 2
+    # the same bytes again give the same value, parsed once
+    (live / asset).write_bytes(shipped)
+    assert load(presets) is first and len(calls) == 2
+
+
+# asset: an edit that leaves it malformed
+ASSET_BREAKS = {
+    "its.ini": lambda text: text.replace("[state.1]", "[state.9]"),
+    "turbo_8920_r16_wer.csv": lambda text: text.replace("es_n0_db", "es_n0"),
+    "qpsk_mi.csv": lambda text: text.replace("es_n0_db", "es_n0"),
+}
+
+
+@pytest.mark.parametrize("asset", sorted(ASSET_BREAKS))
+def test_a_malformed_asset_names_its_own_path_on_every_load(asset, tmp_path, monkeypatch):
+    from lmsharq import presets
+
+    _, load = ASSET_LOADS[asset]
+    for name in ("a", "b"):
+        broken = shipped_assets(tmp_path / name) / asset
+        broken.write_text(ASSET_BREAKS[asset](broken.read_text()))
+        monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(tmp_path / name))
+        for _ in range(2):
+            with pytest.raises(ValueError) as error:
+                load(presets)
+            assert str(broken) in str(error.value)
+
+
+def test_the_code_spec_is_calibrated_once_per_curve_and_table(monkeypatch):
+    from lmsharq import presets
+    from lmsharq.mi import MiTable
+
+    monkeypatch.setattr(presets, "_spec_cache", {})
+    calls = count_preset_calls(monkeypatch, presets, "fec.calibrate_mi_req")
+    table = presets.default_mi_table()
+    spec = presets.default_code_spec(table)
+    same = MiTable(es_n0_linear=table.es_n0_linear.copy(), mi_per_bit=table.mi_per_bit)
+    assert presets.default_code_spec(same) is spec and len(calls) == 1
+    shifted = MiTable(es_n0_linear=table.es_n0_linear * 1.25, mi_per_bit=table.mi_per_bit)
+    assert presets.default_code_spec(shifted).mi_req_per_bit < spec.mi_req_per_bit
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    "calibrate --wer-curve {folder}", "calibrate --mi-table {folder}",
+    "run --env {folder} --esn0 10 --duration-s 5",
+])
+def test_a_directory_given_as_an_input_file_exits_four(argv, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    assert main(argv.format(folder=folder).split()) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid data") and str(folder) in err
+
+
+@pytest.mark.parametrize("asset", sorted(ASSET_EDITS))
+def test_a_directory_in_place_of_an_asset_exits_four(asset, tmp_path, monkeypatch, capsys):
+    from lmsharq import presets
+
+    assets = shipped_assets(tmp_path / "assets")
+    (assets / asset).unlink()
+    (assets / asset).mkdir()
+    monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(assets))
+    assert main(ASSET_EDITS[asset][1].split()) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("invalid data") and str(assets / asset) in err
+
+
 def test_an_option_of_one_call_does_not_reach_the_next(tmp_path, capsys):
     out = tmp_path / "cw.csv"
     assert main(RUN_ARGV + ["--codewords-csv", str(out)]) == 0

@@ -45,6 +45,30 @@ def test_table_keeps_its_own_read_only_arrays():
             array[0] = 0.0
 
 
+@pytest.mark.parametrize("query", [1.5, np.array([1.2, 1.7])], ids=["scalar", "vector"])
+def test_interp_gets_arrays_it_need_not_copy(query, monkeypatch):
+    """np.interp copies a grid or value array that is not a writable,
+    C-contiguous float64 array, so mi_of hands it private writable copies
+    and leaves the public arrays read-only."""
+    table = MiTable(es_n0_linear=np.array([1.0, 2.0]), mi_per_bit=np.array([0.1, 0.2]))
+    received = []
+    interp = np.interp
+
+    def spy(x, xp, fp, *args, **kwargs):
+        received.append((xp, fp))
+        return interp(x, xp, fp, *args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", spy)
+    assert mi_of(table, query) == pytest.approx(0.1 * np.asarray(query))
+    [(xp, fp)] = received
+    for given, public in ((xp, table.es_n0_linear), (fp, table.mi_per_bit)):
+        assert given.dtype == np.float64
+        assert given.flags.writeable and given.flags.c_contiguous and given.flags.aligned
+        assert np.array_equal(given, public)
+        assert not np.shares_memory(given, public)
+        assert not public.flags.writeable
+
+
 def test_build_rejects_bad_configuration():
     with pytest.raises(ConfigError):
         build_mi_table(es_n0_min_db=5.0, es_n0_max_db=-5.0)
