@@ -14,7 +14,7 @@ import configparser
 import csv
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
@@ -291,35 +291,18 @@ def quantile(cdf: EmpiricalCdf, q: float) -> float:
     return float(cdf.sorted_rho[k])
 
 
-def load_model(path, data: bytes | None = None) -> LmsModel:
-    """Read a model parameter file (INI format, see shipped assets), or
-    parse its content `data`; path then only names the file in errors."""
-    path = Path(path)
-    if data is None:
-        if not path.exists():
-            raise FileNotFoundError(f"model parameter file not found: {path}")
-        data = path.read_bytes()
+def parse_model(text: str) -> LmsModel:
+    """The model of a parameter file's text (INI format, see shipped assets)."""
     parser = configparser.ConfigParser()
     try:
-        parser.read_string(data.decode(), source=str(path))
+        parser.read_string(text)
         states = tuple(
-            LooParams(
-                alpha_db=parser.getfloat(f"state.{k}", "alpha_db"),
-                psi_db=parser.getfloat(f"state.{k}", "psi_db"),
-                mp_db=parser.getfloat(f"state.{k}", "mp_db"),
-            )
+            LooParams(**{f.name: parser.getfloat(f"state.{k}", f.name) for f in fields(LooParams)})
             for k in (1, 2, 3)
         )
-        rows = [
-            [float(v) for v in parser.get("markov", f"row{k}").split()] for k in (1, 2, 3)
-        ]
-        geometry = parser["geometry"]
-        return LmsModel(
-            states=states,
-            transition_matrix=rows,
-            state_frame_m=float(geometry["state_frame_m"]),
-            sample_frame_m=float(geometry["sample_frame_m"]),
-            speed_mps=float(geometry["speed_mps"]),
-        )
-    except (configparser.Error, KeyError, IndexError) as exc:
-        raise ValueError(f"malformed model parameter file {path}: {exc}") from exc
+        rows = [[float(v) for v in parser.get("markov", f"row{k}").split()] for k in (1, 2, 3)]
+        geometry = {name: parser.getfloat("geometry", name)
+                    for name in ("state_frame_m", "sample_frame_m", "speed_mps")}
+        return LmsModel(states=states, transition_matrix=rows, **geometry)
+    except configparser.Error as exc:
+        raise ValueError(exc) from exc

@@ -20,7 +20,7 @@ import numpy as np
 from lmsharq import metrics, presets
 from lmsharq.channel import EmpiricalCdf, generate_series
 from lmsharq.errors import ConfigError, check_integer
-from lmsharq.fec import TARGET_WER, calibrate_mi_req, load_wer_curve
+from lmsharq.fec import TARGET_WER, calibrate_mi_req
 from lmsharq.mi import (
     DEFAULT_MAX_DB,
     DEFAULT_MIN_DB,
@@ -28,11 +28,11 @@ from lmsharq.mi import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
     build_mi_table,
-    load_mi_csv,
     save_mi_csv,
 )
 from lmsharq.schemes import PROB_PRESETS
-from lmsharq.sim import SCHEMES, SimConfig, derive_policy, run, sample_mi, sweep
+# run is bound here for bench/run_bench.py and bench/spans.py, which wrap it by name
+from lmsharq.sim import SCHEMES, SimConfig, run, sweep  # noqa: F401
 
 # The options that name an output file; `figures --out-dir` names a directory.
 OUTPUT_FILES = ("out", "cdf_out", "codewords_csv")
@@ -132,9 +132,8 @@ def cmd_mi_table(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    curve = load_wer_curve(args.wer_curve) if args.wer_curve else presets.load_reference_wer()
-    table = load_mi_csv(args.mi_table) if args.mi_table else presets.default_mi_table()
-    mi_req = calibrate_mi_req(curve, args.target_wer, table)
+    curve = presets.load_reference_wer(args.wer_curve)
+    mi_req = calibrate_mi_req(curve, args.target_wer, presets.default_mi_table(args.mi_table))
     print(f"target_wer = {_fmt(args.target_wer)}")
     print(f"mi_req_per_bit = {_fmt(mi_req)}")
     return 0
@@ -161,9 +160,8 @@ def cmd_channel(args) -> int:
 def cmd_run(args) -> int:
     config = _config(args)
     model, spec, mi_table = _prepared(config)
-    series = generate_series(model, config.duration_s, config.seed)
-    policy = derive_policy(config, model, spec, mi_table)
-    log = run(config, spec, policy, series, sample_mi(mi_table, series, config.es_n0_ref_db))
+    [log] = sweep(config, [config.es_n0_ref_db], [config.scheme], [config.seed], model,
+                  spec=spec, mi_table=mi_table)
     _notes(config.max_transmissions, [log])
     m = metrics.RunMetrics.from_log(log)
     print(f"scheme = {config.scheme}")
@@ -350,6 +348,9 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"missing file or asset: {exc}", file=sys.stderr)
+        return 3
+    except PermissionError as exc:
+        print(f"file not accessible: {exc}", file=sys.stderr)
         return 3
     except (ValueError, IsADirectoryError) as exc:  # a directory where a file is read
         print(f"invalid data: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from pathlib import Path
 
 from lmsharq.errors import ConfigError
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of, read_csv_pairs
@@ -75,16 +74,29 @@ def is_decodable(spec: CodeSpec, total_bits_sent: int, mi_acc_per_bit: float) ->
     return total_bits_sent * mi_acc_per_bit >= spec.mi_budget
 
 
-def load_wer_curve(path, data: bytes | None = None) -> list[tuple[float, float]]:
-    """Read an (es_n0_db, wer) curve, ordered by increasing Es/N0, from
-    the file or from its content `data`."""
-    path = Path(path)
-    if data is None and not path.exists():
-        raise FileNotFoundError(f"WER curve file not found: {path}")
-    curve = read_csv_pairs(path, WER_CSV_HEADER, data)
-    if len(curve) < 2:
-        raise ValueError(f"WER curve in {path} has fewer than two points")
+def parse_wer_curve(text: str) -> tuple[tuple[float, float], ...]:
+    """The (es_n0_db, wer) curve of a CSV text, checked as calibrate_mi_req
+    checks a curve."""
+    curve = tuple(read_csv_pairs(text, WER_CSV_HEADER))
+    _check_curve(curve)
     return curve
+
+
+def _check_curve(wer_curve) -> None:
+    """ValueError unless the curve has two or more finite points, its Es/N0
+    strictly increasing and its WER positive and strictly decreasing."""
+    if len(wer_curve) < 2:
+        raise ValueError("wer_curve needs at least two points")
+    es = [p[0] for p in wer_curve]
+    wer = [p[1] for p in wer_curve]
+    if not all(map(math.isfinite, es + wer)):
+        raise ValueError("wer_curve values must be finite")
+    if any(b <= a for a, b in zip(es, es[1:])):
+        raise ValueError("wer_curve must have strictly increasing es_n0_db")
+    if any(w <= 0.0 for w in wer):
+        raise ValueError("wer values must be positive")
+    if any(b >= a for a, b in zip(wer, wer[1:])):
+        raise ValueError("wer_curve must be strictly decreasing in wer")
 
 
 def calibrate_mi_req(
@@ -99,22 +111,10 @@ def calibrate_mi_req(
     """
     if not 0.0 < target_wer < 1.0:
         raise ConfigError(f"target_wer must be a finite number in (0, 1), got {target_wer:g}")
-    if len(wer_curve) < 2:
-        raise ValueError("wer_curve needs at least two points")
-    es = [p[0] for p in wer_curve]
-    wer = [p[1] for p in wer_curve]
-    if not all(map(math.isfinite, es + wer)):
-        raise ValueError("wer_curve values must be finite")
-    if any(b <= a for a, b in zip(es, es[1:])):
-        raise ValueError("wer_curve must have strictly increasing es_n0_db")
-    if any(w <= 0.0 for w in wer):
-        raise ValueError("wer values must be positive")
-    if any(b >= a for a, b in zip(wer, wer[1:])):
-        raise ValueError("wer_curve must be strictly decreasing in wer")
-    if not min(wer) <= target_wer <= max(wer):
-        raise ValueError(
-            f"target_wer {target_wer:g} outside curve range [{min(wer):g}, {max(wer):g}]"
-        )
+    _check_curve(wer_curve)
+    lo, hi = wer_curve[-1][1], wer_curve[0][1]  # the WER falls along the curve
+    if not lo <= target_wer <= hi:
+        raise ValueError(f"target_wer {target_wer:g} outside curve range [{lo:g}, {hi:g}]")
     log_t = math.log10(target_wer)
     for (e0, w0), (e1, w1) in zip(wer_curve, wer_curve[1:]):
         l0, l1 = math.log10(w0), math.log10(w1)

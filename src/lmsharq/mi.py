@@ -220,36 +220,34 @@ def save_mi_csv(table: MiTable, path) -> None:
             writer.writerow([f"{linear_to_db(x):.6g}", f"{y:.6g}"])
 
 
-def read_csv_pairs(path, header: tuple, data: bytes | None = None) -> list[tuple[float, float]]:
-    """The number pairs of a two-column CSV file under the given header.
+def read_csv_pairs(text: str, header: tuple) -> list[tuple[float, float]]:
+    """The number pairs of a two-column CSV text under the given header.
 
-    data is the file's content when the caller has read it; path then
-    only names the file in errors. Blank lines are skipped; any other row
-    that is not two numbers is a ValueError naming its line.
+    Blank lines are skipped; any other row that is not two numbers is a
+    ValueError naming its line, and so is a row the csv module rejects.
     """
-    path = Path(path)
-    if data is None:
-        data = path.read_bytes()
-    reader = csv.reader(io.StringIO(data.decode(), newline=""))
-    first = next(reader, None)
-    if first is None or tuple(h.strip() for h in first) != header:
-        raise ValueError(f"expected header {','.join(header)} in {path}")
+    reader = csv.reader(io.StringIO(text, newline=""))
     rows = []
-    for row in filter(None, reader):
-        try:
-            x, y = map(float, row)
-        except ValueError:
-            raise ValueError(
-                f"line {reader.line_num} of {path}: expected two numbers, got {row}"
-            ) from None
-        rows.append((x, y))
+    try:
+        first = next(reader, None)
+        if first is None or tuple(h.strip() for h in first) != header:
+            raise ValueError(f"expected header {','.join(header)}")
+        for row in filter(None, reader):
+            try:
+                x, y = map(float, row)
+            except ValueError:
+                raise ValueError(f"line {reader.line_num} has {row}, expected two numbers") from None
+            rows.append((x, y))
+    except csv.Error as exc:
+        raise ValueError(f"line {reader.line_num}: {exc}") from None
     return rows
 
 
-def load_mi_csv(path, data: bytes | None = None) -> MiTable:
-    rows = read_csv_pairs(path, CSV_HEADER, data)
+def parse_mi_csv(text: str) -> MiTable:
+    """The MI table of a CSV text as save_mi_csv writes it."""
+    rows = read_csv_pairs(text, CSV_HEADER)
     if len(rows) < 2:
-        raise ValueError(f"table in {path} has fewer than two rows")
+        raise ValueError("the table has fewer than two rows")
     grid_db = np.array([r[0] for r in rows])
     mi = np.array([r[1] for r in rows])
     return MiTable(es_n0_linear=db_to_linear(grid_db), mi_per_bit=mi)

@@ -15,10 +15,10 @@ from importlib import resources
 from pathlib import Path
 
 from lmsharq import fec
-from lmsharq.channel import CLEAR_SKY, ClearSky, LmsModel, load_model
+from lmsharq.channel import CLEAR_SKY, ClearSky, LmsModel, parse_model
 from lmsharq.errors import ConfigError
-from lmsharq.fec import CodeSpec
-from lmsharq.mi import MiTable, load_mi_csv
+from lmsharq.fec import CodeSpec, parse_wer_curve
+from lmsharq.mi import MiTable, parse_mi_csv
 
 ASSETS_ENV_VAR = "LMSHARQ_ASSETS"
 ENVIRONMENTS = ("its", "open")
@@ -45,11 +45,19 @@ def _kept(cache: dict, key, make):
     return cache[key]
 
 
-def _parsed(cache: dict, load, path: Path):
-    """load(path, data) of the file's bytes as read now, kept per (path,
-    bytes): the same bytes give the same value, an edited file a new one."""
+def _parsed(cache: dict, kind: str, parse, path: Path):
+    """parse(text) of the file's bytes as read now, kept per (path, bytes):
+    the same bytes give the same value with no decode and no parse. Every
+    input file is read here; a ValueError of its decode or parse names it."""
     data = path.read_bytes()
-    return _kept(cache, (str(path), data), lambda: load(path, data))
+
+    def make():
+        try:
+            return parse(data.decode())
+        except ValueError as exc:
+            raise ValueError(f"malformed {kind} file {path}: {exc}") from exc
+
+    return _kept(cache, (str(path), data), make)
 
 
 def assets_dir() -> Path:
@@ -71,28 +79,27 @@ def load_environment(name: str) -> LmsModel | ClearSky:
     if name == "clear-sky":
         return CLEAR_SKY
     path = assets_dir() / f"{name}.ini" if name in ENVIRONMENTS else Path(name)
-    return _parsed(_model_cache, load_model, path)
+    return _parsed(_model_cache, "model parameter", parse_model, path)
 
 
-def load_reference_wer() -> tuple[tuple[float, float], ...]:
-    return _parsed(_wer_cache, lambda path, data: tuple(fec.load_wer_curve(path, data)),
-                   assets_dir() / WER_CURVE_ASSET)
+def load_reference_wer(path=None) -> tuple[tuple[float, float], ...]:
+    """The WER curve of the asset directory, or of the file at path."""
+    path = Path(path) if path else assets_dir() / WER_CURVE_ASSET
+    return _parsed(_wer_cache, "WER curve", parse_wer_curve, path)
 
 
-def default_mi_table() -> MiTable:
-    """The MI table of the asset directory.
+def default_mi_table(path=None) -> MiTable:
+    """The MI table of the asset directory, or of the file at path.
 
-    A directory without one is an error, not a cue for a Monte Carlo
-    rebuild; `lmsharq mi-table --out <dir>/qpsk_mi.csv` writes the default
-    table, which reproduces the shipped file bit for bit.
+    A missing table is an error, not a cue for a Monte Carlo rebuild;
+    `lmsharq mi-table --out <path>` writes the default table, which
+    reproduces the shipped file bit for bit.
     """
-    path = assets_dir() / MI_TABLE_ASSET
-    if not path.exists():
-        raise FileNotFoundError(
-            f"no MI table at {path}; create it with "
-            f"`lmsharq mi-table --out {path}`"
-        )
-    return _parsed(_mi_cache, load_mi_csv, path)
+    path = Path(path) if path else assets_dir() / MI_TABLE_ASSET
+    try:
+        return _parsed(_mi_cache, "MI table", parse_mi_csv, path)
+    except FileNotFoundError as exc:
+        raise FileNotFoundError(f"{exc}; create it with `lmsharq mi-table --out {path}`") from None
 
 
 def default_code_spec(mi_table: MiTable) -> CodeSpec:

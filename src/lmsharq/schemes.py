@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from lmsharq.channel import EmpiricalCdf, quantile
+from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec
-from lmsharq.mi import MiTable, mi_of, MODULATION_BITS
+from lmsharq.mi import MiTable, linear_to_db, mi_of, MODULATION_BITS
 
 PROB_PRESETS = {
     "case1": (0.9999,),
@@ -107,6 +108,19 @@ def conditional_prob(table: DecodingProbTable, j: int) -> float:
     return table.p[j - 1] / (1.0 - prefix)
 
 
+def _faded_es_n0(rho, es_n0_ref_linear: float):
+    """rho * rho * es_n0_ref_linear. Where that overflows a float but rho * rho
+    does not, the reference Es/N0 is too high for the channel: a ConfigError.
+    An overflowing rho * rho stays inf, which mi_of rejects as invalid data."""
+    with np.errstate(over="ignore"):
+        es_n0 = rho * rho * es_n0_ref_linear
+        if np.isinf(es_n0).any() and np.isfinite(rho * rho).all():
+            raise ConfigError(
+                f"es_n0_ref_db {float(linear_to_db(es_n0_ref_linear)):g} dB is too high for the channel:"
+                f" rho * rho * Es/N0 overflows a float at rho {float(np.max(rho)):g}")
+    return es_n0
+
+
 def mi_needed(
     cdf: EmpiricalCdf,
     p_j: float,
@@ -121,7 +135,7 @@ def mi_needed(
     if not 0.0 < p_j < 1.0:
         raise ValueError("p_j must lie in (0, 1)")
     rho_needed = quantile(cdf, 1.0 - p_j)
-    return rho_needed, mi_of(mi_table, rho_needed * rho_needed * es_n0_ref_linear)
+    return rho_needed, mi_of(mi_table, _faded_es_n0(rho_needed, es_n0_ref_linear))
 
 
 def _ceil_to_symbol(bits: float) -> int:
@@ -235,9 +249,7 @@ def build_enhanced_table(
     # bit for bit.
     picked, positions = _enhanced_draws(cdf.sorted_rho.size, len(probs.p))
     rho = cdf.sorted_rho.take(picked)
-    with np.errstate(over="ignore"):  # an Es/N0 that overflows is inf, which mi_of rejects
-        es_n0 = rho * rho * es_n0_ref_linear
-    mi_draws = mi_of(mi_table, es_n0).take(positions)
+    mi_draws = mi_of(mi_table, _faded_es_n0(rho, es_n0_ref_linear)).take(positions)
     acc = mi_draws[0] * n_1
     # Work buffers for the decode test of every draw. Counting the draws
     # that decode and dividing once is np.mean of the mask, bit for bit:

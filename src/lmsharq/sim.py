@@ -29,6 +29,7 @@ from lmsharq.schemes import (
     AdaptivePolicy,
     DecodingProbTable,
     StaticBitTable,
+    _faded_es_n0,
     build_enhanced_table,
     conditional_prob,
     equal_split,
@@ -186,11 +187,9 @@ def derive_policy(
 
 def sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_ref_db: float) -> np.ndarray:
     """Per-bit MI of every sample of the series at an Es/N0 in dB, one
-    float64 per sample: the mi_samples of run. An Es/N0 that overflows is
-    inf, which mi_of rejects."""
-    with np.errstate(over="ignore"):
-        es_n0 = series.rho * series.rho * float(db_to_linear(es_n0_ref_db))
-    return mi_of(mi_table, es_n0)
+    float64 per sample: the mi_samples of run. An Es/N0 too high for the
+    series is a ConfigError."""
+    return mi_of(mi_table, _faded_es_n0(series.rho, float(db_to_linear(es_n0_ref_db))))
 
 
 def run(

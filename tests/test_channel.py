@@ -23,10 +23,10 @@ from lmsharq.channel import (
     LmsModel,
     LooParams,
     generate_series,
-    load_model,
     quantile,
 )
 from lmsharq.errors import ConfigError
+from lmsharq.presets import load_environment
 
 IDENTITY = np.eye(3)
 
@@ -439,18 +439,18 @@ def test_model_file_loading(tmp_path, its_model):
     assert len(its_model.states) == 3
     assert np.allclose(np.asarray(its_model.transition_matrix).sum(axis=1), 1.0, atol=1e-9)
     with pytest.raises(FileNotFoundError):
-        load_model(tmp_path / "nope.ini")
+        load_environment(str(tmp_path / "nope.ini"))
     broken = tmp_path / "broken.ini"
     broken.write_text("[state.1]\nalpha_db = -4.0\n")
     with pytest.raises(ValueError, match="malformed"):
-        load_model(broken)
+        load_environment(str(broken))
 
 
 def test_a_model_file_without_sections_is_malformed(tmp_path):
     headless = tmp_path / "headless.ini"
     headless.write_text("alpha_db = -4.0\n")
     with pytest.raises(ValueError, match="malformed model parameter file"):
-        load_model(headless)
+        load_environment(str(headless))
 
 
 @pytest.mark.parametrize("seed", [1, 2])

@@ -462,9 +462,10 @@ def test_a_non_finite_environment_file_exits_four(key, value, tmp_path, capsys):
 
 
 OVERFLOW_ERRORS = {
-    "amplitude": "alpha_db 7000 dB is out of range: its linear amplitude inf is not a finite,"
-                 " normal float",
-    "power": "mp_db 4000 dB is out of range: its linear power inf is not a finite, normal float",
+    "amplitude": "malformed model parameter file {env}: alpha_db 7000 dB is out of range: its"
+                 " linear amplitude inf is not a finite, normal float",
+    "power": "malformed model parameter file {env}: mp_db 4000 dB is out of range: its linear"
+             " power inf is not a finite, normal float",
     "rho": "rho overflows a float in 63 of 5000 samples: the model's dB values are out of range",
     "es_n0": "es_n0_linear must be positive and finite",
 }
@@ -484,7 +485,7 @@ def test_an_environment_file_whose_db_value_overflows_exits_four(state, key, val
     assert main(["run", "--env", env, "--esn0", "10", "--duration-s", "30"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"invalid data: {OVERFLOW_ERRORS[what]}\n"
+    assert captured.err == f"invalid data: {OVERFLOW_ERRORS[what].format(env=env)}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -694,9 +695,9 @@ def test_an_asset_edited_between_calls_is_read_again(asset, tmp_path, monkeypatc
 
 
 ASSET_LOADS = {
-    "its.ini": ("load_model", lambda presets: presets.load_environment("its")),
-    "turbo_8920_r16_wer.csv": ("fec.load_wer_curve", lambda presets: presets.load_reference_wer()),
-    "qpsk_mi.csv": ("load_mi_csv", lambda presets: presets.default_mi_table()),
+    "its.ini": ("parse_model", lambda presets: presets.load_environment("its")),
+    "turbo_8920_r16_wer.csv": ("parse_wer_curve", lambda presets: presets.load_reference_wer()),
+    "qpsk_mi.csv": ("parse_mi_csv", lambda presets: presets.default_mi_table()),
 }
 
 
@@ -724,7 +725,7 @@ def test_an_assets_bytes_are_parsed_once_however_often_it_is_loaded(asset, tmp_p
     calls = count_preset_calls(monkeypatch, presets, parser)
     first = load(presets)
     assert all(load(presets) is first for _ in range(5))
-    assert calls == [live / asset]
+    assert calls == [(live / asset).read_bytes().decode()]
     shipped = (live / asset).read_bytes()
     (live / asset).write_text(ASSET_EDITS[asset][0](shipped.decode()))
     edited = load(presets)
@@ -796,6 +797,99 @@ def test_a_directory_in_place_of_an_asset_exits_four(asset, tmp_path, monkeypatc
     assert main(ASSET_EDITS[asset][1].split()) == 4
     err = capsys.readouterr().err
     assert err.startswith("invalid data") and str(assets / asset) in err
+
+
+# input: (the command that reads it, {fault: the file's bytes from the shipped asset's})
+INPUT_FAULTS = {
+    "its.ini": ("run --env {path} --esn0 10 --duration-s 5", {
+        "non-utf-8": lambda shipped: shipped + b"# \xff\n",
+        "non-numeric": lambda shipped: shipped.replace(b"alpha_db = -4.0", b"alpha_db = x"),
+        "own-check": lambda shipped: shipped.replace(b"psi_db = 1.0", b"psi_db = -1.0"),
+    }),
+    "turbo_8920_r16_wer.csv": ("calibrate --wer-curve {path}", {
+        "non-utf-8": lambda shipped: b"es_n0_db,wer\n\xff\n",
+        "non-numeric": lambda shipped: shipped.replace(b"9.2e-01", b"x"),
+        "own-check": lambda shipped: shipped.replace(b"9.2e-01", b"1e-9"),
+        "csv-field-limit": lambda shipped: shipped + b"-1," + b"9" * 200_000 + b"\n",
+    }),
+    "qpsk_mi.csv": ("calibrate --mi-table {path}", {
+        "non-utf-8": lambda shipped: b"es_n0_db,mi_per_bit\n\xff\n",
+        "non-numeric": lambda shipped: shipped.replace(b"0.000742668", b"x"),
+        "own-check": lambda shipped: shipped.replace(b"0.000742668", b"1.5"),
+        "csv-field-limit": lambda shipped: shipped + b"-1," + b"9" * 200_000 + b"\n",
+    }),
+}
+
+
+@pytest.mark.parametrize("asset, fault", [(asset, fault) for asset, (_, faults) in INPUT_FAULTS.items()
+                                          for fault in faults])
+def test_every_fault_of_an_input_files_bytes_exits_four_naming_the_file(asset, fault, tmp_path, capsys):
+    from lmsharq import presets
+
+    argv, faults = INPUT_FAULTS[asset]
+    path = tmp_path / asset
+    path.write_bytes(faults[fault]((presets.assets_dir() / asset).read_bytes()))
+    for _ in range(2):  # a fault is not kept: the second call reports it again
+        assert main(argv.format(path=path).split()) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid data: malformed ") and f" file {path}: " in captured.err
+
+
+@pytest.mark.parametrize("option, asset, parser", [
+    ("--wer-curve", "turbo_8920_r16_wer.csv", "parse_wer_curve"),
+    ("--mi-table", "qpsk_mi.csv", "parse_mi_csv"),
+])
+def test_a_file_given_to_calibrate_is_parsed_once_per_content(option, asset, parser, tmp_path,
+                                                              monkeypatch, capsys):
+    from lmsharq import presets
+
+    given = tmp_path / asset
+    given.write_bytes((presets.assets_dir() / asset).read_bytes())
+    calls = count_preset_calls(monkeypatch, presets, parser)
+    argv = ["calibrate", option, str(given)]
+    assert main(argv) == 0 and main(argv) == 0
+    first = capsys.readouterr().out
+    assert calls == [given.read_bytes().decode()]
+    given.write_text(shift_db(given.read_text()))
+    assert main(argv) == 0 and main(argv) == 0
+    assert len(calls) == 2 and calls[1] == given.read_bytes().decode()
+    assert capsys.readouterr().out != first * 2
+
+
+@pytest.mark.parametrize("asset", sorted(ASSET_EDITS))
+def test_an_input_file_that_cannot_be_read_exits_three_naming_it(asset, tmp_path, monkeypatch, capsys):
+    from lmsharq import presets
+
+    assets = shipped_assets(tmp_path / "assets")
+    monkeypatch.setenv(presets.ASSETS_ENV_VAR, str(assets))
+    real = Path.read_bytes
+
+    def read_bytes(path):
+        if path.name == asset:
+            raise PermissionError(13, "Permission denied", str(path))
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    assert main(ASSET_EDITS[asset][1].split()) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"file not accessible: [Errno 13] Permission denied: '{assets / asset}'\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("scheme, duration", [
+    ("classical", "30"), ("adaptive", "30"), ("enhanced", "5"),
+])
+def test_an_esn0_that_overflows_with_the_channel_is_a_configuration_error(scheme, duration, capsys):
+    # 3080 dB is 1e308, a normal float, so SimConfig accepts it; rho * rho * Es/N0
+    # overflows where rho exceeds about 1.34: in a 30 s open series, and among the
+    # calibration samples an enhanced table draws
+    argv = ["run", "--env", "open", "--scheme", scheme, "--esn0", "3080", "--duration-s", duration]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("configuration error: es_n0_ref_db 3080 dB is too high for the channel")
 
 
 def test_an_option_of_one_call_does_not_reach_the_next(tmp_path, capsys):

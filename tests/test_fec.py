@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmsharq.fec import CodeSpec, calibrate_mi_req, is_decodable, load_wer_curve, mi_update
+from lmsharq.fec import CodeSpec, calibrate_mi_req, is_decodable, mi_update, parse_wer_curve
+from lmsharq.presets import load_reference_wer
 from lmsharq.mi import db_to_linear, mi_of
 
 
@@ -198,23 +199,24 @@ def test_wer_curve_rows_must_be_two_numbers(tmp_path):
     path = tmp_path / "wer.csv"
     path.write_text("es_n0_db,wer\n-4.0,1e-3\n-29\n-3.8,1e-5\n")
     with pytest.raises(ValueError, match="line 3 .* two numbers"):
-        load_wer_curve(path)
+        load_reference_wer(path)
 
 
 def test_wer_curve_loading(tmp_path):
     good = tmp_path / "wer.csv"
     good.write_text("es_n0_db,wer\n-4.0,1e-3\n-3.8,1e-5\n")
-    assert load_wer_curve(good) == [(-4.0, 1e-3), (-3.8, 1e-5)]
+    assert parse_wer_curve(good.read_text()) == ((-4.0, 1e-3), (-3.8, 1e-5))
+    assert load_reference_wer(good) == ((-4.0, 1e-3), (-3.8, 1e-5))
     with pytest.raises(FileNotFoundError):
-        load_wer_curve(tmp_path / "missing.csv")
+        load_reference_wer(tmp_path / "missing.csv")
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b\n-4.0,1e-3\n-3.8,1e-5\n")
     with pytest.raises(ValueError, match="header"):
-        load_wer_curve(bad)
+        load_reference_wer(bad)
     short = tmp_path / "short.csv"
     short.write_text("es_n0_db,wer\n-4.0,1e-3\n")
     with pytest.raises(ValueError, match="two points"):
-        load_wer_curve(short)
+        load_reference_wer(short)
 
 
 def test_default_spec_lands_in_the_open_interval(code_spec):

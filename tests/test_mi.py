@@ -15,8 +15,8 @@ from lmsharq.mi import (
     build_mi_table,
     db_to_linear,
     linear_to_db,
-    load_mi_csv,
     mi_of,
+    parse_mi_csv,
     save_mi_csv,
 )
 
@@ -275,7 +275,7 @@ def test_inverse_near_saturation_knee(mi_table):
 def test_csv_round_trip(tmp_path, mi_table):
     path = tmp_path / "mi.csv"
     save_mi_csv(mi_table, path)
-    loaded = load_mi_csv(path)
+    loaded = parse_mi_csv(path.read_text())
     assert np.allclose(loaded.es_n0_linear, mi_table.es_n0_linear, rtol=1e-5)
     assert np.allclose(loaded.mi_per_bit, mi_table.mi_per_bit, atol=1e-6)
 
@@ -284,11 +284,11 @@ def test_csv_load_rejects_bad_files(tmp_path):
     bad_header = tmp_path / "bad.csv"
     bad_header.write_text("x,y\n0,0.1\n1,0.2\n")
     with pytest.raises(ValueError, match="header"):
-        load_mi_csv(bad_header)
+        parse_mi_csv(bad_header.read_text())
     short = tmp_path / "short.csv"
     short.write_text("es_n0_db,mi_per_bit\n0,0.5\n")
     with pytest.raises(ValueError, match="two rows"):
-        load_mi_csv(short)
+        parse_mi_csv(short.read_text())
 
 
 @pytest.mark.parametrize("row", ["-29", "-29,0.1,0.2", "-29,", "-29,x"])
@@ -296,7 +296,7 @@ def test_csv_rows_must_be_two_numbers(row, tmp_path):
     path = tmp_path / "mi.csv"
     path.write_text(f"es_n0_db,mi_per_bit\n-30,0.01\n\n{row}\n-28,0.02\n")
     with pytest.raises(ValueError, match="line 4 .* two numbers"):
-        load_mi_csv(path)
+        parse_mi_csv(path.read_text())
 
 
 @pytest.mark.parametrize("grid, mi", [
