@@ -13,14 +13,13 @@ from __future__ import annotations
 import configparser
 import csv
 import math
-import sys
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
-from lmsharq.errors import ConfigError
+from lmsharq.errors import ConfigError, check_db
 
 ROW_SUM_TOL = 1e-9
 
@@ -45,13 +44,8 @@ class LooParams:
         if self.psi_db <= 0.0:
             raise ValueError("psi_db must be positive")
         # generate_series raises 10 to alpha_db / 20 and to mp_db / 10
-        for name, per, what in (("alpha_db", 20.0, "amplitude"), ("mp_db", 10.0, "power")):
-            db = getattr(self, name)
-            with np.errstate(over="ignore", under="ignore"):
-                linear = float(np.power(10.0, db / per))
-            if not sys.float_info.min <= linear < math.inf:
-                raise ValueError(f"{name} {db:g} dB is out of range: its linear {what} {linear:g}"
-                                 " is not a finite, normal float")
+        check_db("alpha_db", self.alpha_db, 20.0, "amplitude")
+        check_db("mp_db", self.mp_db, 10.0, "power")
 
 
 @dataclass(frozen=True)
@@ -240,7 +234,11 @@ def generate_series(
         raise ConfigError(f"a channel model is required, got {model!r}")
     rng = np.random.default_rng(seed)
     dt = model.sample_frame_m / model.speed_mps
-    n_samples = int(np.ceil(duration_s / dt))
+    count = duration_s / dt
+    if not count <= np.iinfo(np.intp).max:  # checked before any array is asked for
+        raise ConfigError(f"duration_s {duration_s:g} s at a sample spacing of {dt:g} s is"
+                          f" {count:g} samples, more than an array can hold")
+    n_samples = int(np.ceil(count))
     counts = _epoch_counts(n_samples, model.sample_frame_m, model.state_frame_m)
     cum_stationary, cum_rows, psi_db, alpha_db, sigma = _chain(model)
 

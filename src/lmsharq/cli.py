@@ -32,7 +32,7 @@ from lmsharq.mi import (
 )
 from lmsharq.schemes import PROB_PRESETS
 # run is bound here for bench/run_bench.py and bench/spans.py, which wrap it by name
-from lmsharq.sim import SCHEMES, SimConfig, run, sweep  # noqa: F401
+from lmsharq.sim import SCHEMES, RunLog, SimConfig, run, sweep  # noqa: F401
 
 # The options that name an output file; `figures --out-dir` names a directory.
 OUTPUT_FILES = ("out", "cdf_out", "codewords_csv")
@@ -81,12 +81,6 @@ def _config(args, **fields) -> SimConfig:
     return SimConfig(**given, **fields)
 
 
-def _prepared(config: SimConfig):
-    mi_table = presets.default_mi_table()
-    spec = presets.default_code_spec(mi_table)
-    return presets.load_environment(config.environment), spec, mi_table
-
-
 def _write_rows(path: Path, header, rows) -> None:
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -106,11 +100,18 @@ def _metric_row(log, n_bins: int) -> list[str]:
     )
 
 
-def _notes(requested: int, logs) -> None:
-    """The runs' policy notes on stderr, each distinct one once, then one
-    line when a policy's table held runs below max_transmissions."""
+def _play(configs: list[SimConfig]) -> list[RunLog]:
+    """Configs that share an environment and max_transmissions, played as
+    one sweep with the asset directory's MI table and code spec. The runs'
+    policy notes go to stderr, each distinct one once, then one line when a
+    policy's table held runs below max_transmissions."""
+    mi_table = presets.default_mi_table()
+    spec = presets.default_code_spec(mi_table)
+    model = presets.load_environment(configs[0].environment)
+    logs = sweep(configs, model, spec=spec, mi_table=mi_table)
     for note in dict.fromkeys(note for lg in logs for note in lg.policy.notes):
         print(f"note: {note}", file=sys.stderr)
+    requested = configs[0].max_transmissions
     capped = [lg.effective_max_transmissions for lg in logs
               if lg.effective_max_transmissions < requested]
     if capped:
@@ -118,6 +119,7 @@ def _notes(requested: int, logs) -> None:
         at = str(lo) if lo == hi else f"{lo} to {hi}"
         print(f"note: max_transmissions {requested} capped at {at} by the policy table"
               f" in {len(capped)} of {len(logs)} runs", file=sys.stderr)
+    return logs
 
 
 def _sweep_header(n_bins: int):
@@ -159,10 +161,7 @@ def cmd_channel(args) -> int:
 
 def cmd_run(args) -> int:
     config = _config(args)
-    model, spec, mi_table = _prepared(config)
-    [log] = sweep(config, [config.es_n0_ref_db], [config.scheme], [config.seed], model,
-                  spec=spec, mi_table=mi_table)
-    _notes(config.max_transmissions, [log])
+    [log] = _play([config])
     m = metrics.RunMetrics.from_log(log)
     print(f"scheme = {config.scheme}")
     print(f"environment = {config.environment}")
@@ -201,16 +200,15 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    config = _config(args)
+    base = _config(args)
     schemes = [s for s in args.schemes.split(",") if s]
     es_list = _parse_es_list(args.esn0)
     seeds = _numbers([s for s in args.seeds.split(",") if s], int, args.seeds)
     if not schemes or not seeds:
         raise ConfigError("schemes and seeds must both be non-empty")
-    model, spec, mi_table = _prepared(config)
-    logs = sweep(config, es_list, schemes, seeds, model, spec=spec, mi_table=mi_table)
-    _notes(config.max_transmissions, logs)
-    n_bins = config.max_transmissions
+    logs = _play([dataclasses.replace(base, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
+                  for scheme in schemes for es_db in es_list for seed in seeds])
+    n_bins = base.max_transmissions
     # every row before the file, so a run that fails its metrics leaves no CSV
     rows = [_metric_row(lg, n_bins) for lg in logs]
     _write_rows(Path(args.out), _sweep_header(n_bins), rows)
@@ -234,17 +232,13 @@ def cmd_figures(args) -> int:
     out = Path(args.out_dir) / f"{args.which}.csv"
     es_list = _parse_es_list(args.esn0)
     base = _config(args, environment=recipe["env"])
-    model, spec, mi_table = _prepared(base)
-    n_bins = base.max_transmissions
     # a figure over probability presets carries each row's preset in an extra column
     probs = recipe.get("probs")
-    rows, logs = [], []
-    for preset in probs or (base.probs_preset,):
-        point = sweep(dataclasses.replace(base, probs_preset=preset), es_list, recipe["schemes"],
-                      [base.seed], model, spec=spec, mi_table=mi_table)
-        logs += point
-        rows += (_metric_row(log, n_bins) + ([preset] if probs else []) for log in point)
-    _notes(n_bins, logs)
+    logs = _play([dataclasses.replace(base, probs_preset=preset, scheme=scheme, es_n0_ref_db=es_db)
+                  for preset in probs or (base.probs_preset,) for scheme in recipe["schemes"]
+                  for es_db in es_list])
+    n_bins = base.max_transmissions
+    rows = [_metric_row(log, n_bins) + ([log.config.probs_preset] if probs else []) for log in logs]
     _write_rows(out, _sweep_header(n_bins) + (("probs",) if probs else ()), rows)
     print(f"wrote {len(rows)} rows to {out}")
     return 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from lmsharq.errors import ConfigError
+from lmsharq.errors import ConfigError, check_db
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of, read_csv_pairs
 
 DATA_BITS = 8920
@@ -84,13 +84,16 @@ def parse_wer_curve(text: str) -> tuple[tuple[float, float], ...]:
 
 def _check_curve(wer_curve) -> None:
     """ValueError unless the curve has two or more finite points, its Es/N0
-    strictly increasing and its WER positive and strictly decreasing."""
+    normal in linear terms and strictly increasing, and its WER positive and
+    strictly decreasing."""
     if len(wer_curve) < 2:
         raise ValueError("wer_curve needs at least two points")
     es = [p[0] for p in wer_curve]
     wer = [p[1] for p in wer_curve]
     if not all(map(math.isfinite, es + wer)):
         raise ValueError("wer_curve values must be finite")
+    for es_db in es:
+        check_db("es_n0_db", es_db)
     if any(b <= a for a, b in zip(es, es[1:])):
         raise ValueError("wer_curve must have strictly increasing es_n0_db")
     if any(w <= 0.0 for w in wer):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lmsharq.errors import ConfigError, check_integer
+from lmsharq.errors import ConfigError, check_db, check_integer
 
 MODULATION_BITS = 2
 
@@ -248,6 +248,8 @@ def parse_mi_csv(text: str) -> MiTable:
     rows = read_csv_pairs(text, CSV_HEADER)
     if len(rows) < 2:
         raise ValueError("the table has fewer than two rows")
+    for es_db, _ in rows:
+        check_db("es_n0_db", es_db)
     grid_db = np.array([r[0] for r in rows])
     mi = np.array([r[1] for r in rows])
     return MiTable(es_n0_linear=db_to_linear(grid_db), mi_per_bit=mi)

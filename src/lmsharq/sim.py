@@ -10,7 +10,6 @@ has arrived take priority over new codewords.
 from __future__ import annotations
 
 import math
-import sys
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
@@ -20,7 +19,7 @@ import numpy as np
 from lmsharq.channel import (
     AttenuationSeries, ClearSky, EmpiricalCdf, LmsModel, generate_series,
 )
-from lmsharq.errors import ConfigError, check_integer
+from lmsharq.errors import ConfigError, check_db, check_integer
 # is_decodable and mi_update are bound here for bench/spans.py, which wraps them by name
 from lmsharq.fec import CodeSpec, is_decodable, mi_update  # noqa: F401
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
@@ -62,11 +61,7 @@ class SimConfig:
         for name in ("es_n0_ref_db", "t_propag_s", "bit_rate_bps", "duration_s"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
-        with np.errstate(over="ignore"):
-            es_n0_lin = float(db_to_linear(self.es_n0_ref_db))
-        if not sys.float_info.min <= es_n0_lin < math.inf:
-            raise ConfigError(f"es_n0_ref_db {self.es_n0_ref_db:g} dB is out of range: its"
-                              f" linear value {es_n0_lin:g} is not a finite, normal positive float")
+        check_db("es_n0_ref_db", self.es_n0_ref_db, error=ConfigError)
         if self.t_propag_s < 0.0:
             raise ConfigError("t_propag_s cannot be negative")
         if self.bit_rate_bps <= 0.0:
@@ -294,35 +289,29 @@ def run(
 
 
 def sweep(
-    base_config: SimConfig,
-    es_n0_list_db,
-    schemes,
-    seeds,
+    configs,
     model: LmsModel | ClearSky,
     *,
     spec: CodeSpec,
     mi_table: MiTable,
 ) -> list[RunLog]:
-    """Cross-product of schemes, Es/N0 points and seeds, in stable order.
+    """Play the given configs on one channel model, one run each, in order.
 
-    Runs sharing a seed share the channel realization, which makes
-    scheme comparisons paired: each seed's series is generated once, and
-    its per-sample MI is mapped once per Es/N0 point for every scheme. A
-    policy does not depend on the seed, so each scheme and point derives
-    its policy once and plays it on every seed.
+    Runs sharing a seed and duration share the channel realization, which
+    makes scheme comparisons paired: each (seed, duration_s) series is
+    generated once, and its per-sample MI is mapped once per Es/N0 point
+    for every scheme. A policy does not depend on the seed, so each config
+    with its seed set to 0 derives its policy once, played on every seed.
     """
-    seeds = list(seeds)
-    es_n0_list_db = [float(es_db) for es_db in es_n0_list_db]
-    # every run's config first, so a bad scheme or Es/N0 fails before any work
-    configs = [replace(base_config, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
-               for scheme in schemes for es_db in es_n0_list_db for seed in seeds]
-    series = {seed: generate_series(model, base_config.duration_s, seed)
-              for seed in dict.fromkeys(seeds)}
+    configs = list(configs)
+    series = {key: generate_series(model, key[1], key[0])
+              for key in dict.fromkeys((cfg.seed, cfg.duration_s) for cfg in configs)}
     # one float64 per sample and point, held for the whole sweep
-    mi_samples = {(seed, es_db): sample_mi(mi_table, series[seed], es_db)
-                  for es_db in dict.fromkeys(es_n0_list_db) for seed in series}
+    mi_samples = {key: sample_mi(mi_table, series[key[:2]], key[2]) for key in dict.fromkeys(
+        (cfg.seed, cfg.duration_s, cfg.es_n0_ref_db) for cfg in configs)}
     # configs are frozen, so the seedless ones key the policies
     unseeded = [replace(cfg, seed=0) for cfg in configs]
     policies = {key: derive_policy(key, model, spec, mi_table) for key in dict.fromkeys(unseeded)}
-    return [run(cfg, spec, policies[key], series[cfg.seed], mi_samples[cfg.seed, cfg.es_n0_ref_db])
+    return [run(cfg, spec, policies[key], series[cfg.seed, cfg.duration_s],
+                mi_samples[cfg.seed, cfg.duration_s, cfg.es_n0_ref_db])
             for cfg, key in zip(configs, unseeded)]

@@ -58,9 +58,8 @@ def open_calib_cdf(open_model):
 
 
 def run_one(config, model, spec, mi_table):
-    """The RunLog of one config, from a sweep of its one scheme, point and seed."""
-    [log] = sweep(config, [config.es_n0_ref_db], [config.scheme], [config.seed], model,
-                  spec=spec, mi_table=mi_table)
+    """The RunLog of one config, played as a sweep of one."""
+    [log] = sweep([config], model, spec=spec, mi_table=mi_table)
     return log
 
 

@@ -241,6 +241,37 @@ def test_cases_figure_calibrates_once(tmp_path):
     )
 
 
+def test_the_cases_figure_plays_every_preset_as_one_sweep(tmp_path, monkeypatch):
+    from lmsharq import presets, sim
+
+    sim.calibration_cdf(presets.load_environment("its"))  # memoised: no calibration below
+    calls = []
+
+    def counted(name):
+        real = getattr(sim, name)
+
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    for name in ("generate_series", "sample_mi"):
+        monkeypatch.setattr(sim, name, counted(name))
+    assert main(["figures", "--which", "cases-its", "--esn0", "10",
+                 "--out-dir", str(tmp_path)]) == 0
+    # one series and one MI map for the three presets, where a sweep each made three
+    assert calls == ["generate_series", "sample_mi"]
+    header, rows = read_csv(tmp_path / "cases-its.csv")
+    assert header == EXPECTED_SWEEP_HEADER + ["probs"]
+    want = []
+    for preset in ("case1", "case2", "case3"):
+        out = tmp_path / f"{preset}.csv"
+        assert main(["sweep", "--schemes", "adaptive", "--esn0", "10", "--probs", preset,
+                     "--out", str(out)]) == 0
+        want += [row + [preset] for row in read_csv(out)[1]]
+    assert rows == want
+
+
 # sha256 of `lmsharq run --codewords-csv` files, recorded from the event loop
 # that kept one state object per codeword; the second run ends with 10
 # codewords cut off, which the file leaves out.
@@ -498,18 +529,43 @@ def test_a_channel_series_that_overflows_exits_four(tmp_path, capsys):
 
 
 def test_a_run_too_large_for_memory_is_a_configuration_error(monkeypatch, capsys):
-    from lmsharq import cli
+    from lmsharq import sim
 
     def out_of_memory(*args):
         # what NumPy raises for a 1e9 s series, without allocating it
         raise MemoryError("Unable to allocate 24.8 GiB for an array with shape"
                           " (3333333333,) and data type float64")
 
-    monkeypatch.setattr(cli, "generate_series", out_of_memory)
+    monkeypatch.setattr(sim, "generate_series", out_of_memory)
     assert main(["run", "--esn0", "10", "--duration-s", "1e9"]) == 2
     assert capsys.readouterr().err == (
         "configuration error: the run does not fit in memory: Unable to allocate 24.8 GiB"
         " for an array with shape (3333333333,) and data type float64\n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, duration, spacing, count", [
+    ("run --esn0 10 --duration-s 1e300", "1e+300", "0.006", "1.66667e+302"),
+    ("sweep --esn0 10 --duration-s 1e300 --out {dir}/sweep.csv", "1e+300", "0.006", "1.66667e+302"),
+    ("channel --duration-s 1e300 --out {dir}/series.csv", "1e+300", "0.006", "1.66667e+302"),
+    # 1e-300 m at 1e10 m/s is a subnormal spacing, and 5 s over it is inf samples
+    ("run --env {dir}/tiny.ini --esn0 10 --duration-s 5", "5", "1e-310", "inf"),
+], ids=["run", "sweep", "channel", "tiny-spacing"])
+def test_a_series_with_more_samples_than_an_array_holds_is_a_configuration_error(
+        argv, duration, spacing, count, tmp_path, capsys):
+    from lmsharq import presets
+
+    geometry = {"state_frame_m": "1e-299", "sample_frame_m": "1e-300", "speed_mps": "1e10"}
+    lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
+    (tmp_path / "tiny.ini").write_text("".join(
+        f"{key} = {geometry[key]}\n" if key in geometry else f"{line}\n"
+        for line, key in ((line, line.split("=")[0].strip()) for line in lines)))
+    # checked before any array is asked for, so the test allocates nothing
+    assert main(argv.format(dir=tmp_path).split()) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: duration_s {duration} s at a sample spacing of {spacing} s"
+        f" is {count} samples, more than an array can hold\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.ini"]
 
 
 def test_a_run_with_no_burst_is_an_empty_log_error(capsys):
@@ -811,12 +867,15 @@ INPUT_FAULTS = {
         "non-numeric": lambda shipped: shipped.replace(b"9.2e-01", b"x"),
         "own-check": lambda shipped: shipped.replace(b"9.2e-01", b"1e-9"),
         "csv-field-limit": lambda shipped: shipped + b"-1," + b"9" * 200_000 + b"\n",
+        # 10^(4000 / 10) overflows a float
+        "db-overflow": lambda shipped: b"es_n0_db,wer\n-5,0.5\n4000,0.00001\n",
     }),
     "qpsk_mi.csv": ("calibrate --mi-table {path}", {
         "non-utf-8": lambda shipped: b"es_n0_db,mi_per_bit\n\xff\n",
         "non-numeric": lambda shipped: shipped.replace(b"0.000742668", b"x"),
         "own-check": lambda shipped: shipped.replace(b"0.000742668", b"1.5"),
         "csv-field-limit": lambda shipped: shipped + b"-1," + b"9" * 200_000 + b"\n",
+        "db-overflow": lambda shipped: shipped + b"4000,1\n",
     }),
 }
 

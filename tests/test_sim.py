@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -116,7 +117,7 @@ def test_config_consistency_checks():
 
 def make_config(through_replace, **fields):
     """SimConfig(**fields), or the fields replaced into a default config as
-    sweep and figures build each run's config."""
+    lmsharq sweep and figures build each run's config."""
     return replace(SimConfig(), **fields) if through_replace else SimConfig(**fields)
 
 
@@ -124,6 +125,7 @@ def make_config(through_replace, **fields):
 @pytest.mark.parametrize("name, value, message", [
     ("seed", -1, "seed cannot be negative"),
     ("seed", 1.0, "seed must be an integer"),
+    ("seed", 1.5, "seed must be an integer"),
     ("seed", True, "seed must be an integer"),
     ("seed", "1", "seed must be an integer"),
     ("max_transmissions", 2.5, "max_transmissions must be an integer"),
@@ -153,7 +155,10 @@ def test_non_finite_config_values_are_rejected(name, value, through_replace):
 @pytest.mark.parametrize("es_db", [4000.0, 3090.0, -3090.0, -4000.0])
 def test_an_es_n0_with_no_normal_linear_value_is_rejected(es_db, through_replace):
     # 10^309 overflows and 10^-309 is subnormal; neither may warn on the way
-    with pytest.raises(ConfigError, match="not a finite, normal positive float"):
+    linear = {4000.0: "inf", 3090.0: "inf", -3090.0: "1e-309", -4000.0: "0"}[es_db]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"es_n0_ref_db {es_db:g} dB is out of range: its linear value {linear}"
+            " is not a finite, normal float")):
         make_config(through_replace, es_n0_ref_db=es_db)
 
 
@@ -450,10 +455,17 @@ def test_run_is_deterministic(its_model, code_spec, mi_table):
     assert np.isnan(a.decode_time_s).tolist() == np.isnan(b.decode_time_s).tolist()
 
 
+def configs_of(base, es_n0_list_db, schemes, seeds):
+    """The scheme x Es/N0 x seed configs of lmsharq sweep, in its order."""
+    return [replace(base, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
+            for scheme in schemes for es_db in es_n0_list_db for seed in seeds]
+
+
 def test_sweep_order_and_single_point_equivalence(code_spec, mi_table):
     base = SimConfig(environment="clear-sky", duration_s=30.0)
-    logs = sweep(base, [10.0, 11.0], ("adaptive", "classical"), [1], CLEAR_SKY,
-                 spec=code_spec, mi_table=mi_table)
+    configs = configs_of(base, [10.0, 11.0], ("adaptive", "classical"), [1])
+    logs = sweep(configs, CLEAR_SKY, spec=code_spec, mi_table=mi_table)
+    assert [lg.config for lg in logs] == configs
     stamps = [(lg.config.scheme, lg.config.es_n0_ref_db) for lg in logs]
     assert stamps == [("adaptive", 10.0), ("adaptive", 11.0),
                       ("classical", 10.0), ("classical", 11.0)]
@@ -600,7 +612,8 @@ def test_sweep_calibrates_once_and_only_when_needed(schemes, expected, its_model
                                                     code_spec, mi_table):
     calibration_cdf.cache_clear()
     base = SimConfig(environment="its", duration_s=5.0)
-    logs = sweep(base, [10.0], schemes, [1], its_model, spec=code_spec, mi_table=mi_table)
+    logs = sweep(configs_of(base, [10.0], schemes, [1]), its_model, spec=code_spec,
+                 mi_table=mi_table)
     assert len(logs) == len(schemes)
     # each miss generates one 3600 s calibration series
     assert calibration_cdf.cache_info().misses == expected
@@ -699,7 +712,7 @@ def test_a_run_shorter_than_its_first_burst_is_empty(scheme, its_model, code_spe
 def its_sweep(its_model, code_spec, mi_table):
     """Two seeds by three schemes by two Es/N0 points on the shadowed track."""
     base = SimConfig(environment="its", duration_s=20.0)
-    return sweep(base, [8.0, 12.0], SCHEMES, [3, 4], its_model,
+    return sweep(configs_of(base, [8.0, 12.0], SCHEMES, [3, 4]), its_model,
                  spec=code_spec, mi_table=mi_table)
 
 
@@ -745,18 +758,28 @@ def test_a_sweep_derives_one_policy_per_scheme_and_point(monkeypatch, its_model,
         assert second.policy is first.policy
 
 
-@pytest.mark.parametrize("seed", [1.5, True, "2"])
-def test_a_sweep_seed_that_is_not_an_integer_is_a_configuration_error(seed, its_model, code_spec,
-                                                                      mi_table):
-    with pytest.raises(ConfigError, match="seed must be an integer"):
-        sweep(SimConfig(duration_s=5.0), [10.0], ["classical"], [seed], its_model,
-              spec=code_spec, mi_table=mi_table)
+def test_a_sweep_shares_a_series_within_one_seed_and_duration(monkeypatch, its_model, code_spec,
+                                                              mi_table):
+    calibration_cdf(its_model)  # memoised, so the runs generate no calibration series
+    base = SimConfig(environment="its", duration_s=5.0)
+    configs = [base, replace(base, scheme="classical"), replace(base, duration_s=6.0),
+               replace(base, seed=2), replace(base, es_n0_ref_db=12.0), base]
+    calls = {name: count_calls(monkeypatch, name)
+             for name in ("generate_series", "sample_mi", "derive_policy", "run")}
+    logs = sweep(configs, its_model, spec=code_spec, mi_table=mi_table)
+    # series per (seed, duration_s), MI maps per (seed, duration_s, Es/N0),
+    # policies per config with its seed set to 0, and one run per config given
+    assert {name: len(made) for name, made in calls.items()} == {
+        "generate_series": 3, "sample_mi": 4, "derive_policy": 4, "run": 6}
+    assert [log.config for log in logs] == configs
+    for log in logs:
+        assert_same_log(log, run_one(log.config, its_model, code_spec, mi_table))
 
 
 def test_a_sweep_log_carries_the_policy_of_its_config(its_model, code_spec, mi_table):
     clear = SimConfig(environment="clear-sky", duration_s=5.0, max_transmissions=2)
     logs = its_sweep(its_model, code_spec, mi_table) + sweep(
-        clear, [CLEAR_SKY_ES_DB, 10.0], SCHEMES, [1, 2], CLEAR_SKY, spec=code_spec,
+        configs_of(clear, [CLEAR_SKY_ES_DB, 10.0], SCHEMES, [1, 2]), CLEAR_SKY, spec=code_spec,
         mi_table=mi_table)
     for log in logs:
         model = CLEAR_SKY if log.config.environment == "clear-sky" else its_model
