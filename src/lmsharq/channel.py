@@ -81,8 +81,17 @@ class LmsModel:
                 raise ValueError(f"{name} must be positive and finite")
         if self.sample_frame_m > self.state_frame_m:
             raise ValueError("sample_frame_m cannot exceed state_frame_m")
+        ratio = self.state_frame_m / self.sample_frame_m
+        if not (ratio < math.inf and abs(ratio - round(ratio)) <= 1e-9 * ratio):
+            raise ValueError(f"state_frame_m {self.state_frame_m:g} is not a whole number of"
+                             f" sample_frame_m {self.sample_frame_m:g}: their ratio is {ratio:.12g}")
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "transition_matrix", tuple(map(tuple, mat.tolist())))
+
+    @property
+    def samples_per_epoch(self) -> int:
+        """The whole number of sample frames in one state frame."""
+        return round(self.state_frame_m / self.sample_frame_m)
 
     def stationary(self) -> np.ndarray:
         """Stationary state distribution of the transition matrix."""
@@ -183,37 +192,6 @@ def _chain(model: LmsModel):
     return constants
 
 
-@lru_cache(maxsize=8)
-def _epoch_counts(n_samples: int, sample_frame_m: float, state_frame_m: float) -> np.ndarray:
-    """Number of samples in each state epoch, read-only: the process keeps
-    the counts of the last eight argument triples.
-
-    Sample i belongs to epoch float(i) * sample_frame_m // state_frame_m,
-    which never decreases with i. Each epoch e >= 1 therefore starts at the
-    first sample whose epoch reaches e, and that sample lies within one of
-    ceil(e * state_frame_m / sample_frame_m). The same float operations are
-    evaluated on a window around that estimate only, so the counts equal
-    those of the full per-sample division.
-    """
-
-    def epoch(i):
-        x = np.asarray(i, dtype=np.float64) * sample_frame_m
-        x //= state_frame_m
-        return x
-
-    n_epochs = int(epoch(n_samples - 1)) + 1
-    e = np.arange(1, n_epochs, dtype=np.float64)
-    guess = np.ceil(e * state_frame_m / sample_frame_m).astype(np.int64)
-    window = guess[:, None] + np.arange(-2, 3)
-    below = epoch(window) < e[:, None]
-    if below[:, -1].any() or not below[:, 0].all():
-        raise RuntimeError("epoch boundary outside its search window")
-    starts = guess - 2 + below.sum(axis=1)
-    counts = np.diff(starts, prepend=0, append=n_samples)
-    counts.setflags(write=False)
-    return counts
-
-
 def generate_series(
     model: LmsModel | ClearSky,
     duration_s: float,
@@ -221,7 +199,8 @@ def generate_series(
 ) -> AttenuationSeries:
     """Generate a rho series covering duration_s of travel.
 
-    One Markov decision per state frame, one Loo draw per sample frame.
+    One Markov decision per state frame, one Loo draw per sample frame:
+    each state epoch spans the model's samples_per_epoch samples.
     Deterministic for a fixed seed. The chain starts from its stationary
     distribution. Clear sky is one unfaded sample that stays active for
     the whole duration, whatever the seed.
@@ -235,19 +214,20 @@ def generate_series(
     rng = np.random.default_rng(seed)
     dt = model.sample_frame_m / model.speed_mps
     count = duration_s / dt
-    if not count <= np.iinfo(np.intp).max:  # checked before any array is asked for
+    # checked before any array is asked for: the largest, diffuse, is complex128
+    if not count <= np.iinfo(np.intp).max // 16:
         raise ConfigError(f"duration_s {duration_s:g} s at a sample spacing of {dt:g} s is"
                           f" {count:g} samples, more than an array can hold")
     n_samples = int(np.ceil(count))
-    counts = _epoch_counts(n_samples, model.sample_frame_m, model.state_frame_m)
+    k = min(model.samples_per_epoch, n_samples)
     cum_stationary, cum_rows, psi_db, alpha_db, sigma = _chain(model)
 
-    u = rng.random(len(counts))
+    u = rng.random(-(-n_samples // k))
     first = int(np.searchsorted(cum_stationary, u[0]))
     states = _markov_walk(cum_rows, u, first)
 
     def per_sample(values):
-        return np.repeat(values[states], counts)
+        return np.repeat(values[states], k)[:n_samples]
 
     # Long calibration series make every n_samples array count, so
     # temporaries are freed as soon as they are used and updated in place.
@@ -276,7 +256,7 @@ def generate_series(
     if overflows:
         raise ValueError(f"rho overflows a float in {overflows} of {n_samples} samples:"
                          " the model's dB values are out of range")
-    return AttenuationSeries(rho=rho, sample_dt_s=dt, state=np.repeat(states, counts))
+    return AttenuationSeries(rho=rho, sample_dt_s=dt, state=np.repeat(states, k)[:n_samples])
 
 
 def quantile(cdf: EmpiricalCdf, q: float) -> float:

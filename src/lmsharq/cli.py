@@ -19,7 +19,7 @@ import numpy as np
 
 from lmsharq import metrics, presets
 from lmsharq.channel import EmpiricalCdf, generate_series
-from lmsharq.errors import ConfigError, check_integer
+from lmsharq.errors import ConfigError, check_db, check_integer
 from lmsharq.fec import TARGET_WER, calibrate_mi_req
 from lmsharq.mi import (
     DEFAULT_MAX_DB,
@@ -59,8 +59,14 @@ def _parse_es_list(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"expected start:stop:step, got {text!r}")
         start, stop, step = _numbers(parts, float, text)
-        if not all(map(math.isfinite, (start, stop, step))) or step <= 0 or stop < start:
+        if not all(map(math.isfinite, (start, stop, step))) or stop < start:
             raise ConfigError(f"bad Es/N0 range {text!r}")
+        # points are rounded to 9 decimals, so a smaller step only repeats them
+        if step < 1e-9:
+            raise ConfigError(f"Es/N0 range step {step:g} dB is below 1e-9 dB")
+        # within check_db's range an ulp is below 5e-13, so each step moves x
+        check_db("Es/N0 range start", start, error=ConfigError)
+        check_db("Es/N0 range stop", stop, error=ConfigError)
         out = []
         x = start
         while x <= stop + 1e-9:

@@ -57,6 +57,17 @@ def open_calib_cdf(open_model):
     return calibration_cdf(open_model)
 
 
+def numpy_simd_path() -> str:
+    """The NumPy version and the SIMD extensions it dispatches to. NumPy
+    picks its float kernels by CPU feature, so a byte pin holds for one
+    NumPy build on one SIMD path; a pin's failure message says which ran."""
+    try:
+        found = np.show_config(mode="dicts")["SIMD Extensions"]["found"]
+    except TypeError:  # a NumPy whose show_config takes no mode
+        return f"NumPy {np.__version__}"
+    return f"NumPy {np.__version__} on SIMD path {' '.join(found)}"
+
+
 def run_one(config, model, spec, mi_table):
     """The RunLog of one config, played as a sweep of one."""
     [log] = sweep([config], model, spec=spec, mi_table=mi_table)

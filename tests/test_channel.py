@@ -11,13 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from conftest import numpy_simd_path
 from oracles import counting_quantile_check
 from lmsharq.channel import (
     CLEAR_SKY,
     AttenuationSeries,
     ClearSky,
     _chain,
-    _epoch_counts,
     _markov_walk,
     EmpiricalCdf,
     LmsModel,
@@ -26,6 +26,7 @@ from lmsharq.channel import (
     quantile,
 )
 from lmsharq.errors import ConfigError
+from lmsharq import presets
 from lmsharq.presets import load_environment
 
 IDENTITY = np.eye(3)
@@ -124,6 +125,10 @@ def test_model_validation():
         LmsModel(states=s, transition_matrix=np.eye(2))
     with pytest.raises(ValueError):
         LmsModel(states=s, transition_matrix=IDENTITY, sample_frame_m=6.0, state_frame_m=5.0)
+    with pytest.raises(ValueError, match="state_frame_m 5.05 is not a whole number of sample_frame_m 0.1"):
+        LmsModel(states=s, transition_matrix=IDENTITY, state_frame_m=5.05)
+    with pytest.raises(ValueError, match="their ratio is inf"):
+        LmsModel(states=s, transition_matrix=IDENTITY, sample_frame_m=1e-10, state_frame_m=1e300)
 
 
 def test_stationary_is_a_fixed_point(its_model):
@@ -143,8 +148,9 @@ def test_generation_is_deterministic_per_seed(its_model):
 
 
 # sha256 of rho.tobytes() and state.tobytes() for 60 s at seed 1, recorded
-# on x86-64 with NumPy 2.4 before generate_series was rewritten to work in
-# place. Any change to the draw order or the float operations shows here.
+# on x86-64 with NumPy 2.4 on SIMD path X86_V3 X86_V4 AVX512_ICL AVX512_SPR
+# before generate_series was rewritten to work in place. Any change to the
+# draw order or the float operations shows here.
 SERIES_DIGESTS = {
     "its": (
         "0cc5a03aafb476237cbcedbee3432f36e87f38450865e17be896623bad38bef2",
@@ -165,12 +171,13 @@ def test_series_bytes_are_pinned(env, its_model, open_model):
         hashlib.sha256(series.rho.tobytes()).hexdigest(),
         hashlib.sha256(series.state.tobytes()).hexdigest(),
     )
-    assert got == SERIES_DIGESTS[env]
+    assert got == SERIES_DIGESTS[env], numpy_simd_path()
 
 
 # sha256 of calibration_cdf(...).sorted_rho.tobytes() at the default
 # calibration seed and duration (3600 s, 600k samples), recorded on x86-64
-# with NumPy 2.4 from the per-epoch generator loop.
+# with NumPy 2.4 on SIMD path X86_V3 X86_V4 AVX512_ICL AVX512_SPR from the
+# per-epoch generator loop.
 CALIBRATION_DIGESTS = {
     "its": "0dffcb5b8a221a5998f9138426cf06ccfb489dea5f441e6724ee4256937b94a4",
     "open": "42d1a55e83250c6809a98ee4cbce0317f0317342f8bf5fb3f8b6ca0dfce54985",
@@ -180,7 +187,8 @@ CALIBRATION_DIGESTS = {
 @pytest.mark.parametrize("env", sorted(CALIBRATION_DIGESTS))
 def test_calibration_bytes_are_pinned(env, its_calib_cdf, open_calib_cdf):
     cdf = its_calib_cdf if env == "its" else open_calib_cdf
-    assert hashlib.sha256(cdf.sorted_rho.tobytes()).hexdigest() == CALIBRATION_DIGESTS[env]
+    got = hashlib.sha256(cdf.sorted_rho.tobytes()).hexdigest()
+    assert got == CALIBRATION_DIGESTS[env], numpy_simd_path()
 
 
 def reference_walk(cum, u, first):
@@ -219,43 +227,56 @@ def test_markov_walk_matches_per_step_search(rows, first, n_epochs, seed):
     assert np.array_equal(got, reference_walk(cum, u, first))
 
 
-def assert_epochs_match_division(n, sample_frame_m, state_frame_m):
-    epoch_of = np.arange(n, dtype=np.float64)
-    epoch_of *= sample_frame_m
-    epoch_of //= state_frame_m
-    counts = _epoch_counts(n, sample_frame_m, state_frame_m)
-    assert len(counts) == int(epoch_of[-1]) + 1
-    assert np.array_equal(np.repeat(np.arange(len(counts)), counts), epoch_of)
+def reference_states(model, k, n, seed):
+    """The state column of an n-sample series: one per-step Markov decision
+    for each of ceil(n / k) epoch draws, each held for k samples."""
+    u = np.random.default_rng(seed).random(-(-n // k))
+    first = int(np.searchsorted(np.cumsum(model.stationary()), u[0]))
+    states = reference_walk(np.cumsum(model.transition_matrix, axis=1), u, first)
+    return np.repeat(states, k)[:n]
 
 
-@settings(max_examples=300, deadline=None)
-@given(
-    n=st.integers(1, 3000),
-    state_frame_m=st.floats(1e-3, 100.0),
-    ratio=st.floats(1e-3, 1.0),
-)
-def test_epoch_counts_match_per_sample_division(n, state_frame_m, ratio):
-    sample_frame_m = min(state_frame_m * ratio, state_frame_m)
-    assert_epochs_match_division(n, sample_frame_m, state_frame_m)
+def its_copy_with_frames(tmp_path, sample_frame_m, state_frame_m):
+    """The model of a copy of its.ini with the two frames replaced."""
+    text = (presets.assets_dir() / "its.ini").read_text()
+    text = text.replace("state_frame_m = 5.0", f"state_frame_m = {state_frame_m}")
+    text = text.replace("sample_frame_m = 0.1", f"sample_frame_m = {sample_frame_m}")
+    path = tmp_path / "frames.ini"
+    path.write_text(text)
+    return load_environment(str(path))
 
 
-@pytest.mark.parametrize("frame_m", [0.1, 0.3, 0.7, 1.0, 5.0, 7.3])
-@pytest.mark.parametrize("n", [1, 2, 1001])
-def test_epoch_counts_with_equal_frames(n, frame_m):
-    assert_epochs_match_division(n, frame_m, frame_m)
+@pytest.mark.parametrize("sample_frame_m, state_frame_m, k", [(0.3, 0.9, 3), (0.1, 0.1, 1)])
+def test_each_state_epoch_spans_whole_samples(sample_frame_m, state_frame_m, k, tmp_path):
+    # the float rule float(i) * sample_frame_m // state_frame_m put 3 of every
+    # 9 samples in the wrong epoch at 0.3 / 0.9, and left some epochs empty at 0.1 / 0.1
+    model = its_copy_with_frames(tmp_path, sample_frame_m, state_frame_m)
+    state = generate_series(model, 60.0, seed=1).state
+    n = len(state)
+    assert np.array_equal(state, np.repeat(state[::k], k)[:n])
+    assert np.array_equal(state, reference_states(model, k, n, seed=1))
+    assert model.samples_per_epoch == k
 
 
-@pytest.mark.parametrize("sample_frame_m, state_frame_m", [(0.1, 5.0), (0.3, 7.0), (0.07, 1.1)])
-def test_epoch_counts_at_calibration_length(sample_frame_m, state_frame_m):
-    assert_epochs_match_division(600_000, sample_frame_m, state_frame_m)
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(k=st.integers(1, 200), n=st.integers(1, 3000), sample_frame_m=st.sampled_from([0.1, 0.07, 1.0]))
+def test_state_epochs_are_blocks_of_k_samples(k, n, sample_frame_m, its_model):
+    # speed_mps = sample_frame_m makes the sample spacing 1 s, so n s is n samples
+    model = dataclasses.replace(its_model, state_frame_m=k * sample_frame_m,
+                                sample_frame_m=sample_frame_m, speed_mps=sample_frame_m)
+    state = generate_series(model, float(n), seed=n).state
+    assert len(state) == n
+    assert np.array_equal(state, np.repeat(state[::k], k)[:n])
+    assert np.array_equal(state, reference_states(model, k, n, seed=n))
+    assert model.samples_per_epoch == k
 
 
-def test_epoch_counts_are_kept_read_only():
-    counts = _epoch_counts(1001, 0.1, 5.0)
-    assert _epoch_counts(1001, 0.1, 5.0) is counts
-    with pytest.raises(ValueError, match="read-only"):
-        counts[0] = 0
-    assert_epochs_match_division(1001, 0.1, 5.0)
+def test_a_state_epoch_longer_than_the_series_is_one_decision(its_model):
+    model = dataclasses.replace(its_model, state_frame_m=1e15)  # 10^16 samples per epoch
+    series = generate_series(model, 5.0, seed=1)
+    assert len(series.state) == 834
+    # one epoch holds all 834 samples
+    assert np.array_equal(series.state, reference_states(model, 834, 834, seed=1))
 
 
 def test_a_models_chain_constants_are_kept_read_only(its_model):

@@ -47,6 +47,21 @@ def test_es_list_rejects_bad_ranges(text):
         _parse_es_list(text)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("10:11:1e-16", "Es/N0 range step 1e-16 dB is below 1e-9 dB"),
+    ("1e17:1e17:1", "Es/N0 range start 1e+17 dB is out of range: its linear value inf"
+                    " is not a finite, normal float"),
+    ("7:4000:1", "Es/N0 range stop 4000 dB is out of range: its linear value inf"
+                 " is not a finite, normal float"),
+])
+def test_an_es_range_whose_step_cannot_move_is_a_configuration_error(text, message, tmp_path,
+                                                                     capsys):
+    # each step adds less than half an ulp to x, or repeats a rounded point
+    assert main(["sweep", "--esn0", text, "--out", str(tmp_path / "sweep.csv")]) == 2
+    assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_help_exits_cleanly(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
@@ -550,22 +565,27 @@ def test_a_run_too_large_for_memory_is_a_configuration_error(monkeypatch, capsys
     ("channel --duration-s 1e300 --out {dir}/series.csv", "1e+300", "0.006", "1.66667e+302"),
     # 1e-300 m at 1e10 m/s is a subnormal spacing, and 5 s over it is inf samples
     ("run --env {dir}/tiny.ini --esn0 10 --duration-s 5", "5", "1e-310", "inf"),
-], ids=["run", "sweep", "channel", "tiny-spacing"])
+    # fewer samples than np.intp holds, but 16 bytes each for the complex diffuse part
+    ("run --env {dir}/equal.ini --esn0 10 --duration-s 1e16", "1e+16", "0.006", "1.66667e+18"),
+], ids=["run", "sweep", "channel", "tiny-spacing", "bytes"])
 def test_a_series_with_more_samples_than_an_array_holds_is_a_configuration_error(
         argv, duration, spacing, count, tmp_path, capsys):
     from lmsharq import presets
 
-    geometry = {"state_frame_m": "1e-299", "sample_frame_m": "1e-300", "speed_mps": "1e10"}
     lines = (presets.assets_dir() / "its.ini").read_text().splitlines()
-    (tmp_path / "tiny.ini").write_text("".join(
-        f"{key} = {geometry[key]}\n" if key in geometry else f"{line}\n"
-        for line, key in ((line, line.split("=")[0].strip()) for line in lines)))
+    for name, geometry in [
+        ("tiny.ini", {"state_frame_m": "1e-299", "sample_frame_m": "1e-300", "speed_mps": "1e10"}),
+        ("equal.ini", {"state_frame_m": "0.1"}),
+    ]:
+        (tmp_path / name).write_text("".join(
+            f"{key} = {geometry[key]}\n" if key in geometry else f"{line}\n"
+            for line, key in ((line, line.split("=")[0].strip()) for line in lines)))
     # checked before any array is asked for, so the test allocates nothing
     assert main(argv.format(dir=tmp_path).split()) == 2
     assert capsys.readouterr().err == (
         f"configuration error: duration_s {duration} s at a sample spacing of {spacing} s"
         f" is {count} samples, more than an array can hold\n")
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["tiny.ini"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["equal.ini", "tiny.ini"]
 
 
 def test_a_run_with_no_burst_is_an_empty_log_error(capsys):
@@ -861,6 +881,9 @@ INPUT_FAULTS = {
         "non-utf-8": lambda shipped: shipped + b"# \xff\n",
         "non-numeric": lambda shipped: shipped.replace(b"alpha_db = -4.0", b"alpha_db = x"),
         "own-check": lambda shipped: shipped.replace(b"psi_db = 1.0", b"psi_db = -1.0"),
+        # 5.05 m is 50.5 samples of 0.1 m
+        "non-whole-frames": lambda shipped: shipped.replace(b"state_frame_m = 5.0",
+                                                            b"state_frame_m = 5.05"),
     }),
     "turbo_8920_r16_wer.csv": ("calibrate --wer-curve {path}", {
         "non-utf-8": lambda shipped: b"es_n0_db,wer\n\xff\n",

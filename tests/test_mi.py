@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+from conftest import numpy_simd_path
 from oracles import ORACLE_MI_PER_BIT, ORACLE_POINTS_DB, bisection_mi_inverse
 from lmsharq import mi
 from lmsharq.errors import ConfigError
@@ -200,15 +201,16 @@ def test_build_matches_the_plain_reference_bit_for_bit(samples):
 
 # sha256 of es_n0_linear.tobytes() + mi_per_bit.tobytes() for three
 # default-grid points mid-curve at seed 1, recorded on x86-64 with NumPy 2.4
-# from the estimator that called scipy.special.logsumexp. Any change to the
-# draw order or the float operations shows here.
+# on SIMD path X86_V3 X86_V4 AVX512_ICL AVX512_SPR from the estimator that
+# called scipy.special.logsumexp. Any change to the draw order or the float
+# operations shows here.
 MI_SLICE_DIGEST = "6cab1c705174dec16cc8365cb9d1916f4d4afcabfe8d0b7526afbd9cfa651bf5"
 
 
 def test_mi_slice_bytes_are_pinned():
     table = build_mi_table(es_n0_min_db=-0.25, es_n0_max_db=0.25, points=3, seed=1)
     got = hashlib.sha256(table.es_n0_linear.tobytes() + table.mi_per_bit.tobytes()).hexdigest()
-    assert got == MI_SLICE_DIGEST
+    assert got == MI_SLICE_DIGEST, numpy_simd_path()
 
 
 def test_curve_limits(mi_table):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import run_one
+from conftest import numpy_simd_path, run_one
 from oracles import bisection_mi_inverse
 from lmsharq.channel import (
     CLEAR_SKY, AttenuationSeries, EmpiricalCdf, LmsModel, LooParams, generate_series,
@@ -527,7 +527,8 @@ RECORD_CASES = [
     for env in ("its", "open") for scheme in SCHEMES for max_tx in (1, 4, 6)
 ] + [("clear", scheme, 4) for scheme in SCHEMES]
 
-# Recorded from the event loop that tracked unfinished codewords in a dict.
+# Recorded on x86-64 with NumPy 2.4 on SIMD path X86_V3 X86_V4 AVX512_ICL
+# AVX512_SPR, from the event loop that tracked unfinished codewords in a dict.
 RECORD_SHA256 = {
     "its-classical-1": "e47c3682063a21389da3a96a7d1d734fc65f6ff8f9daa270fd1ee1ff728c1330",
     "its-classical-4": "d889c565703284a1b4e23598cfa922815f9cb5939675918fb7fe407f3ecdb2dc",
@@ -567,7 +568,7 @@ def test_codeword_records_are_pinned(env, scheme, max_tx, record_models, code_sp
     # ids are handed out in order of first burst, and every codeword has one
     firsts = np.unique(log.burst_codeword, return_index=True)[1]
     assert firsts.tolist() == sorted(firsts.tolist()) and len(firsts) == n
-    assert record_digest(log) == RECORD_SHA256[f"{env}-{scheme}-{max_tx}"]
+    assert record_digest(log) == RECORD_SHA256[f"{env}-{scheme}-{max_tx}"], numpy_simd_path()
 
 
 def count_calls(monkeypatch, name):
