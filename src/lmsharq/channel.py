@@ -113,11 +113,17 @@ CLEAR_SKY = ClearSky()
 
 @dataclass
 class AttenuationSeries:
-    """Sampled direct-path amplitude ratio rho along the path."""
+    """Sampled direct-path amplitude ratio rho along the path.
+
+    A generated series also keeps the Markov state of each state epoch,
+    epoch e holding samples e * samples_per_epoch onwards; the last epoch
+    may be cut short by the end of the series.
+    """
 
     rho: np.ndarray
     sample_dt_s: float
-    state: np.ndarray | None = None
+    epoch_state: np.ndarray | None = None
+    samples_per_epoch: int = 1
 
     def __post_init__(self):
         if len(self.rho) == 0:
@@ -127,6 +133,13 @@ class AttenuationSeries:
     def time_s(self) -> np.ndarray:
         """Time of each sample: sample i at i * sample_dt_s."""
         return np.arange(len(self.rho), dtype=np.float64) * self.sample_dt_s
+
+    @property
+    def state(self) -> np.ndarray | None:
+        """Markov state of each sample: that of the epoch that holds it."""
+        if self.epoch_state is None:
+            return None
+        return np.repeat(self.epoch_state, self.samples_per_epoch)[:len(self.rho)]
 
     def to_csv(self, path) -> None:
         path = Path(path)
@@ -192,6 +205,28 @@ def _chain(model: LmsModel):
     return constants
 
 
+# Samples per block of the diffuse part: a multiple of 16, so each block
+# starts where a vector of NumPy's whole-array SIMD kernels would.
+_BLOCK = 1 << 14
+
+
+def _per_epoch(ufunc, x, values, k, start=0):
+    """x = ufunc(x, values[e]) in place for the samples of each epoch e,
+    where x holds samples start, start + 1, ... and epoch e spans samples
+    e * k to e * k + k - 1. The whole epochs in x go through one
+    (epochs, k) view; an epoch cut by either end of x takes a scalar."""
+    head = min(-start % k, len(x))
+    e = -(-start // k)  # the first epoch that starts in x
+    if head:
+        ufunc(x[:head], values[e - 1], out=x[:head])
+    whole = (len(x) - head) // k
+    body = x[head:head + whole * k].reshape(whole, k)
+    ufunc(body, values[e:e + whole, None], out=body)
+    tail = x[head + whole * k:]
+    if len(tail):
+        ufunc(tail, values[e + whole], out=tail)
+
+
 def generate_series(
     model: LmsModel | ClearSky,
     duration_s: float,
@@ -214,8 +249,9 @@ def generate_series(
     rng = np.random.default_rng(seed)
     dt = model.sample_frame_m / model.speed_mps
     count = duration_s / dt
-    # checked before any array is asked for: the largest, diffuse, is complex128
-    if not count <= np.iinfo(np.intp).max // 16:
+    # checked before any array is asked for: the largest hold one float64
+    # per sample, and the complex128 buffer at most _BLOCK samples
+    if not count <= np.iinfo(np.intp).max // 8:
         raise ConfigError(f"duration_s {duration_s:g} s at a sample spacing of {dt:g} s is"
                           f" {count:g} samples, more than an array can hold")
     n_samples = int(np.ceil(count))
@@ -226,37 +262,40 @@ def generate_series(
     first = int(np.searchsorted(cum_stationary, u[0]))
     states = _markov_walk(cum_rows, u, first)
 
-    def per_sample(values):
-        return np.repeat(values[states], k)[:n_samples]
-
-    # Long calibration series make every n_samples array count, so
-    # temporaries are freed as soon as they are used and updated in place.
+    # Long calibration series make every n_samples array count, so the
+    # series is built in two of them, the direct ray and the diffuse part's
+    # real parts, and the imaginary parts go by block.
     # Generator.normal(alpha, psi) is alpha + psi * standard_normal.
     direct = rng.standard_normal(n_samples)
-    direct *= per_sample(psi_db)
-    direct += per_sample(alpha_db)
+    _per_epoch(np.multiply, direct, psi_db[states], k)
+    _per_epoch(np.add, direct, alpha_db[states], k)
     direct /= 20.0
     with np.errstate(over="ignore"):  # an overflow leaves inf, rejected below
         np.power(10.0, direct, out=direct)
 
-    # diffuse = sigma * (re + 1j * im), real part drawn first
-    diffuse = np.empty(n_samples, dtype=np.complex128)
-    draw = rng.standard_normal(n_samples)
-    diffuse.real = draw
-    rng.standard_normal(out=draw)
-    diffuse.imag = draw
-    del draw
-    diffuse *= per_sample(sigma)
-    diffuse += direct
+    # direct + sigma * (re + 1j * im), with every real part drawn before the
+    # first imaginary part. Each part is scaled as a float: the complex
+    # product with sigma + 0j rounds to the same values.
+    rho = rng.standard_normal(n_samples)
+    epoch_sigma = sigma[states]
+    _per_epoch(np.multiply, rho, epoch_sigma, k)
+    rho += direct
     del direct
-    # np.abs, not np.hypot: the two can differ in the last bit
-    rho = np.abs(diffuse)
-    del diffuse
+    diffuse = np.empty(min(n_samples, _BLOCK), dtype=np.complex128)
+    for start in range(0, n_samples, _BLOCK):
+        block = rho[start:start + _BLOCK]
+        imag = rng.standard_normal(len(block))
+        _per_epoch(np.multiply, imag, epoch_sigma, k, start)
+        buf = diffuse[:len(block)]
+        buf.real = block
+        buf.imag = imag
+        # np.abs, not np.hypot: the two can differ in the last bit
+        np.abs(buf, out=block)
     overflows = np.count_nonzero(~np.isfinite(rho))
     if overflows:
         raise ValueError(f"rho overflows a float in {overflows} of {n_samples} samples:"
                          " the model's dB values are out of range")
-    return AttenuationSeries(rho=rho, sample_dt_s=dt, state=np.repeat(states, k)[:n_samples])
+    return AttenuationSeries(rho=rho, sample_dt_s=dt, epoch_state=states, samples_per_epoch=k)
 
 
 def quantile(cdf: EmpiricalCdf, q: float) -> float:

@@ -37,6 +37,10 @@ from lmsharq.sim import SCHEMES, RunLog, SimConfig, run, sweep  # noqa: F401
 # The options that name an output file; `figures --out-dir` names a directory.
 OUTPUT_FILES = ("out", "cdf_out", "codewords_csv")
 
+# The most points an Es/N0 range may have; a range is counted before its
+# points are made, so a step far too small for its span fails at once.
+MAX_ES_POINTS = 100_000
+
 SWEEP_HEADER = ("scheme", "environment", "es_n0_db", "efficiency", "mean_delay_s")
 
 
@@ -67,6 +71,10 @@ def _parse_es_list(text: str) -> list[float]:
         # within check_db's range an ulp is below 5e-13, so each step moves x
         check_db("Es/N0 range start", start, error=ConfigError)
         check_db("Es/N0 range stop", stop, error=ConfigError)
+        # the points x = start + i * step with x <= stop + 1e-9, as the loop makes them
+        points = math.floor((stop + 1e-9 - start) / step) + 1
+        if points > MAX_ES_POINTS:
+            raise ConfigError(f"Es/N0 range {text!r} has {points} points, more than {MAX_ES_POINTS}")
         out = []
         x = start
         while x <= stop + 1e-9:

@@ -14,6 +14,7 @@ from scipy import stats
 from conftest import numpy_simd_path
 from oracles import counting_quantile_check
 from lmsharq.channel import (
+    _BLOCK,
     CLEAR_SKY,
     AttenuationSeries,
     ClearSky,
@@ -28,6 +29,7 @@ from lmsharq.channel import (
 from lmsharq.errors import ConfigError
 from lmsharq import presets
 from lmsharq.presets import load_environment
+from lmsharq.sim import calibration_cdf
 
 IDENTITY = np.eye(3)
 
@@ -198,6 +200,74 @@ def reference_walk(cum, u, first):
     for k in range(1, len(u)):
         states[k] = int(np.searchsorted(cum[states[k - 1]], u[k]))
     return states
+
+
+def whole_array_series(model, n, seed):
+    """rho and state of an n-sample series from the generator as it was
+    with whole-array draws: every parameter spread per sample with
+    np.repeat, and the diffuse part one complex128 array."""
+    rng = np.random.default_rng(seed)
+    k = min(model.samples_per_epoch, n)
+    cum_stationary, cum_rows, psi_db, alpha_db, sigma = _chain(model)
+    u = rng.random(-(-n // k))
+    states = reference_walk(cum_rows, u, int(np.searchsorted(cum_stationary, u[0])))
+
+    def per_sample(values):
+        return np.repeat(values[states], k)[:n]
+
+    direct = rng.standard_normal(n)
+    direct *= per_sample(psi_db)
+    direct += per_sample(alpha_db)
+    direct /= 20.0
+    np.power(10.0, direct, out=direct)
+    diffuse = np.empty(n, dtype=np.complex128)
+    diffuse.real = rng.standard_normal(n)
+    diffuse.imag = rng.standard_normal(n)
+    diffuse *= per_sample(sigma)
+    diffuse += direct
+    return np.abs(diffuse), np.repeat(states, k)[:n]
+
+
+@pytest.mark.parametrize("env", ["its", "open"])
+def test_the_diffuse_blocks_give_the_whole_array_series(env, its_model, open_model):
+    model = its_model if env == "its" else open_model
+    # a sample spacing of 1 s, so n s is n samples of the model's k = 50 per epoch
+    model = dataclasses.replace(model, speed_mps=model.sample_frame_m)
+    k = model.samples_per_epoch
+    assert k == 50 and _BLOCK % 16 == 0 and _BLOCK % k
+    # below k (one epoch of n samples), k, and about one and two block ends:
+    # the last four end in a short epoch, and past one block an epoch spans two
+    for n in [k - 13, k, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + k - 1]:
+        series = generate_series(model, float(n), seed=n)
+        rho, state = whole_array_series(model, n, seed=n)
+        assert np.array_equal(series.rho, rho), n
+        assert series.state.dtype == np.int64 and np.array_equal(series.state, state), n
+        assert len(series.epoch_state) == -(-n // min(k, n))
+
+
+def test_a_series_peaks_near_two_float64_arrays(its_model):
+    generate_series(its_model, 1.0, seed=1)
+    tracemalloc.start()
+    try:
+        series = generate_series(its_model, 3600.0, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the whole-array generator peaked at 32.5 bytes per sample
+    assert peak <= 20 * len(series.rho)
+
+
+def test_a_calibration_adds_at_most_12_mb_at_its_peak(its_model, its_calib_cdf):
+    fresh = calibration_cdf.__wrapped__  # past the kept CDFs
+    tracemalloc.start()
+    try:
+        cdf = fresh(its_model)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(cdf.sorted_rho, its_calib_cdf.sorted_rho)
+    # the whole-array generator peaked at 19.5 MB
+    assert peak <= 12e6
 
 
 # rows of small integer weights: zero entries, and unit rows that are

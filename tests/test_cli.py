@@ -5,13 +5,14 @@ import csv
 import dataclasses
 import hashlib
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from lmsharq.cli import _parse_es_list, build_parser, main
+from lmsharq.cli import MAX_ES_POINTS, _parse_es_list, build_parser, main
 from lmsharq.errors import ConfigError
 from lmsharq.sim import SimConfig
 
@@ -59,6 +60,43 @@ def test_an_es_range_whose_step_cannot_move_is_a_configuration_error(text, messa
     # each step adds less than half an ulp to x, or repeats a rounded point
     assert main(["sweep", "--esn0", text, "--out", str(tmp_path / "sweep.csv")]) == 2
     assert capsys.readouterr().err == f"configuration error: {message}\n"
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text, points", [("0:9.9999:1e-4", 100_000), ("0:10:1e-4", 100_001),
+                                          ("0:0.99999:1e-5", 100_000), ("0:1:1e-5", 100_001)])
+def test_an_es_range_is_counted_as_its_points_are_made(text, points):
+    assert MAX_ES_POINTS == 100_000
+    if points > MAX_ES_POINTS:
+        with pytest.raises(ConfigError, match=f"has {points} points, more than 100000"):
+            _parse_es_list(text)
+    else:
+        got = _parse_es_list(text)
+        step = float(text.split(":")[2])
+        assert len(got) == points
+        assert got[0] == 0.0 and got[-1] == round((points - 1) * step, 9)
+
+
+def _limit_address_space():
+    limit = 512 << 20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_an_es_range_of_more_points_than_the_bound_fails_before_making_them(tmp_path):
+    # 3e12 points would take about 100 TB as a list of floats: the child
+    # runs with 512 MiB of address space and a timeout, so a parser that
+    # makes the points before it counts them fails fast here
+    import lmsharq
+
+    src = str(Path(lmsharq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    argv = ["sweep", "--esn0", "0:3000:1e-9", "--out", str(tmp_path / "sweep.csv")]
+    child = subprocess.run(
+        [sys.executable, "-c", f"import sys; from lmsharq.cli import main; sys.exit(main({argv!r}))"],
+        env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+    assert (child.returncode, child.stderr) == (2, (
+        "configuration error: Es/N0 range '0:3000:1e-9' has 3000000000002 points,"
+        " more than 100000\n"))
     assert not any(tmp_path.iterdir())
 
 
@@ -565,7 +603,7 @@ def test_a_run_too_large_for_memory_is_a_configuration_error(monkeypatch, capsys
     ("channel --duration-s 1e300 --out {dir}/series.csv", "1e+300", "0.006", "1.66667e+302"),
     # 1e-300 m at 1e10 m/s is a subnormal spacing, and 5 s over it is inf samples
     ("run --env {dir}/tiny.ini --esn0 10 --duration-s 5", "5", "1e-310", "inf"),
-    # fewer samples than np.intp holds, but 16 bytes each for the complex diffuse part
+    # fewer samples than np.intp holds, but 8 bytes each for the float64 arrays
     ("run --env {dir}/equal.ini --esn0 10 --duration-s 1e16", "1e+16", "0.006", "1.66667e+18"),
 ], ids=["run", "sweep", "channel", "tiny-spacing", "bytes"])
 def test_a_series_with_more_samples_than_an_array_holds_is_a_configuration_error(
