@@ -176,15 +176,14 @@ def _markov_walk(cum: np.ndarray, u: np.ndarray, first: int) -> np.ndarray:
 
     Each row's successor of every epoch comes from one vectorised
     searchsorted, with the same comparisons as a per-step call, so the
-    walk itself only follows Python lists.
+    walk itself only follows bytes, one per epoch and row.
     """
-    succ = [np.searchsorted(row, u).tolist() for row in cum]
-    states = [first]
-    s = first
+    succ = [np.searchsorted(row, u).astype(np.uint8).tobytes() for row in cum]
+    states = bytearray(len(u))
+    s = states[0] = first
     for k in range(1, len(u)):
-        s = succ[s][k]
-        states.append(s)
-    return np.array(states, dtype=np.int64)
+        s = states[k] = succ[s][k]
+    return np.frombuffer(states, dtype=np.uint8).astype(np.int64)
 
 
 @lru_cache(maxsize=8)

@@ -12,6 +12,7 @@ Three ways to size the redundancy bursts of one codeword:
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -241,8 +242,6 @@ def build_enhanced_table(
     if len(probs.p) == 1:
         return StaticBitTable(n_sent=(n_1,))
     entries = [n_1]
-    total = n_1
-    notes = ()
 
     # The drawn samples stay sorted, and np.interp is several times faster
     # on sorted input; each draw then reads its own: mi_of over the draws,
@@ -251,57 +250,44 @@ def build_enhanced_table(
     rho = cdf.sorted_rho.take(picked)
     mi_draws = mi_of(mi_table, _faded_es_n0(rho, es_n0_ref_linear)).take(positions)
     acc = mi_draws[0] * n_1
-    # Work buffers for the decode test of every draw. Counting the draws
-    # that decode and dividing once is np.mean of the mask, bit for bit:
-    # a float64 sum of zeros and ones is exact.
-    total_mi = np.empty(ENHANCED_TABLE_DRAWS)
-    decodes = np.empty(ENHANCED_TABLE_DRAWS, dtype=bool)
-
-    def decode_fraction(row: np.ndarray, extra_bits: int) -> float:
-        np.multiply(extra_bits, row, out=total_mi)
-        np.add(acc, total_mi, out=total_mi)
-        np.greater_equal(total_mi, budget, out=decodes)
-        return np.count_nonzero(decodes) / ENHANCED_TABLE_DRAWS
 
     cum_target = probs.p[0]
-    for j in range(2, len(probs.p) + 1):
+    for j, row in enumerate(mi_draws[1:], start=2):
         cum_target += probs.p[j - 1]
-        remaining = spec.mother_codeword_bits - total
+        remaining = spec.mother_codeword_bits - sum(entries)
         if remaining < MODULATION_BITS:
-            notes = (f"mother codeword exhausted before transmission {j}; table ends",)
-            break
-        row = mi_draws[j - 1]
-        if decode_fraction(row, remaining) < cum_target:
-            notes = (f"transmission {j} clamped to the {remaining} bits left of the"
-                     " mother codeword; table ends there",)
-            entries.append(remaining)
-            total += remaining
-            break
-        # The entry is the fewest symbols in [1, most] whose decode
-        # fraction meets the target; a stage whose target the earlier
-        # bursts already meet gets one symbol. The target is met once
-        # `need` draws decode, so start from the need-th smallest of the
-        # draws' own symbol counts, estimated in floats, and step to the
-        # exact boundary with the decode test, which only gets easier as
-        # the burst grows. A draw that already decodes counts as 0, also
-        # with no MI this round (0 / 0). np.sort, not np.partition: those
-        # draws are many and tie at 0, and introselect is slow on ties.
+            return StaticBitTable(n_sent=tuple(entries), notes=(
+                f"mother codeword exhausted before transmission {j}; table ends",))
+
+        def meets(symbols: int) -> bool:
+            # np.mean of the mask, bit for bit: a float64 sum of 0s and 1s is exact
+            decodes = acc + symbols * MODULATION_BITS * row >= budget
+            return np.count_nonzero(decodes) / ENHANCED_TABLE_DRAWS >= cum_target
+
+        # The entry is the fewest symbols that meet the target, at least one;
+        # past `most`, the stage is clamped. Start from the draws' own symbol
+        # counts, estimated in floats, at the fewest decodes whose share,
+        # divided as in meets, reaches the target (past `most` if none does),
+        # and step to the boundary: more symbols only make the target easier.
+        # A draw that already decodes counts as 0, also with no MI this round
+        # (0 / 0). np.sort, not np.partition: those draws are many and tie at
+        # 0, and introselect is slow on ties.
         most = remaining // MODULATION_BITS
-        need = math.ceil(cum_target * ENHANCED_TABLE_DRAWS)
-        while need / ENHANCED_TABLE_DRAWS < cum_target:
-            need += 1
-        while (need - 1) / ENHANCED_TABLE_DRAWS >= cum_target:
-            need -= 1
         with np.errstate(divide="ignore", invalid="ignore"):
             per_draw = np.fmax((budget - acc) / (MODULATION_BITS * row), 0.0)
-        estimate = np.sort(per_draw)[need - 1]
-        symbols = max(math.ceil(min(estimate, most)), 1)
-        while symbols > 1 and decode_fraction(row, (symbols - 1) * MODULATION_BITS) >= cum_target:
+        at = bisect.bisect_left(range(1, ENHANCED_TABLE_DRAWS + 1), cum_target,
+                                key=lambda decoded: decoded / ENHANCED_TABLE_DRAWS)
+        estimate = np.sort(per_draw)[at] if at < ENHANCED_TABLE_DRAWS else math.inf
+        symbols = max(math.ceil(min(estimate, most + 1)), 1)
+        while symbols > 1 and meets(symbols - 1):
             symbols -= 1
-        while symbols < most and decode_fraction(row, symbols * MODULATION_BITS) < cum_target:
+        while symbols <= most and not meets(symbols):
             symbols += 1
-        bits = symbols * MODULATION_BITS
+        bits = min(symbols * MODULATION_BITS, remaining)
         entries.append(bits)
-        total += bits
+        if symbols > most:
+            return StaticBitTable(n_sent=tuple(entries), notes=(
+                f"transmission {j} clamped to the {remaining} bits left of the"
+                " mother codeword; table ends there",))
         acc += bits * row
-    return StaticBitTable(n_sent=tuple(entries), notes=notes)
+    return StaticBitTable(n_sent=tuple(entries))

@@ -1,6 +1,7 @@
 """Burst sizing policies."""
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -298,6 +299,22 @@ def _reference_enhanced_table(cdf, probs, spec, es_n0_ref_linear, mi_table):
 
 
 @pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
+@pytest.mark.parametrize("env", ["its", "open"])
+def test_enhanced_tables_of_random_probabilities_equal_the_reference(
+    env, short, request, code_spec, mi_table
+):
+    cdf = request.getfixturevalue(f"{env}_calib_cdf")
+    spec = CodeSpec(4460, 26760, code_spec.mi_req_per_bit) if short else code_spec
+    rng = np.random.default_rng([ENHANCED_TABLE_SEED, short, env == "open"])
+    for _ in range(10):
+        weights = rng.uniform(0.05, 1.0, size=rng.integers(2, 6))
+        probs = DecodingProbTable(weights / weights.sum() * rng.uniform(0.3, 0.9999))
+        es_db = rng.uniform(-3.0, 18.0)
+        args = (cdf, probs, spec, float(db_to_linear(es_db)), mi_table)
+        assert build_enhanced_table(*args) == _reference_enhanced_table(*args), (probs, es_db)
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["default", "short"])
 @pytest.mark.parametrize("preset", ["case1", "case2", "case3"])
 @pytest.mark.parametrize("env", ["its", "open"])
 def test_enhanced_table_equals_the_reference(env, preset, short, request, code_spec, mi_table):
@@ -374,6 +391,62 @@ def test_enhanced_table_never_decodes_a_draw_without_mi(second, expected):
     probs = DecodingProbTable((0.5, second))
     args = (ZERO_MI_CDF, probs, DYADIC_SPEC, 4.0, ZERO_MI_TABLE)
     got = build_enhanced_table(*args)
+    assert got == _reference_enhanced_table(*args)
+    assert got == expected
+
+
+# Half the mother codeword at twice the MI per bit: the budget stays 13380
+# bits, and so does the remainder after a first burst of 13380. A draw that
+# fails the first burst had MI 0 and needs all of the remainder at MI 1, so
+# the second stage decodes 3/4 of the draws below the whole remainder and
+# 15/16 at it. With one sample of three below the grid, 44514 draws decode
+# at the whole remainder, and a target one float above 44514 / 50000 needs
+# one more.
+THIRD_ZERO_CDF = EmpiricalCdf(sorted_rho=np.array([0.25, 1.0, 2.0]))
+CLAMPED = ("transmission 2 clamped to the 13380 bits left of the mother codeword;"
+           " table ends there",)
+
+
+@pytest.mark.parametrize(
+    "cdf, second, notes",
+    [
+        (ZERO_MI_CDF, 0.43, ()),
+        (ZERO_MI_CDF, 0.44, CLAMPED),
+        (THIRD_ZERO_CDF, 44514 / ENHANCED_TABLE_DRAWS - 0.5, ()),
+        (THIRD_ZERO_CDF, np.nextafter(44514 / ENHANCED_TABLE_DRAWS, 1.0) - 0.5, CLAMPED),
+    ],
+    ids=["0.43", "0.44", "count", "one-float-above"],
+)
+def test_enhanced_table_clamps_a_stage_only_the_whole_remainder_misses(cdf, second, notes):
+    probs = DecodingProbTable((0.5, second))
+    args = (cdf, probs, CodeSpec(8920, 26760, 0.5), 4.0, ZERO_MI_TABLE)
+    got = build_enhanced_table(*args)
+    assert got == _reference_enhanced_table(*args)
+    assert got == StaticBitTable((13380, 13380), notes)
+
+
+# 37525 of the draws decode on the first burst, the next ones at 3345 symbols
+# and all of them by 6690, with 20070 symbols left.
+@pytest.mark.parametrize(
+    "cum_target, expected",
+    [
+        # a sum above 1, which the table's tolerance admits and no share meets
+        (1.0 + 1e-10, StaticBitTable((13380, 40140), ("transmission 2 clamped to the 40140 bits"
+                                                      " left of the mother codeword; table ends there",))),
+        # a target whose product with 50000 rounds to 37525, one decode short
+        (float(np.nextafter(0.7505, 1.0)), StaticBitTable((13380, 3345 * MODULATION_BITS))),
+    ],
+    ids=["sum-above-1", "one-float-above-a-share"],
+)
+def test_enhanced_table_starts_its_search_at_the_count_of_decodes_the_target_needs(
+    cum_target, expected
+):
+    probs = DecodingProbTable((0.5, cum_target - 0.5))
+    args = (DYADIC_CDF, probs, DYADIC_SPEC, 4.0, DYADIC_TABLE)
+    with mock.patch.object(np, "count_nonzero", wraps=np.count_nonzero) as decode_tests:
+        got = build_enhanced_table(*args)
+    # a search from another count steps there one symbol per decode test
+    assert decode_tests.call_count <= 3
     assert got == _reference_enhanced_table(*args)
     assert got == expected
 
