@@ -260,6 +260,7 @@ def generate_series(
     u = rng.random(-(-n_samples // k))
     first = int(np.searchsorted(cum_stationary, u[0]))
     states = _markov_walk(cum_rows, u, first)
+    del u  # one float64 per sample when k = 1
 
     # Long calibration series make every n_samples array count, so the
     # series is built in two of them, the direct ray and the diffuse part's

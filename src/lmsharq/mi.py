@@ -112,17 +112,17 @@ def _logsumexp_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 class _Work:
-    """The arrays of one build, refilled at every grid point."""
+    """The arrays of one build, refilled at every grid point: one int8
+    symbol and one float64 per sample, plus one block's buffers."""
 
     def __init__(self, samples: int):
-        self.sent = np.empty(samples, dtype=np.intp)
-        self.noise_re = np.empty(samples)
-        self.noise_im = np.empty(samples)
+        self.sent = np.empty(samples, dtype=np.int8)
+        # a point's real noise parts, then block by block its MI per bit
         self.per_bit = np.empty(samples)
-        # one block's buffers
         self.noise = np.empty(_BLOCK, dtype=complex)
         self.y = np.empty(_BLOCK, dtype=complex)
         self.d = np.empty(_BLOCK, dtype=complex)
+        # a block's imaginary noise parts, then their squared magnitudes
         self.noise2 = np.empty(_BLOCK)
         self.expo = np.empty((_QPSK.size, _BLOCK))
 
@@ -130,21 +130,21 @@ class _Work:
 def _mc_mi_per_bit(snr_linear: float, rng: np.random.Generator, work: _Work):
     """One grid point: Monte Carlo per-bit MI estimate and its std error."""
     samples = work.per_bit.size
-    # draw order: symbols, then the real and the imaginary noise parts;
-    # drawing in blocks or into `out` leaves the stream unchanged
+    # draw order: symbols, then every real and every imaginary noise part;
+    # drawing in blocks or into `out` leaves the stream unchanged. The
+    # symbols are drawn as int64, as a dtype=int8 draw takes other bits.
     for lo in range(0, samples, _BLOCK):
         hi = min(lo + _BLOCK, samples)
         work.sent[lo:hi] = rng.integers(0, 4, size=hi - lo)
-    rng.standard_normal(out=work.noise_re)
-    rng.standard_normal(out=work.noise_im)
+    rng.standard_normal(out=work.per_bit)
     scale = np.sqrt(0.5 / snr_linear)
     for lo in range(0, samples, _BLOCK):
         hi = min(lo + _BLOCK, samples)
         k = hi - lo
         nb, n2, yb, db = work.noise[:k], work.noise2[:k], work.y[:k], work.d[:k]
         rows = work.expo[:, :k]
-        nb.real = work.noise_re[lo:hi]
-        nb.imag = work.noise_im[lo:hi]
+        nb.real = work.per_bit[lo:hi]
+        nb.imag = rng.standard_normal(out=n2)
         nb *= scale
         # log p(y|x_j) up to a common constant, one row per constellation point
         np.abs(nb, out=n2)
@@ -160,8 +160,13 @@ def _mc_mi_per_bit(snr_linear: float, rng: np.random.Generator, work: _Work):
         out /= np.log(2.0)
         np.subtract(np.log2(4.0), out, out=out)
         out /= MODULATION_BITS
-    per_bit = work.per_bit
-    return float(np.mean(per_bit)), float(np.std(per_bit) / np.sqrt(samples))
+    # the float operations of np.mean and np.std, the deviations in place
+    x = work.per_bit
+    mean = np.add.reduce(x) / samples
+    x -= mean
+    np.multiply(x, x, out=x)
+    std = np.sqrt(np.add.reduce(x) / samples)
+    return float(mean), float(std / np.sqrt(samples))
 
 
 def build_mi_table(
@@ -174,12 +179,18 @@ def build_mi_table(
     """Estimate the per-bit MI curve on a dB grid.
 
     Deterministic for a fixed seed. Raises ConfigError before any draw
-    when the grid, the sample count or the seed is invalid, and after
-    the draws when the sample count cannot deliver the target precision.
+    when the grid, the sample count or the seed is invalid or more than
+    an array can hold, and after the draws when the sample count cannot
+    deliver the target precision.
     """
     check_integer("seed", seed)
     check_integer("points", points, 2)
     check_integer("samples", samples, MIN_SAMPLES)
+    # checked before any array is asked for: the largest hold one float64
+    # per grid point or per sample
+    for name, count in (("points", points), ("samples", samples)):
+        if count > np.iinfo(np.intp).max // 8:
+            raise ConfigError(f"{name} {count} is more than an array can hold")
     if not np.isfinite([es_n0_min_db, es_n0_max_db]).all():
         raise ConfigError("es_n0_min_db and es_n0_max_db must be finite")
     if not es_n0_min_db < es_n0_max_db:

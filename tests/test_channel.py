@@ -257,7 +257,7 @@ def test_a_series_peaks_near_two_float64_arrays(its_model):
     assert peak <= 20 * len(series.rho)
 
 
-def test_a_walk_of_one_sample_per_epoch_peaks_under_42_bytes_per_sample(its_model):
+def test_a_walk_of_one_sample_per_epoch_peaks_under_34_bytes_per_sample(its_model):
     equal = dataclasses.replace(its_model, state_frame_m=0.1)  # one sample per state epoch
     generate_series(equal, 1.0, seed=1)
     tracemalloc.start()
@@ -266,8 +266,9 @@ def test_a_walk_of_one_sample_per_epoch_peaks_under_42_bytes_per_sample(its_mode
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # a walk over Python lists of successors and states peaked at 48
-    assert peak <= 42 * len(series.rho)
+    # a walk over Python lists of successors and states peaked at 48, and
+    # at 40 while the epoch uniforms stayed alive beside the series
+    assert peak <= 34 * len(series.rho)
 
 
 def test_a_calibration_adds_at_most_12_mb_at_its_peak(its_model, its_calib_cdf):

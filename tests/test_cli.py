@@ -138,6 +138,19 @@ def test_degenerate_table_request_is_a_usage_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("option, count", [
+    ("--samples", "100000000000000000000"), ("--samples", "2000000000000000000"),
+    ("--points", "100000000000000000000"), ("--points", "2000000000000000000"),
+])
+def test_an_mi_table_larger_than_an_array_holds_is_a_usage_error(option, count, tmp_path, capsys):
+    # checked before any array is asked for, so the test allocates nothing
+    out = tmp_path / "t.csv"
+    assert main(["mi-table", option, count, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"configuration error: {option[2:]} {count} is more than an array can hold\n")
+    assert not out.exists()
+
+
 def test_missing_environment_maps_to_exit_three(tmp_path, capsys):
     out = tmp_path / "series.csv"
     code = main(["channel", "--env", "desert", "--duration-s", "1", "--out", str(out)])

@@ -1,6 +1,7 @@
 """Per-bit MI table: construction and interpolation."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,13 +94,21 @@ def test_build_rejects_bad_configuration():
     (dict(samples=20000.0), "samples must be an integer"),
     (dict(samples=True), "samples must be an integer"),
     (dict(samples=np.int64(100)), "samples must be at least 10000"),
+    # more elements than np.intp holds, and more float64 bytes than it counts
+    (dict(samples=10**20), "samples 100000000000000000000 is more than an array can hold"),
+    (dict(samples=2 * 10**18), "samples 2000000000000000000 is more than an array can hold"),
+    (dict(samples=np.iinfo(np.intp).max // 8 + 1), "samples 1152921504606846976 is more than"),
+    (dict(points=10**20), "points 100000000000000000000 is more than an array can hold"),
+    (dict(points=np.int64(2 * 10**18)), "points 2000000000000000000 is more than an array can hold"),
 ], ids=["negative", "numpy-negative", "float", "bool", "inf-max", "nan-min", "-inf-min",
         "float-points", "bool-points", "numpy-one-point", "float-samples", "bool-samples",
-        "numpy-few-samples"])
+        "numpy-few-samples", "huge-samples", "samples-bytes", "samples-one-past",
+        "huge-points", "numpy-points-bytes"])
 def test_build_checks_seed_and_bounds_before_drawing(kwargs, message, monkeypatch):
     def no_draw(*args):
-        raise AssertionError("drew samples")
+        raise AssertionError("allocated or drew samples")
 
+    monkeypatch.setattr(mi, "_Work", no_draw)
     monkeypatch.setattr(mi, "_mc_mi_per_bit", no_draw)
     with pytest.raises(ConfigError, match=message):
         build_mi_table(**{"points": 3, **kwargs})
@@ -170,7 +179,7 @@ def _reference_build(es_n0_min_db, es_n0_max_db, points, samples, seed):
     rng = np.random.default_rng(seed)
     grid = db_to_linear(np.linspace(es_n0_min_db, es_n0_max_db, points))
     qpsk = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
-    means, worst_se = [], 0.0
+    means, std_errors = [], []
     for snr in map(float, grid):
         sent = rng.integers(0, 4, size=samples)
         noise = np.empty(samples, dtype=complex)
@@ -182,21 +191,46 @@ def _reference_build(es_n0_min_db, es_n0_max_db, points, samples, seed):
         expo *= snr
         per_bit = (np.log2(4.0) - logsumexp(expo, axis=1) / np.log(2.0)) / mi.MODULATION_BITS
         means.append(np.mean(per_bit))
-        worst_se = max(worst_se, float(np.std(per_bit) / np.sqrt(samples)))
-    assert worst_se < mi.TARGET_STD_ERROR
-    return MiTable(grid, np.clip(np.maximum.accumulate(means), 0.0, 1.0))
+        std_errors.append(float(np.std(per_bit) / np.sqrt(samples)))
+    assert max(std_errors) < mi.TARGET_STD_ERROR
+    return MiTable(grid, np.clip(np.maximum.accumulate(means), 0.0, 1.0)), std_errors
 
 
 @pytest.mark.parametrize("samples", [10_000, 16_384, 16_385, 3 * 16_384 + 7])
-def test_build_matches_the_plain_reference_bit_for_bit(samples):
+def test_build_matches_the_plain_reference_bit_for_bit(samples, monkeypatch):
     # four points per build, so every point after the first reuses the
     # build's arrays; 10-13 dB keeps 10k samples inside the precision
     # gate, and below the saturation where every sample scores exactly 1
     args = (10.0, 13.0, 4, samples, 5)
-    got, expected = build_mi_table(*args), _reference_build(*args)
+    std_errors = []
+    estimate = mi._mc_mi_per_bit
+
+    def spy(*point):
+        mean, se = estimate(*point)
+        std_errors.append(se)
+        return mean, se
+
+    monkeypatch.setattr(mi, "_mc_mi_per_bit", spy)
+    got = build_mi_table(*args)
+    expected, expected_std_errors = _reference_build(*args)
     assert np.all(got.mi_per_bit < 1.0)
     assert got.es_n0_linear.tobytes() == expected.es_n0_linear.tobytes()
     assert got.mi_per_bit.tobytes() == expected.mi_per_bit.tobytes()
+    # the in-place deviations give np.std's bits
+    assert np.array(std_errors).tobytes() == np.array(expected_std_errors).tobytes()
+
+
+def test_a_build_traces_at_most_12_bytes_per_sample():
+    build_mi_table(19.0, 20.0, 2, 20_000, 3)
+    tracemalloc.start()
+    try:
+        build_mi_table(19.0, 20.0, 2, 1_000_000, 3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # int64 symbols and whole real and imaginary noise arrays beside the
+    # MI array, plus np.std's deviations, traced 41.4
+    assert peak <= 12 * 1_000_000
 
 
 # sha256 of es_n0_linear.tobytes() + mi_per_bit.tobytes() for three
