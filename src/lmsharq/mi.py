@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,9 +52,10 @@ class MiTable:
     """Tabulated per-bit mutual information on an increasing Es/N0 grid.
 
     Immutable: it keeps its own read-only copies of both arrays, so the
-    checks below cannot be undone through the caller's arrays. np.interp
-    copies a read-only array on every call, so mi_of reads a private
-    writable copy of each.
+    checks below cannot be undone through the caller's arrays. Each grid
+    value is a positive, normal float, the rule parse_mi_csv applies to
+    its dB values, so the table's buckets (see mi_of) span at most the
+    2046 octaves of normal floats.
     """
 
     es_n0_linear: np.ndarray
@@ -62,7 +64,6 @@ class MiTable:
     def __post_init__(self):
         for name in ("es_n0_linear", "mi_per_bit"):
             values = np.array(getattr(self, name), dtype=float)
-            object.__setattr__(self, "_interp_" + name, values.copy())
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         if self.es_n0_linear.ndim != 1 or self.es_n0_linear.size < 2:
@@ -71,12 +72,51 @@ class MiTable:
             raise ValueError("grid and mi arrays differ in length")
         if not (np.isfinite(self.es_n0_linear).all() and np.isfinite(self.mi_per_bit).all()):
             raise ValueError("grid and mi values must be finite")
+        if not (self.es_n0_linear >= sys.float_info.min).all():
+            raise ValueError("es_n0_linear values must be positive, normal floats")
         if np.any(np.diff(self.es_n0_linear) <= 0):
             raise ValueError("es_n0_linear grid must be strictly increasing")
         if np.any(self.mi_per_bit < 0.0) or np.any(self.mi_per_bit > 1.0):
             raise ValueError("mi_per_bit values must lie in [0, 1]")
         if np.any(np.diff(self.mi_per_bit) < 0.0):
             raise ValueError("mi_per_bit must be non-decreasing along the grid")
+        object.__setattr__(self, "_segments", _Segments(self.es_n0_linear, self.mi_per_bit))
+
+
+# A positive float's bits shifted right by this many keep its exponent and
+# top 8 mantissa bits: 256 buckets per octave.
+_BUCKET_SHIFT = 44
+
+
+class _Segments:
+    """What mi_of reads of a table besides its two arrays.
+
+    Segment j runs from grid point j to grid point j + 1; the last one
+    holds only the grid's last point. For each bucket from the first grid
+    point's to the last one's, `guide` holds the segment of the bucket's
+    smallest float, and a query in the bucket lies at most `steps` grid
+    points above that segment's start. `upper[j]` is where segment j ends
+    (inf for the last) and `slopes[j]` is numpy.interp's slope of segment j
+    (0 for the last). `knot_rule` is set where the slope formula can miss
+    a grid point's own value: on an inf slope (inf * 0) or on -0.0
+    (0.0 + -0.0).
+    """
+
+    def __init__(self, xp: np.ndarray, fp: np.ndarray):
+        self.upper = np.append(xp[1:], np.inf)
+        with np.errstate(over="ignore"):  # grid points a few ulps apart: inf, as in numpy.interp
+            self.slopes = np.append(np.diff(fp) / np.diff(xp), 0.0)
+        self.knot_rule = bool(np.isinf(self.slopes).any() or np.signbit(fp).any())
+        bits = xp.view(np.int64)
+        buckets = bits >> _BUCKET_SHIFT
+        self.first_bucket = int(buckets[0])
+        starts = np.arange(buckets[0], buckets[-1] + 1) << _BUCKET_SHIFT
+        self.guide = np.maximum(np.searchsorted(xp, starts.view(float), side="right") - 1, 0)
+        # grid points above their bucket's smallest float, counted per bucket
+        inner = buckets[bits & ((1 << _BUCKET_SHIFT) - 1) != 0]
+        self.steps = int(np.unique(inner, return_counts=True)[1].max(initial=0))
+        for array in (self.upper, self.slopes, self.guide):
+            array.setflags(write=False)
 
 
 def _logsumexp_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -214,11 +254,27 @@ def build_mi_table(
 
 
 def mi_of(table: MiTable, es_n0_linear):
-    """Per-bit MI at a linear Es/N0, clamped to the table range."""
+    """Per-bit MI at a linear Es/N0, clamped to the table range.
+
+    numpy.interp's values, bit for bit, without its binary search: a query
+    clamped to the grid starts at its bucket's segment in the table's
+    guide, steps up past the grid points at or below it and reads
+    numpy.interp's formula, or on a grid point that point's own value.
+    """
     x = np.asarray(es_n0_linear, dtype=float)
     if not ((0.0 < x) & (x < np.inf)).all():
         raise ValueError("es_n0_linear must be positive and finite")
-    out = np.interp(x, table._interp_es_n0_linear, table._interp_mi_per_bit)
+    xp, fp, seg = table.es_n0_linear, table.mi_per_bit, table._segments
+    x = np.clip(x, xp[0], xp[-1])
+    j = (x.view(np.int64) >> _BUCKET_SHIFT) - seg.first_bucket
+    j = seg.guide.take(j)
+    for _ in range(seg.steps):
+        j += x >= seg.upper.take(j)
+    xp_j, fp_j = xp.take(j), fp.take(j)
+    with np.errstate(invalid="ignore"):  # inf * 0 on a grid point, replaced below
+        out = seg.slopes.take(j) * (x - xp_j) + fp_j
+    if seg.knot_rule:
+        out = np.where(x == xp_j, fp_j, out)
     return float(out) if np.ndim(es_n0_linear) == 0 else out
 
 

@@ -184,30 +184,21 @@ class AdaptivePolicy:
 
 
 @functools.lru_cache(maxsize=3)
-def _enhanced_draws(n_samples: int, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+def _enhanced_draws(n_samples: int, rounds: int) -> np.ndarray:
     """The seeded draws of the enhanced table over n_samples sorted samples.
 
     The draws are those of rng.choice over the samples, taken as sample
     indices, so they depend on the sample count and the number of rounds
-    only. Returns the distinct indices drawn, in increasing order, and
-    the position of every draw among them, one row per transmission.
-    Both arrays are read-only: every caller shares them.
+    only. Returns each draw's sample index, one row per transmission, as
+    int32: half of what a fresh process first touches here and what an
+    entry keeps (800 kB at four rounds). The array is read-only: every
+    caller shares it.
     """
     rng = np.random.default_rng(ENHANCED_TABLE_SEED)
     picks = rng.choice(n_samples, size=(ENHANCED_TABLE_DRAWS, rounds))
-    drawn = np.zeros(n_samples, dtype=bool)
-    drawn[picks] = True
-    picked = np.flatnonzero(drawn)
-    # int32 halves both what a fresh process first touches here and what
-    # an entry keeps (1.5 MB at 600k samples and four rounds); np.take
-    # reads such indices about as fast as intp ones.
-    rank = np.empty(n_samples, dtype=np.int32)
-    rank[picked] = np.arange(picked.size, dtype=np.int32)
-    positions = np.ascontiguousarray(rank[picks].T)
-    picked = picked.astype(np.int32)
-    picked.setflags(write=False)
-    positions.setflags(write=False)
-    return picked, positions
+    draws = np.ascontiguousarray(picks.T, dtype=np.int32)
+    draws.setflags(write=False)
+    return draws
 
 
 def build_enhanced_table(
@@ -243,41 +234,56 @@ def build_enhanced_table(
         return StaticBitTable(n_sent=(n_1,))
     entries = [n_1]
 
-    # The drawn samples stay sorted, and np.interp is several times faster
-    # on sorted input; each draw then reads its own: mi_of over the draws,
-    # bit for bit.
-    picked, positions = _enhanced_draws(cdf.sorted_rho.size, len(probs.p))
-    rho = cdf.sorted_rho.take(picked)
-    mi_draws = mi_of(mi_table, _faded_es_n0(rho, es_n0_ref_linear)).take(positions)
-    acc = mi_draws[0] * n_1
+    # The faded drawn samples' extremes raise what any drawn sample would:
+    # the samples are sorted, and fading keeps their order.
+    draws = _enhanced_draws(cdf.sorted_rho.size, len(probs.p))
+    rho = cdf.sorted_rho
+    mi_of(mi_table, _faded_es_n0(rho.take([draws.min(), draws.max()]), es_n0_ref_linear))
+
+    def mi_draws(picks: np.ndarray) -> np.ndarray:
+        return mi_of(mi_table, _faded_es_n0(rho.take(picks), es_n0_ref_linear))
+
+    # Only the draws still undecoded are carried from stage to stage: a
+    # decoded draw's accumulated MI only grows, so it meets every later
+    # target and counts as one of the `decoded`.
+    acc = mi_draws(draws[0]) * n_1
+    alive = np.flatnonzero(acc < budget)
+    acc = acc.take(alive)
 
     cum_target = probs.p[0]
-    for j, row in enumerate(mi_draws[1:], start=2):
+    for j, picks in enumerate(draws[1:], start=2):
         cum_target += probs.p[j - 1]
         remaining = spec.mother_codeword_bits - sum(entries)
         if remaining < MODULATION_BITS:
             return StaticBitTable(n_sent=tuple(entries), notes=(
                 f"mother codeword exhausted before transmission {j}; table ends",))
+        row = mi_draws(picks.take(alive))
+        decoded = ENHANCED_TABLE_DRAWS - alive.size
 
         def meets(symbols: int) -> bool:
-            # np.mean of the mask, bit for bit: a float64 sum of 0s and 1s is exact
+            # np.mean of the mask over every draw, bit for bit: a float64 sum
+            # of 0s and 1s is exact
             decodes = acc + symbols * MODULATION_BITS * row >= budget
-            return np.count_nonzero(decodes) / ENHANCED_TABLE_DRAWS >= cum_target
+            return (decoded + np.count_nonzero(decodes)) / ENHANCED_TABLE_DRAWS >= cum_target
 
         # The entry is the fewest symbols that meet the target, at least one;
         # past `most`, the stage is clamped. Start from the draws' own symbol
         # counts, estimated in floats, at the fewest decodes whose share,
         # divided as in meets, reaches the target (past `most` if none does),
         # and step to the boundary: more symbols only make the target easier.
-        # A draw that already decodes counts as 0, also with no MI this round
-        # (0 / 0). np.sort, not np.partition: those draws are many and tie at
-        # 0, and introselect is slow on ties.
+        # The decoded draws need 0 symbols, the fewest of all; an undecoded
+        # draw with no MI this round needs inf.
         most = remaining // MODULATION_BITS
-        with np.errstate(divide="ignore", invalid="ignore"):
-            per_draw = np.fmax((budget - acc) / (MODULATION_BITS * row), 0.0)
         at = bisect.bisect_left(range(1, ENHANCED_TABLE_DRAWS + 1), cum_target,
-                                key=lambda decoded: decoded / ENHANCED_TABLE_DRAWS)
-        estimate = np.sort(per_draw)[at] if at < ENHANCED_TABLE_DRAWS else math.inf
+                                key=lambda count: count / ENHANCED_TABLE_DRAWS)
+        if at < decoded:
+            estimate = 0.0
+        elif at < ENHANCED_TABLE_DRAWS:
+            with np.errstate(divide="ignore"):
+                per_draw = (budget - acc) / (MODULATION_BITS * row)
+            estimate = np.partition(per_draw, at - decoded)[at - decoded]
+        else:
+            estimate = math.inf
         symbols = max(math.ceil(min(estimate, most + 1)), 1)
         while symbols > 1 and meets(symbols - 1):
             symbols -= 1
@@ -290,4 +296,6 @@ def build_enhanced_table(
                 f"transmission {j} clamped to the {remaining} bits left of the"
                 " mother codeword; table ends there",))
         acc += bits * row
+        undecoded = acc < budget
+        alive, acc = alive[undecoded], acc[undecoded]
     return StaticBitTable(n_sent=tuple(entries))

@@ -1,10 +1,13 @@
 """Per-bit MI table: construction and interpolation."""
 
 import hashlib
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from conftest import numpy_simd_path
@@ -47,28 +50,83 @@ def test_table_keeps_its_own_read_only_arrays():
             array[0] = 0.0
 
 
-@pytest.mark.parametrize("query", [1.5, np.array([1.2, 1.7])], ids=["scalar", "vector"])
-def test_interp_gets_arrays_it_need_not_copy(query, monkeypatch):
-    """np.interp copies a grid or value array that is not a writable,
-    C-contiguous float64 array, so mi_of hands it private writable copies
-    and leaves the public arrays read-only."""
-    table = MiTable(es_n0_linear=np.array([1.0, 2.0]), mi_per_bit=np.array([0.1, 0.2]))
-    received = []
-    interp = np.interp
+@pytest.mark.parametrize("value", [0.0, -1.0, 5e-324, sys.float_info.min / 2])
+def test_table_rejects_a_grid_value_that_is_not_a_positive_normal_float(value):
+    # parse_mi_csv's rule for its dB values; save_mi_csv would write such a
+    # value as -inf or nan
+    with pytest.raises(ValueError, match="positive, normal floats"):
+        MiTable(es_n0_linear=np.array([value, 1.0, 2.0]), mi_per_bit=np.array([0.1, 0.2, 0.3]))
+    table = MiTable(np.array([sys.float_info.min, 1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
+    assert mi_of(table, sys.float_info.min) == 0.1
 
-    def spy(x, xp, fp, *args, **kwargs):
-        received.append((xp, fp))
-        return interp(x, xp, fp, *args, **kwargs)
 
-    monkeypatch.setattr(np, "interp", spy)
-    assert mi_of(table, query) == pytest.approx(0.1 * np.asarray(query))
-    [(xp, fp)] = received
-    for given, public in ((xp, table.es_n0_linear), (fp, table.mi_per_bit)):
-        assert given.dtype == np.float64
-        assert given.flags.writeable and given.flags.c_contiguous and given.flags.aligned
-        assert np.array_equal(given, public)
-        assert not np.shares_memory(given, public)
-        assert not public.flags.writeable
+# 10 ** (dB / 10) is a positive, normal float across this range, inside check_db's
+DB_RANGE = (-3076.5, 3082.5)
+
+
+@st.composite
+def tables_and_queries(draw):
+    """A valid MI table and queries that probe np.interp's rules on it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo_db = draw(st.floats(*DB_RANGE))
+    hi_db = draw(st.floats(lo_db, DB_RANGE[1]))
+    points = [10.0 ** (rng.uniform(lo_db, hi_db, draw(st.integers(2, 300))) / 10.0)]
+    # several grid points inside one bucket: one bucket start, random low bits
+    for _ in range(draw(st.integers(0, 3))):
+        start = (points[0][:1].view(np.int64) >> mi._BUCKET_SHIFT) << mi._BUCKET_SHIFT
+        low_bits = rng.integers(0, 1 << mi._BUCKET_SHIFT, draw(st.integers(2, 6)))
+        points.append((start + low_bits).view(float))
+    if draw(st.booleans()):
+        # grid points a few ulps above the smallest normal float: slopes overflow to inf
+        ulps = rng.integers(0, 64, draw(st.integers(2, 5)))
+        points.append((np.array([sys.float_info.min]).view(np.int64) + ulps).view(float))
+    xp = np.unique(np.concatenate(points))
+    assume(xp.size >= 2)
+    fp = np.sort(rng.uniform(0.0, 1.0, xp.size))
+    if draw(st.booleans()):
+        fp = np.round(fp, 1)  # ties: flat segments, 0 and 1 at the ends
+    if draw(st.booleans()):
+        fp[0] = -0.0
+    table = MiTable(xp, fp)
+
+    inside = np.exp(rng.uniform(np.log(xp[0]), np.log(xp[-1]), 50))
+    starts = (inside.view(np.int64) >> mi._BUCKET_SHIFT << mi._BUCKET_SHIFT).view(float)
+    with np.errstate(over="ignore"):  # beyond the grid, inf and 0 are dropped below
+        beyond = np.concatenate([xp[0] * rng.uniform(0.0, 1.0, 5), xp[-1] / rng.uniform(0.0, 1.0, 5)])
+    queries = np.concatenate([
+        xp, np.nextafter(xp, 0.0), np.nextafter(xp, np.inf),
+        # bucket starts and the floats just below them
+        starts, np.nextafter(starts, 0.0),
+        inside, beyond, [5e-324, sys.float_info.max],
+    ])
+    queries = queries[(0.0 < queries) & (queries < np.inf)]
+    order = draw(st.sampled_from(["sorted", "unsorted", "reversed"]))
+    if order == "sorted":
+        queries.sort()
+    elif order == "unsorted":
+        rng.shuffle(queries)
+    else:
+        queries = np.sort(queries)[::-1]
+    return table, queries
+
+
+def _same_bits(got, expected):
+    return np.shape(got) == np.shape(expected) and np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+
+@given(tables_and_queries())
+@settings(derandomize=True, deadline=None, max_examples=300)
+def test_mi_of_equals_np_interp_bit_for_bit(case):
+    table, queries = case
+    xp, fp = table.es_n0_linear, table.mi_per_bit
+    assert _same_bits(mi_of(table, queries), np.interp(queries, xp, fp))
+    if queries.size % 2 == 0:
+        grid = queries.reshape(2, -1)
+        assert _same_bits(mi_of(table, grid), np.interp(grid, xp, fp))
+    for q in queries[:: max(1, queries.size // 8)]:
+        got = mi_of(table, float(q))
+        assert isinstance(got, float) and _same_bits(np.float64(got), np.interp(q, xp, fp))
+        assert _same_bits(mi_of(table, np.asarray(q)), np.interp(q, xp, fp))
 
 
 def test_build_rejects_bad_configuration():

@@ -1,5 +1,6 @@
 """Burst sizing policies."""
 
+import re
 import warnings
 from unittest import mock
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmsharq.channel import EmpiricalCdf, generate_series, quantile
+from lmsharq.errors import ConfigError
 from lmsharq.fec import CodeSpec
 from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
 from lmsharq.schemes import (
@@ -492,3 +494,40 @@ def test_enhanced_table_sizes_a_boundary_on_a_whole_symbol_count():
     got = build_enhanced_table(*args)
     assert got == _reference_enhanced_table(*args)
     assert got == StaticBitTable((21006, 3297 * MODULATION_BITS))
+
+
+# 54000 samples: neither the first nor the last is any draw's first-round
+# sample, and both are some draw's later-round sample. Every other sample
+# is 1, MI 1 at Es/N0 4, so every draw decodes on the first burst and the
+# build maps no later round.
+DRAWN_LATE = 54_000
+
+
+def _one_odd_sample(odd: float, at: int) -> EmpiricalCdf:
+    rho = np.ones(DRAWN_LATE)
+    rho[at] = odd
+    cdf = EmpiricalCdf(rho)
+    draws = _enhanced_draws(DRAWN_LATE, 4)
+    assert not np.isin(at, draws[0]) and np.isin(at, draws[1:])
+    return cdf
+
+
+def test_enhanced_table_rejects_a_drawn_sample_whose_faded_value_overflows():
+    # 1e154 ** 2 is a float, and four times it is not
+    cdf = _one_odd_sample(1e154, DRAWN_LATE - 1)
+    args = (cdf, DecodingProbTable(PROB_PRESETS["case3"]), DYADIC_SPEC, 4.0, DYADIC_TABLE)
+    with pytest.raises(ConfigError, match=re.escape(
+            "es_n0_ref_db 6.0206 dB is too high for the channel: rho * rho * Es/N0"
+            " overflows a float at rho 1e+154")):
+        build_enhanced_table(*args)
+    # the reference's faded values overflow to inf, which mi_of rejects
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="positive and finite"):
+        _reference_enhanced_table(*args)
+
+
+def test_enhanced_table_rejects_a_drawn_sample_whose_faded_value_is_0():
+    cdf = _one_odd_sample(0.0, 0)
+    args = (cdf, DecodingProbTable(PROB_PRESETS["case3"]), DYADIC_SPEC, 4.0, DYADIC_TABLE)
+    for build in (build_enhanced_table, _reference_enhanced_table):
+        with pytest.raises(ValueError, match="es_n0_linear must be positive and finite"):
+            build(*args)
