@@ -261,21 +261,23 @@ def mi_of(table: MiTable, es_n0_linear):
     guide, steps up past the grid points at or below it and reads
     numpy.interp's formula, or on a grid point that point's own value.
     """
-    x = np.asarray(es_n0_linear, dtype=float)
-    if not ((0.0 < x) & (x < np.inf)).all():
+    q = np.asarray(es_n0_linear, dtype=float)
+    if not ((0.0 < q) & (q < np.inf)).all():
         raise ValueError("es_n0_linear must be positive and finite")
     xp, fp, seg = table.es_n0_linear, table.mi_per_bit, table._segments
-    x = np.clip(x, xp[0], xp[-1])
-    j = (x.view(np.int64) >> _BUCKET_SHIFT) - seg.first_bucket
-    j = seg.guide.take(j)
+    x = np.clip(q.reshape(-1), xp[0], xp[-1])
+    j = seg.guide.take((x.view(np.int64) >> _BUCKET_SHIFT) - seg.first_bucket)
     for _ in range(seg.steps):
         j += x >= seg.upper.take(j)
-    xp_j, fp_j = xp.take(j), fp.take(j)
+    d = np.subtract(x, xp.take(j), out=x)  # 0 exactly on a grid point
+    fp_j = fp.take(j)
+    out = seg.slopes.take(j)
     with np.errstate(invalid="ignore"):  # inf * 0 on a grid point, replaced below
-        out = seg.slopes.take(j) * (x - xp_j) + fp_j
+        out *= d
+    out += fp_j
     if seg.knot_rule:
-        out = np.where(x == xp_j, fp_j, out)
-    return float(out) if np.ndim(es_n0_linear) == 0 else out
+        out = np.where(d == 0.0, fp_j, out)
+    return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
 
 
 def save_mi_csv(table: MiTable, path) -> None:
