@@ -11,15 +11,14 @@ quantile queries used by the HARQ policies.
 from __future__ import annotations
 
 import configparser
-import csv
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
 from lmsharq.errors import ConfigError, check_db
+from lmsharq.mi import write_csv
 
 ROW_SUM_TOL = 1e-9
 
@@ -142,14 +141,9 @@ class AttenuationSeries:
         return np.repeat(self.epoch_state, self.samples_per_epoch)[:len(self.rho)]
 
     def to_csv(self, path) -> None:
-        path = Path(path)
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(("time_s", "rho_db"))
-            rho_db = 20.0 * np.log10(self.rho)
-            for t, r in zip(self.time_s, rho_db):
-                # ten digits keep times 1 ms apart distinct below 10^7 s
-                writer.writerow([f"{t:.10g}", f"{r:.6g}"])
+        # ten digits keep times 1 ms apart distinct below 10^7 s
+        rows = ((f"{t:.10g}", f"{r:.6g}") for t, r in zip(self.time_s, 20.0 * np.log10(self.rho)))
+        write_csv(path, ("time_s", "rho_db"), rows)
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ tidy CSV output is meant to be plotted directly.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import math
@@ -29,6 +28,7 @@ from lmsharq.mi import (
     DEFAULT_SEED,
     build_mi_table,
     save_mi_csv,
+    write_csv,
 )
 from lmsharq.schemes import PROB_PRESETS
 # run is bound here for bench/run_bench.py and bench/spans.py, which wrap it by name
@@ -95,13 +95,6 @@ def _config(args, **fields) -> SimConfig:
     return SimConfig(**given, **fields)
 
 
-def _write_rows(path: Path, header, rows) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _metric_row(log, n_bins: int) -> list[str]:
     config = log.config
     m = metrics.RunMetrics.from_log(log)
@@ -136,8 +129,17 @@ def _play(configs: list[SimConfig]) -> list[RunLog]:
     return logs
 
 
-def _sweep_header(n_bins: int):
-    return SWEEP_HEADER + tuple(f"p{j}" for j in range(1, n_bins + 1)) + ("wer", "seed")
+def _write_sweep(configs: list[SimConfig], out, probs_column: bool) -> None:
+    """Play the configs (_play) and write one row per run to out, ending in
+    the run's probability preset if probs_column."""
+    logs = _play(configs)
+    n_bins = configs[0].max_transmissions
+    header = SWEEP_HEADER + tuple(f"p{j}" for j in range(1, n_bins + 1)) + ("wer", "seed")
+    # every row before the file, so a run that fails its metrics leaves no CSV
+    rows = [_metric_row(log, n_bins) + ([log.config.probs_preset] if probs_column else [])
+            for log in logs]
+    write_csv(out, header + (("probs",) if probs_column else ()), rows)
+    print(f"wrote {len(rows)} rows to {out}")
 
 
 def cmd_mi_table(args) -> int:
@@ -168,7 +170,7 @@ def cmd_channel(args) -> int:
             (_fmt(20.0 * math.log10(r)), _fmt((i + 1) / n))
             for i, r in enumerate(cdf.sorted_rho)
         )
-        _write_rows(Path(args.cdf_out), ("rho_db", "cdf"), rows)
+        write_csv(args.cdf_out, ("rho_db", "cdf"), rows)
         print(f"wrote {n} CDF points to {args.cdf_out}")
     return 0
 
@@ -204,8 +206,8 @@ def cmd_run(args) -> int:
                 log.decode_time_s[ids].tolist(),
             )
         )
-        _write_rows(
-            Path(args.codewords_csv),
+        write_csv(
+            args.codewords_csv,
             ("codeword_id", "decoded", "n_transmissions", "total_bits", "first_start_s", "decode_time_s"),
             rows,
         )
@@ -220,13 +222,9 @@ def cmd_sweep(args) -> int:
     seeds = _numbers([s for s in args.seeds.split(",") if s], int, args.seeds)
     if not schemes or not seeds:
         raise ConfigError("schemes and seeds must both be non-empty")
-    logs = _play([dataclasses.replace(base, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
-                  for scheme in schemes for es_db in es_list for seed in seeds])
-    n_bins = base.max_transmissions
-    # every row before the file, so a run that fails its metrics leaves no CSV
-    rows = [_metric_row(lg, n_bins) for lg in logs]
-    _write_rows(Path(args.out), _sweep_header(n_bins), rows)
-    print(f"wrote {len(logs)} rows to {args.out}")
+    _write_sweep([dataclasses.replace(base, scheme=scheme, es_n0_ref_db=es_db, seed=seed)
+                  for scheme in schemes for es_db in es_list for seed in seeds],
+                 args.out, probs_column=False)
     return 0
 
 
@@ -243,18 +241,14 @@ def cmd_figures(args) -> int:
     if args.which not in FIGURES:
         raise ConfigError(f"unknown figure preset {args.which!r}, expected one of {sorted(FIGURES)}")
     recipe = FIGURES[args.which]
-    out = Path(args.out_dir) / f"{args.which}.csv"
     es_list = _parse_es_list(args.esn0)
     base = _config(args, environment=recipe["env"])
     # a figure over probability presets carries each row's preset in an extra column
     probs = recipe.get("probs")
-    logs = _play([dataclasses.replace(base, probs_preset=preset, scheme=scheme, es_n0_ref_db=es_db)
+    _write_sweep([dataclasses.replace(base, probs_preset=preset, scheme=scheme, es_n0_ref_db=es_db)
                   for preset in probs or (base.probs_preset,) for scheme in recipe["schemes"]
-                  for es_db in es_list])
-    n_bins = base.max_transmissions
-    rows = [_metric_row(log, n_bins) + ([log.config.probs_preset] if probs else []) for log in logs]
-    _write_rows(out, _sweep_header(n_bins) + (("probs",) if probs else ()), rows)
-    print(f"wrote {len(rows)} rows to {out}")
+                  for es_db in es_list],
+                 Path(args.out_dir) / f"{args.which}.csv", probs_column=bool(probs))
     return 0
 
 

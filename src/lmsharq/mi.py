@@ -281,12 +281,16 @@ def mi_of(table: MiTable, es_n0_linear):
 
 
 def save_mi_csv(table: MiTable, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
+    rows = ((f"{linear_to_db(x):.6g}", f"{y:.6g}") for x, y in zip(table.es_n0_linear, table.mi_per_bit))
+    write_csv(path, CSV_HEADER, rows)
+
+
+def write_csv(path, header: tuple, rows) -> None:
+    """The CSV file at path: the header row, then each of the rows."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for x, y in zip(table.es_n0_linear, table.mi_per_bit):
-            writer.writerow([f"{linear_to_db(x):.6g}", f"{y:.6g}"])
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_csv_pairs(text: str, header: tuple) -> list[tuple[float, float]]:

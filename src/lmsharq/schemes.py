@@ -109,17 +109,18 @@ def conditional_prob(table: DecodingProbTable, j: int) -> float:
     return table.p[j - 1] / (1.0 - prefix)
 
 
-def _faded_es_n0(rho, es_n0_ref_linear: float):
-    """rho * rho * es_n0_ref_linear. Where that overflows a float but rho * rho
-    does not, the reference Es/N0 is too high for the channel: a ConfigError.
-    An overflowing rho * rho stays inf, which mi_of rejects as invalid data."""
+def faded_mi(mi_table: MiTable, rho, es_n0_ref_linear: float):
+    """mi_of(mi_table, rho * rho * es_n0_ref_linear): the per-bit MI of a burst
+    faded by rho. Where that Es/N0 overflows a float but rho * rho does not, the
+    reference Es/N0 is too high for the channel: a ConfigError. An overflowing
+    rho * rho stays inf, which mi_of rejects as invalid data."""
     with np.errstate(over="ignore"):
         es_n0 = rho * rho * es_n0_ref_linear
         if np.isinf(es_n0).any() and np.isfinite(rho * rho).all():
             raise ConfigError(
                 f"es_n0_ref_db {float(linear_to_db(es_n0_ref_linear)):g} dB is too high for the channel:"
                 f" rho * rho * Es/N0 overflows a float at rho {float(np.max(rho)):g}")
-    return es_n0
+    return mi_of(mi_table, es_n0)
 
 
 def mi_needed(
@@ -136,7 +137,7 @@ def mi_needed(
     if not 0.0 < p_j < 1.0:
         raise ValueError("p_j must lie in (0, 1)")
     rho_needed = quantile(cdf, 1.0 - p_j)
-    return rho_needed, mi_of(mi_table, _faded_es_n0(rho_needed, es_n0_ref_linear))
+    return rho_needed, faded_mi(mi_table, rho_needed, es_n0_ref_linear)
 
 
 def _ceil_to_symbol(bits: float) -> int:
@@ -238,15 +239,12 @@ def build_enhanced_table(
     # the samples are sorted, and fading keeps their order.
     draws = _enhanced_draws(cdf.sorted_rho.size, len(probs.p))
     rho = cdf.sorted_rho
-    mi_of(mi_table, _faded_es_n0(rho.take([draws.min(), draws.max()]), es_n0_ref_linear))
-
-    def mi_draws(picks: np.ndarray) -> np.ndarray:
-        return mi_of(mi_table, _faded_es_n0(rho.take(picks), es_n0_ref_linear))
+    faded_mi(mi_table, rho.take([draws.min(), draws.max()]), es_n0_ref_linear)
 
     # Only the draws still undecoded are carried from stage to stage: a
     # decoded draw's accumulated MI only grows, so it meets every later
     # target and counts as one of the `decoded`.
-    acc = mi_draws(draws[0]) * n_1
+    acc = faded_mi(mi_table, rho.take(draws[0]), es_n0_ref_linear) * n_1
     alive = np.flatnonzero(acc < budget)
     acc = acc.take(alive)
 
@@ -257,7 +255,7 @@ def build_enhanced_table(
         if remaining < MODULATION_BITS:
             return StaticBitTable(n_sent=tuple(entries), notes=(
                 f"mother codeword exhausted before transmission {j}; table ends",))
-        row = mi_draws(picks.take(alive))
+        row = faded_mi(mi_table, rho.take(picks.take(alive)), es_n0_ref_linear)
         decoded = ENHANCED_TABLE_DRAWS - alive.size
 
         def meets(symbols: int) -> bool:

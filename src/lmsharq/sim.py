@@ -22,16 +22,16 @@ from lmsharq.channel import (
 from lmsharq.errors import ConfigError, check_db, check_integer
 # is_decodable and mi_update are bound here for bench/spans.py, which wraps them by name
 from lmsharq.fec import CodeSpec, is_decodable, mi_update  # noqa: F401
-from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear, mi_of
+from lmsharq.mi import MODULATION_BITS, MiTable, db_to_linear
 from lmsharq.schemes import (
     PROB_PRESETS,
     AdaptivePolicy,
     DecodingProbTable,
     StaticBitTable,
-    _faded_es_n0,
     build_enhanced_table,
     conditional_prob,
     equal_split,
+    faded_mi,
     mi_needed,
 )
 
@@ -182,9 +182,9 @@ def derive_policy(
 
 def sample_mi(mi_table: MiTable, series: AttenuationSeries, es_n0_ref_db: float) -> np.ndarray:
     """Per-bit MI of every sample of the series at an Es/N0 in dB, one
-    float64 per sample: the mi_samples of run. An Es/N0 too high for the
-    series is a ConfigError."""
-    return mi_of(mi_table, _faded_es_n0(series.rho, float(db_to_linear(es_n0_ref_db))))
+    float64 per sample: the mi_samples of run, by schemes.faded_mi. An
+    Es/N0 too high for the series is a ConfigError."""
+    return faded_mi(mi_table, series.rho, float(db_to_linear(es_n0_ref_db)))
 
 
 def run(
@@ -302,8 +302,15 @@ def sweep(
     generated once, and its per-sample MI is mapped once per Es/N0 point
     for every scheme. A policy does not depend on the seed, so each config
     with its seed set to 0 derives its policy once, played on every seed.
+    A max_transmissions above the mother codeword's symbol count, more
+    bursts than any policy can send, is a ConfigError before any series.
     """
     configs = list(configs)
+    symbols = spec.mother_codeword_bits // MODULATION_BITS
+    for cfg in configs:
+        if cfg.max_transmissions > symbols:
+            raise ConfigError(f"max_transmissions {cfg.max_transmissions} is more than the"
+                              f" {symbols} symbols of the mother codeword, one per burst at least")
     series = {key: generate_series(model, key[1], key[0])
               for key in dict.fromkeys((cfg.seed, cfg.duration_s) for cfg in configs)}
     # one float64 per sample and point, held for the whole sweep

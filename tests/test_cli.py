@@ -82,22 +82,59 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
 
-def test_an_es_range_of_more_points_than_the_bound_fails_before_making_them(tmp_path):
-    # 3e12 points would take about 100 TB as a list of floats: the child
-    # runs with 512 MiB of address space and a timeout, so a parser that
-    # makes the points before it counts them fails fast here
+def _main_in_a_capped_child(argv) -> subprocess.CompletedProcess:
+    """main(argv) in a child process with 512 MiB of address space and a timeout."""
     import lmsharq
 
     src = str(Path(lmsharq.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
-    argv = ["sweep", "--esn0", "0:3000:1e-9", "--out", str(tmp_path / "sweep.csv")]
-    child = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", f"import sys; from lmsharq.cli import main; sys.exit(main({argv!r}))"],
         env=env, capture_output=True, text=True, timeout=60, preexec_fn=_limit_address_space)
+
+
+def test_an_es_range_of_more_points_than_the_bound_fails_before_making_them(tmp_path):
+    # 3e12 points would take about 100 TB as a list of floats: the capped
+    # child fails fast for a parser that makes the points before it counts them
+    child = _main_in_a_capped_child(
+        ["sweep", "--esn0", "0:3000:1e-9", "--out", str(tmp_path / "sweep.csv")])
     assert (child.returncode, child.stderr) == (2, (
         "configuration error: Es/N0 range '0:3000:1e-9' has 3000000000002 points,"
         " more than 100000\n"))
     assert not any(tmp_path.iterdir())
+
+
+MAX_TX_ERROR = ("configuration error: max_transmissions {} is more than the 26760 symbols of"
+                " the mother codeword, one per burst at least\n")
+
+
+def test_max_transmissions_above_the_mother_codewords_symbols_fails_before_any_series(
+        monkeypatch, capsys):
+    argv = ["run", "--scheme", "classical", "--env", "open", "--esn0", "10", "--duration-s", "5",
+            "--max-transmissions"]
+    # one symbol per burst, the most bursts a policy could send
+    assert main(argv + ["26760"]) == 0
+    capsys.readouterr()
+    from lmsharq import sim
+
+    def no_series(*args):
+        raise AssertionError("a series was generated before max_transmissions was checked")
+
+    monkeypatch.setattr(sim, "generate_series", no_series)
+    assert main(argv + ["26761"]) == 2
+    assert capsys.readouterr() == ("", MAX_TX_ERROR.format(26761))
+
+
+def test_a_sweep_of_more_transmissions_than_symbols_fails_before_its_rows(tmp_path):
+    # a sweep row holds one p column per transmission asked for: 1e8 of them
+    # would take gigabytes, so the capped child fails fast for a check that
+    # comes after the rows
+    out = tmp_path / "sweep.csv"
+    child = _main_in_a_capped_child(
+        ["sweep", "--schemes", "classical", "--env", "open", "--esn0", "10", "--duration-s", "5",
+         "--max-transmissions", "100000000", "--out", str(out)])
+    assert (child.returncode, child.stderr) == (2, MAX_TX_ERROR.format(100000000))
+    assert not out.exists()
 
 
 def test_help_exits_cleanly(capsys):

@@ -407,20 +407,23 @@ def test_enhanced_table_never_decodes_a_draw_without_mi(second, expected):
 THIRD_ZERO_CDF = EmpiricalCdf(sorted_rho=np.array([0.25, 1.0, 2.0]))
 CLAMPED = ("transmission 2 clamped to the 13380 bits left of the mother codeword;"
            " table ends there",)
+# a third stage finds nothing left of the mother codeword after the 0.43 case's two
+EXHAUSTED = ("mother codeword exhausted before transmission 3; table ends",)
 
 
 @pytest.mark.parametrize(
-    "cdf, second, notes",
+    "cdf, later, notes",
     [
-        (ZERO_MI_CDF, 0.43, ()),
-        (ZERO_MI_CDF, 0.44, CLAMPED),
-        (THIRD_ZERO_CDF, 44514 / ENHANCED_TABLE_DRAWS - 0.5, ()),
-        (THIRD_ZERO_CDF, np.nextafter(44514 / ENHANCED_TABLE_DRAWS, 1.0) - 0.5, CLAMPED),
+        (ZERO_MI_CDF, (0.43,), ()),
+        (ZERO_MI_CDF, (0.44,), CLAMPED),
+        (THIRD_ZERO_CDF, (44514 / ENHANCED_TABLE_DRAWS - 0.5,), ()),
+        (THIRD_ZERO_CDF, (np.nextafter(44514 / ENHANCED_TABLE_DRAWS, 1.0) - 0.5,), CLAMPED),
+        (ZERO_MI_CDF, (0.43, 0.01), EXHAUSTED),
     ],
-    ids=["0.43", "0.44", "count", "one-float-above"],
+    ids=["0.43", "0.44", "count", "one-float-above", "exhausted"],
 )
-def test_enhanced_table_clamps_a_stage_only_the_whole_remainder_misses(cdf, second, notes):
-    probs = DecodingProbTable((0.5, second))
+def test_enhanced_table_clamps_a_stage_only_the_whole_remainder_misses(cdf, later, notes):
+    probs = DecodingProbTable((0.5, *later))
     args = (cdf, probs, CodeSpec(8920, 26760, 0.5), 4.0, ZERO_MI_TABLE)
     got = build_enhanced_table(*args)
     assert got == _reference_enhanced_table(*args)

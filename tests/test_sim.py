@@ -10,9 +10,10 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from chain_oracle import chain_schedule
 from conftest import numpy_simd_path, run_one
 from oracles import bisection_mi_inverse
 from lmsharq.channel import (
@@ -258,7 +259,7 @@ HAND_BUILT = dict(
 ])
 def test_a_hand_built_schedule_plays_burst_by_burst(duration_s, bursts, monkeypatch):
     calls = [count_calls(monkeypatch, name)
-             for name in ("generate_series", "derive_policy", "calibration_cdf", "mi_of")]
+             for name in ("generate_series", "derive_policy", "calibration_cdf", "faded_mi")]
     cfg = SimConfig(scheme="classical", environment="hand-built", t_propag_s=0.5,
                     bit_rate_bps=8.0, duration_s=duration_s)
     spec = CodeSpec(data_bits=4, mother_codeword_bits=8, mi_req_per_bit=0.25)
@@ -731,13 +732,13 @@ def test_a_sweep_maps_each_series_to_mi_once(monkeypatch, its_model, code_spec, 
     import lmsharq.sim as sim_mod
 
     mapped = []
-    real = sim_mod.mi_of
+    real = sim_mod.faded_mi
 
-    def mapping(table, es_n0_linear):
-        mapped.append(np.size(es_n0_linear))
-        return real(table, es_n0_linear)
+    def mapping(table, rho, es_n0_ref_linear):
+        mapped.append(np.size(rho))
+        return real(table, rho, es_n0_ref_linear)
 
-    monkeypatch.setattr(sim_mod, "mi_of", mapping)
+    monkeypatch.setattr(sim_mod, "faded_mi", mapping)
     run_calls = count_calls(monkeypatch, "run")
     logs = its_sweep(its_model, code_spec, mi_table)
     # one map per seed and Es/N0 point, shared by the three schemes
@@ -888,3 +889,49 @@ def test_schedule_invariants_hold_on_the_columns(scheme, max_tx, clear_sky, dura
         m = RunMetrics.from_log(log)
         assert abs(sum(m.decode_fraction_per_transmission) + m.wer - 1.0) <= 1e-12
         assert m.censored == n - log.generated
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(
+    bit_rate=st.floats(min_value=1e3, max_value=1e6),
+    # classical splits the mother codeword equally at these symbol counts
+    symbols=st.one_of(st.integers(1, 3), st.integers(1, 500).map(lambda q: 4 * q)),
+    max_tx=st.integers(min_value=1, max_value=6),
+    # rtt / a: 0, a whole number, or anything, moved by a few ulps of t_propag_s
+    lag=st.one_of(st.just(0.0), st.integers(1, 30).map(float), st.floats(0.0, 30.0)),
+    ulps=st.integers(min_value=-2, max_value=2),
+    slots=st.floats(min_value=0.5, max_value=300.0),
+    samples_per_slot=st.floats(min_value=0.05, max_value=20.0),
+    mi_req=st.floats(min_value=0.05, max_value=0.95),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_a_classical_run_plays_the_chain_oracles_schedule(bit_rate, symbols, max_tx, lag, ulps,
+                                                          slots, samples_per_slot, mi_req, seed,
+                                                          mi_table):
+    spec = CodeSpec(symbols, 2 * symbols, mi_req)
+    cfg = SimConfig(scheme="classical", environment="clear-sky", bit_rate_bps=bit_rate,
+                    max_transmissions=max_tx)
+    policy = derive_policy(cfg, CLEAR_SKY, spec, mi_table)
+    a = policy.n_sent[0] / bit_rate
+    t_propag = lag * a / 2.0
+    for _ in range(abs(ulps)):
+        t_propag = float(np.nextafter(t_propag, math.copysign(math.inf, ulps)))
+    cfg = replace(cfg, t_propag_s=max(t_propag, 0.0), duration_s=slots * a)
+    dt = a / samples_per_slot
+    rng = np.random.default_rng(seed)
+    series = AttenuationSeries(rho=rng.random(math.ceil(slots * samples_per_slot) + 1), sample_dt_s=dt)
+    mi_samples = rng.random(series.rho.size)
+
+    columns = chain_schedule(cfg, spec, policy, dt, mi_samples)
+    # the float slot clock can bring two verdicts into one slot near a whole
+    # rtt / a, where a backlog can form and the chains do not hold
+    assume(columns is not None)
+    start, owner, acc, decode_time, finished = columns
+    log = run(cfg, spec, policy, series, mi_samples)
+    assert log.burst_start_s.tolist() == start
+    assert log.burst_bits.tolist() == [policy.n_sent[0]] * len(start)
+    assert log.burst_codeword.tolist() == owner
+    assert log.burst_rho.tolist() == [series.rho[int(t / dt)] for t in start]
+    assert log.mi_acc_per_bit.tolist() == acc
+    assert np.array_equal(log.decode_time_s, decode_time, equal_nan=True)
+    assert log.finished.tolist() == finished
