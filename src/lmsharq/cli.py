@@ -68,19 +68,13 @@ def _parse_es_list(text: str) -> list[float]:
         # points are rounded to 9 decimals, so a smaller step only repeats them
         if step < 1e-9:
             raise ConfigError(f"Es/N0 range step {step:g} dB is below 1e-9 dB")
-        # within check_db's range an ulp is below 5e-13, so each step moves x
         check_db("Es/N0 range start", start, error=ConfigError)
         check_db("Es/N0 range stop", stop, error=ConfigError)
-        # the points x = start + i * step with x <= stop + 1e-9, as the loop makes them
+        # the points start + i * step up to stop + 1e-9
         points = math.floor((stop + 1e-9 - start) / step) + 1
         if points > MAX_ES_POINTS:
             raise ConfigError(f"Es/N0 range {text!r} has {points} points, more than {MAX_ES_POINTS}")
-        out = []
-        x = start
-        while x <= stop + 1e-9:
-            out.append(round(x, 9))
-            x += step
-        return out
+        return [round(start + i * step, 9) for i in range(points)]
     out = _numbers([p for p in text.split(",") if p], float, text)
     if not out:
         raise ConfigError(f"no Es/N0 values in {text!r}")

@@ -55,7 +55,9 @@ class MiTable:
     checks below cannot be undone through the caller's arrays. Each grid
     value is a positive, normal float, the rule parse_mi_csv applies to
     its dB values, so the table's buckets (see mi_of) span at most the
-    2046 octaves of normal floats.
+    2046 octaves of normal floats. A grid whose slope overflows is
+    rejected and a -0.0 MI value kept as 0.0, so mi_of's formula gives
+    each grid point its own value.
     """
 
     es_n0_linear: np.ndarray
@@ -63,7 +65,7 @@ class MiTable:
 
     def __post_init__(self):
         for name in ("es_n0_linear", "mi_per_bit"):
-            values = np.array(getattr(self, name), dtype=float)
+            values = np.array(getattr(self, name), dtype=float) + 0.0  # -0.0 becomes 0.0
             values.setflags(write=False)
             object.__setattr__(self, name, values)
         if self.es_n0_linear.ndim != 1 or self.es_n0_linear.size < 2:
@@ -97,16 +99,15 @@ class _Segments:
     smallest float, and a query in the bucket lies at most `steps` grid
     points above that segment's start. `upper[j]` is where segment j ends
     (inf for the last) and `slopes[j]` is numpy.interp's slope of segment j
-    (0 for the last). `knot_rule` is set where the slope formula can miss
-    a grid point's own value: on an inf slope (inf * 0) or on -0.0
-    (0.0 + -0.0).
+    (0 for the last); a ValueError if one overflows a float.
     """
 
     def __init__(self, xp: np.ndarray, fp: np.ndarray):
         self.upper = np.append(xp[1:], np.inf)
-        with np.errstate(over="ignore"):  # grid points a few ulps apart: inf, as in numpy.interp
+        with np.errstate(over="ignore"):  # grid points a few ulps apart: inf, rejected below
             self.slopes = np.append(np.diff(fp) / np.diff(xp), 0.0)
-        self.knot_rule = bool(np.isinf(self.slopes).any() or np.signbit(fp).any())
+        if np.isinf(self.slopes).any():
+            raise ValueError("the MI slope between neighbouring grid points overflows a float")
         bits = xp.view(np.int64)
         buckets = bits >> _BUCKET_SHIFT
         self.first_bucket = int(buckets[0])
@@ -257,9 +258,9 @@ def mi_of(table: MiTable, es_n0_linear):
     """Per-bit MI at a linear Es/N0, clamped to the table range.
 
     numpy.interp's values, bit for bit, without its binary search: a query
-    clamped to the grid starts at its bucket's segment in the table's
-    guide, steps up past the grid points at or below it and reads
-    numpy.interp's formula, or on a grid point that point's own value.
+    clamped to the grid starts at its bucket's segment j in the table's
+    guide, steps up past the grid points at or below it and works out
+    slopes[j] * (x - xp[j]) + fp[j] in place: three query-length arrays.
     """
     q = np.asarray(es_n0_linear, dtype=float)
     if not ((0.0 < q) & (q < np.inf)).all():
@@ -269,15 +270,10 @@ def mi_of(table: MiTable, es_n0_linear):
     j = seg.guide.take((x.view(np.int64) >> _BUCKET_SHIFT) - seg.first_bucket)
     for _ in range(seg.steps):
         j += x >= seg.upper.take(j)
-    d = np.subtract(x, xp.take(j), out=x)  # 0 exactly on a grid point
-    fp_j = fp.take(j)
-    out = seg.slopes.take(j)
-    with np.errstate(invalid="ignore"):  # inf * 0 on a grid point, replaced below
-        out *= d
-    out += fp_j
-    if seg.knot_rule:
-        out = np.where(d == 0.0, fp_j, out)
-    return float(out[0]) if q.ndim == 0 else out.reshape(q.shape)
+    x -= xp.take(j)
+    x *= seg.slopes.take(j)
+    x += fp.take(j)
+    return float(x[0]) if q.ndim == 0 else x.reshape(q.shape)
 
 
 def save_mi_csv(table: MiTable, path) -> None:

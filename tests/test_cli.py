@@ -64,7 +64,9 @@ def test_an_es_range_whose_step_cannot_move_is_a_configuration_error(text, messa
 
 
 @pytest.mark.parametrize("text, points", [("0:9.9999:1e-4", 100_000), ("0:10:1e-4", 100_001),
-                                          ("0:0.99999:1e-5", 100_000), ("0:1:1e-5", 100_001)])
+                                          ("0:0.99999:1e-5", 100_000), ("0:1:1e-5", 100_001),
+                                          # a running sum x += step drifts on these
+                                          ("0:2000:0.1", 20_001), ("0:2469.13578:0.123456789", 20_001)])
 def test_an_es_range_is_counted_as_its_points_are_made(text, points):
     assert MAX_ES_POINTS == 100_000
     if points > MAX_ES_POINTS:
@@ -987,6 +989,8 @@ INPUT_FAULTS = {
         "own-check": lambda shipped: shipped.replace(b"0.000742668", b"1.5"),
         "csv-field-limit": lambda shipped: shipped + b"-1," + b"9" * 200_000 + b"\n",
         "db-overflow": lambda shipped: shipped + b"4000,1\n",
+        # grid points 1e-11 dB apart near the smallest normal float: a slope of inf
+        "slope-overflow": lambda shipped: b"es_n0_db,mi_per_bit\n-3070,0\n-3069.99999999999,0.5\n10,1\n",
     }),
 }
 

@@ -66,7 +66,7 @@ DB_RANGE = (-3076.5, 3082.5)
 
 @st.composite
 def tables_and_queries(draw):
-    """A valid MI table and queries that probe np.interp's rules on it."""
+    """A grid, MI values and queries that probe np.interp's rules on them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     lo_db = draw(st.floats(*DB_RANGE))
     hi_db = draw(st.floats(lo_db, DB_RANGE[1]))
@@ -77,7 +77,8 @@ def tables_and_queries(draw):
         low_bits = rng.integers(0, 1 << mi._BUCKET_SHIFT, draw(st.integers(2, 6)))
         points.append((start + low_bits).view(float))
     if draw(st.booleans()):
-        # grid points a few ulps above the smallest normal float: slopes overflow to inf
+        # grid points a few ulps above the smallest normal float: slopes that
+        # overflow to inf, unless the MI values tie
         ulps = rng.integers(0, 64, draw(st.integers(2, 5)))
         points.append((np.array([sys.float_info.min]).view(np.int64) + ulps).view(float))
     xp = np.unique(np.concatenate(points))
@@ -87,7 +88,6 @@ def tables_and_queries(draw):
         fp = np.round(fp, 1)  # ties: flat segments, 0 and 1 at the ends
     if draw(st.booleans()):
         fp[0] = -0.0
-    table = MiTable(xp, fp)
 
     inside = np.exp(rng.uniform(np.log(xp[0]), np.log(xp[-1]), 50))
     starts = (inside.view(np.int64) >> mi._BUCKET_SHIFT << mi._BUCKET_SHIFT).view(float)
@@ -107,7 +107,7 @@ def tables_and_queries(draw):
         rng.shuffle(queries)
     else:
         queries = np.sort(queries)[::-1]
-    return table, queries
+    return xp, fp, queries
 
 
 def _same_bits(got, expected):
@@ -117,9 +117,18 @@ def _same_bits(got, expected):
 @given(tables_and_queries())
 @settings(derandomize=True, deadline=None, max_examples=300)
 def test_mi_of_equals_np_interp_bit_for_bit(case):
-    table, queries = case
+    xp, fp, queries = case
+    with np.errstate(over="ignore"):
+        steep = np.isinf(np.diff(fp) / np.diff(xp)).any()
+    if steep:
+        with pytest.raises(ValueError, match="slope between neighbouring grid points overflows"):
+            MiTable(xp, fp)
+        return
+    table = MiTable(xp, fp)
     xp, fp = table.es_n0_linear, table.mi_per_bit
-    assert _same_bits(mi_of(table, queries), np.interp(queries, xp, fp))
+    got = mi_of(table, queries)
+    assert _same_bits(got, np.interp(queries, xp, fp))
+    assert ((fp[0] <= got) & (got <= fp[-1])).all()
     if queries.size % 2 == 0:
         grid = queries.reshape(2, -1)
         assert _same_bits(mi_of(table, grid), np.interp(grid, xp, fp))
@@ -127,6 +136,20 @@ def test_mi_of_equals_np_interp_bit_for_bit(case):
         got = mi_of(table, float(q))
         assert isinstance(got, float) and _same_bits(np.float64(got), np.interp(q, xp, fp))
         assert _same_bits(mi_of(table, np.asarray(q)), np.interp(q, xp, fp))
+
+
+def test_a_lookup_traces_at_most_26_bytes_per_query(mi_table):
+    queries = db_to_linear(np.random.default_rng(4).uniform(-35.0, 25.0, 100_000))
+    mi_of(mi_table, queries)
+    tracemalloc.start()
+    try:
+        mi_of(mi_table, queries)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # three float64 or int64 arrays of the query's length and a step's
+    # bool mask; the lookup that kept the difference beside fp[j] traced 32.0
+    assert peak <= 26 * queries.size
 
 
 def test_build_rejects_bad_configuration():
