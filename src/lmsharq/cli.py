@@ -70,11 +70,11 @@ def _parse_es_list(text: str) -> list[float]:
             raise ConfigError(f"Es/N0 range step {step:g} dB is below 1e-9 dB")
         check_db("Es/N0 range start", start, error=ConfigError)
         check_db("Es/N0 range stop", stop, error=ConfigError)
-        # the points start + i * step up to stop + 1e-9
+        # the points start + i * step up to stop + 1e-9; + 0.0 makes a -0.0 point 0.0
         points = math.floor((stop + 1e-9 - start) / step) + 1
         if points > MAX_ES_POINTS:
             raise ConfigError(f"Es/N0 range {text!r} has {points} points, more than {MAX_ES_POINTS}")
-        return [round(start + i * step, 9) for i in range(points)]
+        return [round(start + i * step, 9) + 0.0 for i in range(points)]
     out = _numbers([p for p in text.split(",") if p], float, text)
     if not out:
         raise ConfigError(f"no Es/N0 values in {text!r}")

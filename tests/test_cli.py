@@ -39,6 +39,9 @@ def test_es_list_comma_separated():
 def test_es_list_inclusive_range():
     assert _parse_es_list("7:13:2") == [7.0, 9.0, 11.0, 13.0]
     assert _parse_es_list("1:2:0.5") == [1.0, 1.5, 2.0]
+    # -0.9 + 3 * 0.3 is -1.1e-16, which rounds to -0.0; str tells the zeros apart
+    assert [str(x) for x in _parse_es_list("-0.9:1:0.3")] == [
+        "-0.9", "-0.6", "-0.3", "0.0", "0.3", "0.6", "0.9"]
 
 
 @pytest.mark.parametrize("text", ["7:13", "13:7:1", "7:8:0", "7:8:-1", "a:b:c", "nan:13:1",
