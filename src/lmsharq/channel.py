@@ -146,12 +146,14 @@ class AttenuationSeries:
         write_csv(path, ("time_s", "rho_db"), rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
     """Sorted sample view used for probability and quantile queries.
 
     Immutable: it keeps its own sorted copy of the samples, read-only, so
-    one CDF can be shared by every caller.
+    one CDF can be shared by every caller. Two CDFs are equal only if they
+    are the same object, which is also their hash: what is derived from a
+    CDF can be kept per CDF.
     """
 
     sorted_rho: np.ndarray

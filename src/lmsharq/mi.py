@@ -8,8 +8,10 @@ of bits carried by one symbol.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import io
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +34,14 @@ TARGET_STD_ERROR = 1e-3
 # samples per block of the MI estimator; its (4, block) work arrays stay
 # in cache
 _BLOCK = 1 << 14
+
+# Every standard normal a NumPy Generator draws is below 14 in magnitude:
+# its ziggurat's tail draws r + log(1 / U) / r, with r < 3.66 and U at least
+# 2^-53. A noise sample n of power 0.5 / snr per part thus has |n|^2 at most
+# 392 times that power, and its received point's squared distance to a
+# constellation point, at most (|n| + 2)^2 <= 2 |n|^2 + 8, at most 784 times
+# it plus 8. Both are floats while the power times this headroom is one.
+_NOISE_HEADROOM = 2.0 ** 10
 
 # unit-energy QPSK constellation
 _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
@@ -118,6 +128,7 @@ class _Segments:
         self.steps = int(np.unique(inner, return_counts=True)[1].max(initial=0))
         for array in (self.upper, self.slopes, self.guide):
             array.setflags(write=False)
+        self.floats = tuple(tuple(a.tolist()) for a in (xp, self.slopes, fp))
 
 
 def _logsumexp_rows(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -222,7 +233,10 @@ def build_mi_table(
     Deterministic for a fixed seed. Raises ConfigError before any draw
     when the grid, the sample count or the seed is invalid or more than
     an array can hold, and after the draws when the sample count cannot
-    deliver the target precision.
+    deliver the target precision. Each dB bound's linear Es/N0 must be a
+    finite, normal float, and the lowest one's noise power 0.5 / Es/N0
+    times 2^10 a float too, so that no squared magnitude the estimator
+    forms overflows: the grid starts at -3055.45 dB or above.
     """
     check_integer("seed", seed)
     check_integer("points", points, 2)
@@ -232,13 +246,17 @@ def build_mi_table(
     for name, count in (("points", points), ("samples", samples)):
         if count > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"{name} {count} is more than an array can hold")
-    if not np.isfinite([es_n0_min_db, es_n0_max_db]).all():
-        raise ConfigError("es_n0_min_db and es_n0_max_db must be finite")
+    check_db("es_n0_min_db", es_n0_min_db, error=ConfigError)
+    check_db("es_n0_max_db", es_n0_max_db, error=ConfigError)
     if not es_n0_min_db < es_n0_max_db:
         raise ConfigError("es_n0_min_db must be below es_n0_max_db")
+    grid_lin = db_to_linear(np.linspace(es_n0_min_db, es_n0_max_db, points))
+    if 0.5 / grid_lin[0] > sys.float_info.max / _NOISE_HEADROOM:
+        lowest = linear_to_db(0.5 * _NOISE_HEADROOM / sys.float_info.max)
+        raise ConfigError(
+            f"es_n0_min_db {es_n0_min_db:g} dB is too low: its noise power would overflow"
+            f" the estimator's squared magnitudes; the grid must start at {lowest:.6g} dB or above")
     rng = np.random.default_rng(seed)
-    grid_db = np.linspace(es_n0_min_db, es_n0_max_db, points)
-    grid_lin = db_to_linear(grid_db)
     mi = np.empty(points)
     work = _Work(samples)
     worst_se = 0.0
@@ -261,10 +279,18 @@ def mi_of(table: MiTable, es_n0_linear):
     clamped to the grid starts at its bucket's segment j in the table's
     guide, steps up past the grid points at or below it and works out
     slopes[j] * (x - xp[j]) + fp[j] in place: three query-length arrays.
+    A query of one value does the same float operations on Python floats,
+    with j from a bisection of the grid.
     """
     q = np.asarray(es_n0_linear, dtype=float)
-    if not ((0.0 < q) & (q < np.inf)).all():
+    one = q.ndim == 0
+    if not (0.0 < float(q) < math.inf if one else ((0.0 < q) & (q < np.inf)).all()):
         raise ValueError("es_n0_linear must be positive and finite")
+    if one:
+        xp, slopes, fp = table._segments.floats
+        x = min(max(float(q), xp[0]), xp[-1])
+        j = bisect.bisect_right(xp, x) - 1
+        return slopes[j] * (x - xp[j]) + fp[j]
     xp, fp, seg = table.es_n0_linear, table.mi_per_bit, table._segments
     x = np.clip(q.reshape(-1), xp[0], xp[-1])
     j = seg.guide.take((x.view(np.int64) >> _BUCKET_SHIFT) - seg.first_bucket)
@@ -273,7 +299,7 @@ def mi_of(table: MiTable, es_n0_linear):
     x -= xp.take(j)
     x *= seg.slopes.take(j)
     x += fp.take(j)
-    return float(x[0]) if q.ndim == 0 else x.reshape(q.shape)
+    return x.reshape(q.shape)
 
 
 def save_mi_csv(table: MiTable, path) -> None:

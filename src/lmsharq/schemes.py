@@ -13,8 +13,8 @@ Three ways to size the redundancy bursts of one codeword:
 from __future__ import annotations
 
 import bisect
-import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,21 +184,32 @@ class AdaptivePolicy:
         return min(_ceil_to_symbol(deficit / self.mi_needed_per_bit[j - 1]), remaining)
 
 
-@functools.lru_cache(maxsize=3)
-def _enhanced_draws(n_samples: int, rounds: int) -> np.ndarray:
-    """The seeded draws of the enhanced table over n_samples sorted samples.
+# Each CDF's enhanced draws, by round count, for as long as the CDF lives.
+_DRAWS = weakref.WeakKeyDictionary()
 
-    The draws are those of rng.choice over the samples, taken as sample
-    indices, so they depend on the sample count and the number of rounds
-    only. Returns each draw's sample index, one row per transmission, as
-    int32: half of what a fresh process first touches here and what an
-    entry keeps (800 kB at four rounds). The array is read-only: every
-    caller shares it.
+
+def _enhanced_draws(cdf: EmpiricalCdf, rounds: int) -> np.ndarray:
+    """The seeded draws of the enhanced table from cdf's samples.
+
+    The draws are those of rng.choice over the sorted samples. Returns
+    each draw's sample value, float64, one row per transmission, with the
+    draws ordered by their first-round sample index (a stable sort), so
+    the first row reads the samples in order: 1.6 MB at four rounds. The
+    array is read-only, as every build from cdf shares it, and is kept
+    until cdf is dropped.
     """
-    rng = np.random.default_rng(ENHANCED_TABLE_SEED)
-    picks = rng.choice(n_samples, size=(ENHANCED_TABLE_DRAWS, rounds))
-    draws = np.ascontiguousarray(picks.T, dtype=np.int32)
-    draws.setflags(write=False)
+    per_round = _DRAWS.setdefault(cdf, {})
+    draws = per_round.get(rounds)
+    if draws is None:
+        rng = np.random.default_rng(ENHANCED_TABLE_SEED)
+        picks = rng.choice(cdf.sorted_rho.size, size=(ENHANCED_TABLE_DRAWS, rounds))
+        # the stable order of the first-round indices: each draw's own number
+        # breaks ties, so a plain sort of these unique keys gives it
+        keys = picks[:, 0] * ENHANCED_TABLE_DRAWS + np.arange(ENHANCED_TABLE_DRAWS)
+        order = np.sort(keys) % ENHANCED_TABLE_DRAWS
+        draws = cdf.sorted_rho.take(picks.take(order, axis=0).T)
+        draws.setflags(write=False)
+        per_round[rounds] = draws
     return draws
 
 
@@ -236,26 +247,26 @@ def build_enhanced_table(
     entries = [n_1]
 
     # The faded drawn samples' extremes raise what any drawn sample would:
-    # the samples are sorted, and fading keeps their order.
-    draws = _enhanced_draws(cdf.sorted_rho.size, len(probs.p))
-    rho = cdf.sorted_rho
-    faded_mi(mi_table, rho.take([draws.min(), draws.max()]), es_n0_ref_linear)
+    # fading keeps the samples' order. A stage's decision is a count or an
+    # order statistic over the draws, so the order of the draws is free.
+    draws = _enhanced_draws(cdf, len(probs.p))
+    faded_mi(mi_table, np.array([draws.min(), draws.max()]), es_n0_ref_linear)
 
     # Only the draws still undecoded are carried from stage to stage: a
     # decoded draw's accumulated MI only grows, so it meets every later
     # target and counts as one of the `decoded`.
-    acc = faded_mi(mi_table, rho.take(draws[0]), es_n0_ref_linear) * n_1
+    acc = faded_mi(mi_table, draws[0], es_n0_ref_linear) * n_1
     alive = np.flatnonzero(acc < budget)
     acc = acc.take(alive)
 
     cum_target = probs.p[0]
-    for j, picks in enumerate(draws[1:], start=2):
+    for j, rho in enumerate(draws[1:], start=2):
         cum_target += probs.p[j - 1]
         remaining = spec.mother_codeword_bits - sum(entries)
         if remaining < MODULATION_BITS:
             return StaticBitTable(n_sent=tuple(entries), notes=(
                 f"mother codeword exhausted before transmission {j}; table ends",))
-        row = faded_mi(mi_table, rho.take(picks.take(alive)), es_n0_ref_linear)
+        row = faded_mi(mi_table, rho.take(alive), es_n0_ref_linear)
         decoded = ENHANCED_TABLE_DRAWS - alive.size
 
         def meets(symbols: int) -> bool:

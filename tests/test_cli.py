@@ -193,6 +193,19 @@ def test_an_mi_table_larger_than_an_array_holds_is_a_usage_error(option, count, 
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bounds", [
+    "--min-db -4000 --max-db -3069 --points 2",
+    "--min-db -3076 --max-db -3075.9999 --points 50",
+], ids=["zero-linear-min", "noise-overflow-min"])
+def test_an_mi_grid_the_estimator_cannot_draw_on_is_a_usage_error(bounds, tmp_path, capsys):
+    # before any draw: no RuntimeWarning (an error here) and no file
+    out = tmp_path / "t.csv"
+    assert main(["mi-table", *bounds.split(), "--samples", "10000", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: es_n0_min_db")
+    assert not out.exists()
+
+
 def test_missing_environment_maps_to_exit_three(tmp_path, capsys):
     out = tmp_path / "series.csv"
     code = main(["channel", "--env", "desert", "--duration-s", "1", "--out", str(out)])

@@ -181,10 +181,17 @@ def test_build_rejects_bad_configuration():
     (dict(samples=np.iinfo(np.intp).max // 8 + 1), "samples 1152921504606846976 is more than"),
     (dict(points=10**20), "points 100000000000000000000 is more than an array can hold"),
     (dict(points=np.int64(2 * 10**18)), "points 2000000000000000000 is more than an array can hold"),
+    # finite in dB: a lowest point whose linear Es/N0 is 0, and one that is a
+    # normal float whose noise power overflows the estimator's squares
+    (dict(es_n0_min_db=-4000.0, es_n0_max_db=-3069.0, points=2),
+     "es_n0_min_db -4000 dB is out of range: its linear value 0 is not a finite, normal float"),
+    (dict(es_n0_min_db=-3076.0, es_n0_max_db=-3075.9999, points=50),
+     "es_n0_min_db -3076 dB is too low: its noise power would overflow the estimator's squared"
+     " magnitudes; the grid must start at -3055.45 dB or above"),
 ], ids=["negative", "numpy-negative", "float", "bool", "inf-max", "nan-min", "-inf-min",
         "float-points", "bool-points", "numpy-one-point", "float-samples", "bool-samples",
         "numpy-few-samples", "huge-samples", "samples-bytes", "samples-one-past",
-        "huge-points", "numpy-points-bytes"])
+        "huge-points", "numpy-points-bytes", "zero-linear-min", "noise-overflow-min"])
 def test_build_checks_seed_and_bounds_before_drawing(kwargs, message, monkeypatch):
     def no_draw(*args):
         raise AssertionError("allocated or drew samples")

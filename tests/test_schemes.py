@@ -1,7 +1,9 @@
 """Burst sizing policies."""
 
+import gc
 import re
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ from lmsharq.schemes import (
     AdaptivePolicy,
     DecodingProbTable,
     StaticBitTable,
+    _DRAWS,
     _ceil_to_symbol,
     _enhanced_draws,
     build_enhanced_table,
@@ -459,8 +462,8 @@ def test_enhanced_table_starts_its_search_at_the_count_of_decodes_the_target_nee
 def test_enhanced_table_ignores_which_draws_were_cached_before(
     small_cdf, its_calib_cdf, open_calib_cdf, code_spec, mi_table
 ):
-    # six (sample count, rounds) keys against three cache entries, so the
-    # second pass meets entries evicted, reused and rebuilt in another order
+    # four CDFs at two round counts each; the second pass, in the other
+    # order, reads every one's draws as the first pass kept them
     es = float(db_to_linear(10.0))
     inputs = [
         (cdf, DecodingProbTable(PROB_PRESETS[preset]), spec, e, table)
@@ -473,16 +476,33 @@ def test_enhanced_table_ignores_which_draws_were_cached_before(
         for preset in ("case1", "case2", "case3")
     ]
     cases = [(args, _reference_enhanced_table(*args)) for args in inputs]
-    _enhanced_draws.cache_clear()
+    _DRAWS.clear()
     for order in (cases, cases[::-1]):
         for args, expected in order:
             assert build_enhanced_table(*args) == expected
-    assert _enhanced_draws.cache_info().currsize == 3
-    for rounds in (2, 4):
-        for shared in _enhanced_draws(DYADIC_CDF.sorted_rho.size, rounds):
-            assert not shared.flags.writeable
+    cdfs = (small_cdf, its_calib_cdf, open_calib_cdf, DYADIC_CDF)
+    assert len(_DRAWS) == len(cdfs) and all(cdf in _DRAWS for cdf in cdfs)
+    # its and open hold as many samples, and each keeps its own draws
+    assert its_calib_cdf.sorted_rho.size == open_calib_cdf.sorted_rho.size
+    assert not np.array_equal(_DRAWS[its_calib_cdf][4], _DRAWS[open_calib_cdf][4])
+    for cdf in cdfs:
+        assert sorted(_DRAWS[cdf]) == [2, 4]
+        for rounds, kept in _DRAWS[cdf].items():
+            assert _enhanced_draws(cdf, rounds) is kept
+            assert kept.shape == (rounds, ENHANCED_TABLE_DRAWS) and not kept.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
-                shared[0] = 0
+                kept[0, 0] = 0
+
+
+def test_enhanced_draws_live_as_long_as_their_cdf():
+    cdf = EmpiricalCdf(DYADIC_CDF.sorted_rho)
+    build_enhanced_table(cdf, DecodingProbTable(PROB_PRESETS["case3"]), DYADIC_SPEC, 4.0,
+                         DYADIC_TABLE)
+    kept = weakref.ref(_DRAWS[cdf][4])
+    count = len(_DRAWS)
+    del cdf
+    gc.collect()
+    assert kept() is None and len(_DRAWS) == count - 1
 
 
 def test_enhanced_table_sizes_a_boundary_on_a_whole_symbol_count():
@@ -509,10 +529,11 @@ DRAWN_LATE = 54_000
 def _one_odd_sample(odd: float, at: int) -> EmpiricalCdf:
     rho = np.ones(DRAWN_LATE)
     rho[at] = odd
-    cdf = EmpiricalCdf(rho)
-    draws = _enhanced_draws(DRAWN_LATE, 4)
-    assert not np.isin(at, draws[0]) and np.isin(at, draws[1:])
-    return cdf
+    # the draws' sample indices, as the reference draws them
+    picks = np.random.default_rng(ENHANCED_TABLE_SEED).choice(
+        DRAWN_LATE, size=(ENHANCED_TABLE_DRAWS, 4))
+    assert not np.isin(at, picks[:, 0]) and np.isin(at, picks[:, 1:])
+    return EmpiricalCdf(rho)
 
 
 def test_enhanced_table_rejects_a_drawn_sample_whose_faded_value_overflows():
