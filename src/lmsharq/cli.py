@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from lmsharq import metrics, presets
-from lmsharq.channel import EmpiricalCdf, generate_series
+from lmsharq.channel import generate_series
 from lmsharq.errors import ConfigError, check_db, check_integer
 from lmsharq.fec import TARGET_WER, calibrate_mi_req
 from lmsharq.mi import (
@@ -158,12 +158,9 @@ def cmd_channel(args) -> int:
     series.to_csv(args.out)
     print(f"wrote {len(series.rho)} samples to {args.out}")
     if args.cdf_out:
-        cdf = EmpiricalCdf(series.rho)
-        n = len(cdf.sorted_rho)
-        rows = (
-            (_fmt(20.0 * math.log10(r)), _fmt((i + 1) / n))
-            for i, r in enumerate(cdf.sorted_rho)
-        )
+        n = len(series.rho)
+        rows = ((_fmt(20.0 * math.log10(r)), _fmt((i + 1) / n))
+                for i, r in enumerate(np.sort(series.rho)))
         write_csv(args.cdf_out, ("rho_db", "cdf"), rows)
         print(f"wrote {n} CDF points to {args.cdf_out}")
     return 0

@@ -12,13 +12,12 @@ import bisect
 import csv
 import io
 import math
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from lmsharq.errors import ConfigError, check_db, check_integer
+from lmsharq.errors import ConfigError, check_integer
 
 MODULATION_BITS = 2
 
@@ -31,17 +30,15 @@ DEFAULT_SEED = 20177
 MIN_SAMPLES = 10_000
 TARGET_STD_ERROR = 1e-3
 
+# The Es/N0 range, in dB, of every MI table's grid. Above it the rounding of
+# symbol plus noise, scaled by Es/N0, pulls a saturated estimate below 1;
+# inside it grid points are at least 1.5e-36 apart, so a slope stays below
+# 6.6e35, and mi_of's bucket guide holds at most 34018 entries.
+ES_N0_RANGE_DB = (-200.0, 200.0)
+
 # samples per block of the MI estimator; its (4, block) work arrays stay
 # in cache
 _BLOCK = 1 << 14
-
-# Every standard normal a NumPy Generator draws is below 14 in magnitude:
-# its ziggurat's tail draws r + log(1 / U) / r, with r < 3.66 and U at least
-# 2^-53. A noise sample n of power 0.5 / snr per part thus has |n|^2 at most
-# 392 times that power, and its received point's squared distance to a
-# constellation point, at most (|n| + 2)^2 <= 2 |n|^2 + 8, at most 784 times
-# it plus 8. Both are floats while the power times this headroom is one.
-_NOISE_HEADROOM = 2.0 ** 10
 
 # unit-energy QPSK constellation
 _QPSK = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j]) / np.sqrt(2.0)
@@ -57,17 +54,24 @@ def linear_to_db(value):
     return 10.0 * np.log10(value)
 
 
+_LINEAR_RANGE = tuple(map(float, db_to_linear(ES_N0_RANGE_DB)))  # the ends as a build makes them
+
+
+def _check_range(name: str, values: np.ndarray, low: float, high: float) -> None:
+    """ValueError naming the first of values outside [low, high]; nan is outside."""
+    outside = values[~((low <= values) & (values <= high))]
+    if outside.size:
+        raise ValueError(f"{name} {outside[0]:g} is outside {low:g} to {high:g}")
+
+
 @dataclass(frozen=True)
 class MiTable:
     """Tabulated per-bit mutual information on an increasing Es/N0 grid.
 
     Immutable: it keeps its own read-only copies of both arrays, so the
-    checks below cannot be undone through the caller's arrays. Each grid
-    value is a positive, normal float, the rule parse_mi_csv applies to
-    its dB values, so the table's buckets (see mi_of) span at most the
-    2046 octaves of normal floats. A grid whose slope overflows is
-    rejected and a -0.0 MI value kept as 0.0, so mi_of's formula gives
-    each grid point its own value.
+    checks below cannot be undone through the caller's arrays. Grid values
+    lie in ES_N0_RANGE_DB and a -0.0 MI value is kept as 0.0, so mi_of's
+    formula gives each grid point its own value.
     """
 
     es_n0_linear: np.ndarray
@@ -84,12 +88,10 @@ class MiTable:
             raise ValueError("grid and mi arrays differ in length")
         if not (np.isfinite(self.es_n0_linear).all() and np.isfinite(self.mi_per_bit).all()):
             raise ValueError("grid and mi values must be finite")
-        if not (self.es_n0_linear >= sys.float_info.min).all():
-            raise ValueError("es_n0_linear values must be positive, normal floats")
+        _check_range("es_n0_linear", self.es_n0_linear, *_LINEAR_RANGE)
         if np.any(np.diff(self.es_n0_linear) <= 0):
             raise ValueError("es_n0_linear grid must be strictly increasing")
-        if np.any(self.mi_per_bit < 0.0) or np.any(self.mi_per_bit > 1.0):
-            raise ValueError("mi_per_bit values must lie in [0, 1]")
+        _check_range("mi_per_bit", self.mi_per_bit, 0.0, 1.0)
         if np.any(np.diff(self.mi_per_bit) < 0.0):
             raise ValueError("mi_per_bit must be non-decreasing along the grid")
         object.__setattr__(self, "_segments", _Segments(self.es_n0_linear, self.mi_per_bit))
@@ -109,15 +111,12 @@ class _Segments:
     smallest float, and a query in the bucket lies at most `steps` grid
     points above that segment's start. `upper[j]` is where segment j ends
     (inf for the last) and `slopes[j]` is numpy.interp's slope of segment j
-    (0 for the last); a ValueError if one overflows a float.
+    (0 for the last).
     """
 
     def __init__(self, xp: np.ndarray, fp: np.ndarray):
         self.upper = np.append(xp[1:], np.inf)
-        with np.errstate(over="ignore"):  # grid points a few ulps apart: inf, rejected below
-            self.slopes = np.append(np.diff(fp) / np.diff(xp), 0.0)
-        if np.isinf(self.slopes).any():
-            raise ValueError("the MI slope between neighbouring grid points overflows a float")
+        self.slopes = np.append(np.diff(fp) / np.diff(xp), 0.0)
         bits = xp.view(np.int64)
         buckets = bits >> _BUCKET_SHIFT
         self.first_bucket = int(buckets[0])
@@ -233,10 +232,8 @@ def build_mi_table(
     Deterministic for a fixed seed. Raises ConfigError before any draw
     when the grid, the sample count or the seed is invalid or more than
     an array can hold, and after the draws when the sample count cannot
-    deliver the target precision. Each dB bound's linear Es/N0 must be a
-    finite, normal float, and the lowest one's noise power 0.5 / Es/N0
-    times 2^10 a float too, so that no squared magnitude the estimator
-    forms overflows: the grid starts at -3055.45 dB or above.
+    deliver the target precision. The grid lies in ES_N0_RANGE_DB, and
+    its points must stay increasing as save_mi_csv writes them.
     """
     check_integer("seed", seed)
     check_integer("points", points, 2)
@@ -246,16 +243,14 @@ def build_mi_table(
     for name, count in (("points", points), ("samples", samples)):
         if count > np.iinfo(np.intp).max // 8:
             raise ConfigError(f"{name} {count} is more than an array can hold")
-    check_db("es_n0_min_db", es_n0_min_db, error=ConfigError)
-    check_db("es_n0_max_db", es_n0_max_db, error=ConfigError)
-    if not es_n0_min_db < es_n0_max_db:
-        raise ConfigError("es_n0_min_db must be below es_n0_max_db")
+    low, high = ES_N0_RANGE_DB
+    if not low <= es_n0_min_db < es_n0_max_db <= high:
+        raise ConfigError(f"es_n0_min_db {es_n0_min_db} and es_n0_max_db {es_n0_max_db} must be"
+                          f" finite, increasing and within the MI table's range, {low:g} to {high:g} dB")
     grid_lin = db_to_linear(np.linspace(es_n0_min_db, es_n0_max_db, points))
-    if 0.5 / grid_lin[0] > sys.float_info.max / _NOISE_HEADROOM:
-        lowest = linear_to_db(0.5 * _NOISE_HEADROOM / sys.float_info.max)
-        raise ConfigError(
-            f"es_n0_min_db {es_n0_min_db:g} dB is too low: its noise power would overflow"
-            f" the estimator's squared magnitudes; the grid must start at {lowest:.6g} dB or above")
+    if np.any(np.diff(np.array(_csv_db(grid_lin), dtype=float)) <= 0.0):
+        raise ConfigError(f"{points} points from {es_n0_min_db} to {es_n0_max_db} dB do not"
+                          " stay increasing at the 6 digits the MI table's CSV keeps; use fewer points")
     rng = np.random.default_rng(seed)
     mi = np.empty(points)
     work = _Work(samples)
@@ -302,8 +297,13 @@ def mi_of(table: MiTable, es_n0_linear):
     return x.reshape(q.shape)
 
 
+def _csv_db(es_n0_linear) -> list[str]:
+    """Each linear Es/N0 as save_mi_csv writes it: in dB, to 6 significant digits."""
+    return [f"{linear_to_db(x):.6g}" for x in es_n0_linear]
+
+
 def save_mi_csv(table: MiTable, path) -> None:
-    rows = ((f"{linear_to_db(x):.6g}", f"{y:.6g}") for x, y in zip(table.es_n0_linear, table.mi_per_bit))
+    rows = zip(_csv_db(table.es_n0_linear), (f"{y:.6g}" for y in table.mi_per_bit))
     write_csv(path, CSV_HEADER, rows)
 
 
@@ -339,12 +339,11 @@ def read_csv_pairs(text: str, header: tuple) -> list[tuple[float, float]]:
 
 
 def parse_mi_csv(text: str) -> MiTable:
-    """The MI table of a CSV text as save_mi_csv writes it."""
+    """The MI table of a CSV text as save_mi_csv writes it; a dB value
+    outside ES_N0_RANGE_DB is a ValueError before any is made linear."""
     rows = read_csv_pairs(text, CSV_HEADER)
     if len(rows) < 2:
         raise ValueError("the table has fewer than two rows")
-    for es_db, _ in rows:
-        check_db("es_n0_db", es_db)
-    grid_db = np.array([r[0] for r in rows])
-    mi = np.array([r[1] for r in rows])
+    grid_db, mi = np.array(rows).T
+    _check_range("es_n0_db", grid_db, *ES_N0_RANGE_DB)
     return MiTable(es_n0_linear=db_to_linear(grid_db), mi_per_bit=mi)

@@ -1,16 +1,21 @@
 """Command-line behavior: parsing, exit codes, CSV outputs."""
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import os
 import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lmsharq.cli import MAX_ES_POINTS, _parse_es_list, build_parser, main
 from lmsharq.errors import ConfigError
@@ -197,13 +202,76 @@ def test_an_mi_table_larger_than_an_array_holds_is_a_usage_error(option, count, 
 @pytest.mark.parametrize("bounds", [
     "--min-db -4000 --max-db -3069 --points 2",
     "--min-db -3076 --max-db -3075.9999 --points 50",
-], ids=["zero-linear-min", "noise-overflow-min"])
+    # symbol plus noise rounds to the symbol; unchecked, a "raise samples" verdict
+    "--min-db 3000 --max-db 3001 --points 2",
+    # the scaled squares overflow; unchecked, a RuntimeWarning
+    "--min-db 3000 --max-db 3080 --points 2",
+    # unchecked, an MI of 1 written as 0.999894 and 0.999999
+    "--min-db 290 --max-db 300 --points 2",
+    "--min-db 250 --max-db 251 --points 2",
+], ids=["zero-linear-min", "noise-overflow-min", "rounded-away", "squares-overflow",
+        "below-one-at-290", "below-one-at-250"])
 def test_an_mi_grid_the_estimator_cannot_draw_on_is_a_usage_error(bounds, tmp_path, capsys):
     # before any draw: no RuntimeWarning (an error here) and no file
     out = tmp_path / "t.csv"
     assert main(["mi-table", *bounds.split(), "--samples", "10000", "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("configuration error: es_n0_min_db")
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: es_n0_min_db") and "range, -200 to 200 dB" in err
     assert not out.exists()
+
+
+def test_mi_table_writes_only_a_grid_its_csv_keeps_increasing(tmp_path, capsys):
+    # 19, 19.000005 and 19.00001 dB are all written as 19, which no table can read back
+    out = tmp_path / "fine.csv"
+    argv = ["mi-table", "--min-db", "19", "--points", "3", "--samples", "10000", "--out", str(out)]
+    assert main([*argv, "--max-db", "19.00001"]) == 2
+    assert "do not stay increasing at the 6 digits" in capsys.readouterr().err
+    assert not out.exists()
+    assert main([*argv, "--max-db", "19.001"]) == 0
+    assert main(["calibrate", "--mi-table", str(out)]) == 0
+
+
+# --min-db and --max-db values: ordinary ones, and odd ones: each end of the
+# MI table's Es/N0 range and one ulp either side, above the range where an
+# unchecked build writes an MI of 1 below 1, huge, and non-finite text
+ORDINARY_DB = st.floats(-50.0, 250.0)
+ODD_DB = st.sampled_from(
+    [float(np.nextafter(end, end + side)) for end in (-200.0, 200.0) for side in (-1, 0, 1)]
+    + [250.0, 290.0, 300.0, 3000.0, 3001.0, 3080.0, -4000.0, 1e300, -1e300, np.nan, np.inf, -np.inf])
+
+
+@st.composite
+def mi_table_argvs(draw):
+    lo = draw(ORDINARY_DB | ODD_DB)
+    # the top: drawn alike, or a step above the bottom, some too fine for the CSV's 6 digits
+    hi = draw(ORDINARY_DB | ODD_DB | st.sampled_from([1e-9, 1e-5, 0.01, 1.0, 80.0]).map(lo.__add__))
+    return [f"--min-db={lo!r}", f"--max-db={hi!r}", f"--points={draw(st.integers(2, 4))}",
+            "--samples=10000", f"--seed={draw(st.integers(0, 2**32 - 1))}"]
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@example(argv=["--min-db=19.0", "--max-db=19.00001", "--points=3", "--samples=10000", "--seed=20177"])
+@example(argv=["--min-db=3000.0", "--max-db=3080.0", "--points=2", "--samples=10000", "--seed=20177"])
+@example(argv=["--min-db=290.0", "--max-db=300.0", "--points=2", "--samples=10000", "--seed=20177"])
+@given(argv=mi_table_argvs())
+def test_mi_table_exits_0_with_a_table_it_reads_back_or_2_with_no_file(argv, tmp_path_factory):
+    from lmsharq import presets
+
+    out = tmp_path_factory.mktemp("mi") / "t.csv"
+    err = io.StringIO()
+    # a RuntimeWarning is an error here, so it fails the test as a traceback would
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["mi-table", *argv, "--out", str(out)])
+    assert code in (0, 2), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert not out.exists()
+        return
+    table = presets.default_mi_table(out)
+    assert ((0.0 <= table.mi_per_bit) & (table.mi_per_bit <= 1.0)).all()
+    # where the MI is 1, the file says so
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert all(mi == "1" for es_db, mi in rows if float(es_db) >= 20.0)
 
 
 def test_missing_environment_maps_to_exit_three(tmp_path, capsys):
@@ -1005,8 +1073,10 @@ INPUT_FAULTS = {
         "own-check": lambda shipped: shipped.replace(b"0.000742668", b"1.5"),
         "csv-field-limit": lambda shipped: shipped + b"-1," + b"9" * 200_000 + b"\n",
         "db-overflow": lambda shipped: shipped + b"4000,1\n",
-        # grid points 1e-11 dB apart near the smallest normal float: a slope of inf
+        # grid points 1e-11 dB apart near the smallest normal float, where the
+        # slope would overflow: below the MI table's Es/N0 range
         "slope-overflow": lambda shipped: b"es_n0_db,mi_per_bit\n-3070,0\n-3069.99999999999,0.5\n10,1\n",
+        "above-range": lambda shipped: shipped + b"200.0001,1\n",
     }),
 }
 

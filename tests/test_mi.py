@@ -50,26 +50,35 @@ def test_table_keeps_its_own_read_only_arrays():
             array[0] = 0.0
 
 
+# the ends of the MI table's Es/N0 range, 10 ** (dB / 10) as a build makes them
+LINEAR_RANGE = 10.0 ** (np.array(mi.ES_N0_RANGE_DB) / 10.0)
+OUTSIDE_LINEAR_RANGE = "es_n0_linear .* is outside 1e-20 to 1e\\+20"
+
+
 @pytest.mark.parametrize("value", [0.0, -1.0, 5e-324, sys.float_info.min / 2])
 def test_table_rejects_a_grid_value_that_is_not_a_positive_normal_float(value):
-    # parse_mi_csv's rule for its dB values; save_mi_csv would write such a
-    # value as -inf or nan
-    with pytest.raises(ValueError, match="positive, normal floats"):
+    # each lies below the Es/N0 range; save_mi_csv would write 0 and -1 as -inf and nan
+    with pytest.raises(ValueError, match=OUTSIDE_LINEAR_RANGE):
         MiTable(es_n0_linear=np.array([value, 1.0, 2.0]), mi_per_bit=np.array([0.1, 0.2, 0.3]))
-    table = MiTable(np.array([sys.float_info.min, 1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
-    assert mi_of(table, sys.float_info.min) == 0.1
+    table = MiTable(np.array([LINEAR_RANGE[0], 1.0, 2.0]), np.array([0.1, 0.2, 0.3]))
+    assert mi_of(table, LINEAR_RANGE[0]) == 0.1
 
 
-# 10 ** (dB / 10) is a positive, normal float across this range, inside check_db's
-DB_RANGE = (-3076.5, 3082.5)
+def test_table_takes_a_grid_up_to_either_end_of_the_es_n0_range():
+    # one ulp beyond either end is rejected, the end itself is kept
+    for grid in ([np.nextafter(LINEAR_RANGE[0], 0.0), 1.0], [1.0, np.nextafter(LINEAR_RANGE[1], np.inf)]):
+        with pytest.raises(ValueError, match=OUTSIDE_LINEAR_RANGE):
+            MiTable(np.array(grid), np.array([0.0, 1.0]))
+    table = MiTable(LINEAR_RANGE, np.array([0.0, 1.0]))
+    assert mi_of(table, LINEAR_RANGE).tolist() == [0.0, 1.0]
 
 
 @st.composite
 def tables_and_queries(draw):
     """A grid, MI values and queries that probe np.interp's rules on them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    lo_db = draw(st.floats(*DB_RANGE))
-    hi_db = draw(st.floats(lo_db, DB_RANGE[1]))
+    lo_db = draw(st.floats(*mi.ES_N0_RANGE_DB))
+    hi_db = draw(st.floats(lo_db, mi.ES_N0_RANGE_DB[1]))
     points = [10.0 ** (rng.uniform(lo_db, hi_db, draw(st.integers(2, 300))) / 10.0)]
     # several grid points inside one bucket: one bucket start, random low bits
     for _ in range(draw(st.integers(0, 3))):
@@ -77,10 +86,15 @@ def tables_and_queries(draw):
         low_bits = rng.integers(0, 1 << mi._BUCKET_SHIFT, draw(st.integers(2, 6)))
         points.append((start + low_bits).view(float))
     if draw(st.booleans()):
-        # grid points a few ulps above the smallest normal float: slopes that
-        # overflow to inf, unless the MI values tie
+        # grid points a few ulps above the range's lower end: slopes near
+        # 6.6e35, the steepest a table can hold, unless the MI values tie
         ulps = rng.integers(0, 64, draw(st.integers(2, 5)))
-        points.append((np.array([sys.float_info.min]).view(np.int64) + ulps).view(float))
+        points.append((LINEAR_RANGE[:1].view(np.int64) + ulps).view(float))
+    if draw(st.integers(0, 4)) == 0:
+        # a grid point beyond the range: one ulp or far beyond either end
+        points.append([draw(st.sampled_from([
+            np.nextafter(LINEAR_RANGE[0], 0.0), np.nextafter(LINEAR_RANGE[1], np.inf),
+            5e-324, sys.float_info.min, 1e300]))])
     xp = np.unique(np.concatenate(points))
     assume(xp.size >= 2)
     fp = np.sort(rng.uniform(0.0, 1.0, xp.size))
@@ -118,13 +132,12 @@ def _same_bits(got, expected):
 @settings(derandomize=True, deadline=None, max_examples=300)
 def test_mi_of_equals_np_interp_bit_for_bit(case):
     xp, fp, queries = case
-    with np.errstate(over="ignore"):
-        steep = np.isinf(np.diff(fp) / np.diff(xp)).any()
-    if steep:
-        with pytest.raises(ValueError, match="slope between neighbouring grid points overflows"):
+    if xp[0] < LINEAR_RANGE[0] or xp[-1] > LINEAR_RANGE[1]:
+        with pytest.raises(ValueError, match=OUTSIDE_LINEAR_RANGE):
             MiTable(xp, fp)
         return
     table = MiTable(xp, fp)
+    assert np.isfinite(table._segments.slopes).all()
     xp, fp = table.es_n0_linear, table.mi_per_bit
     got = mi_of(table, queries)
     assert _same_bits(got, np.interp(queries, xp, fp))
@@ -181,17 +194,26 @@ def test_build_rejects_bad_configuration():
     (dict(samples=np.iinfo(np.intp).max // 8 + 1), "samples 1152921504606846976 is more than"),
     (dict(points=10**20), "points 100000000000000000000 is more than an array can hold"),
     (dict(points=np.int64(2 * 10**18)), "points 2000000000000000000 is more than an array can hold"),
-    # finite in dB: a lowest point whose linear Es/N0 is 0, and one that is a
-    # normal float whose noise power overflows the estimator's squares
+    # finite in dB but outside the Es/N0 range: a lowest point whose linear
+    # Es/N0 is 0, one whose noise power overflows the estimator's squares,
+    # one where symbol plus noise rounds to the symbol, and one above 200 dB
+    # where the estimate of an MI of 1 reads 0.999894
     (dict(es_n0_min_db=-4000.0, es_n0_max_db=-3069.0, points=2),
-     "es_n0_min_db -4000 dB is out of range: its linear value 0 is not a finite, normal float"),
-    (dict(es_n0_min_db=-3076.0, es_n0_max_db=-3075.9999, points=50),
-     "es_n0_min_db -3076 dB is too low: its noise power would overflow the estimator's squared"
-     " magnitudes; the grid must start at -3055.45 dB or above"),
+     "es_n0_min_db -4000.0 and es_n0_max_db -3069.0 must be finite, increasing and within the MI"
+     " table's range, -200 to 200 dB"),
+    (dict(es_n0_min_db=-3076.0, es_n0_max_db=-3075.9999, points=50), "-200 to 200 dB"),
+    (dict(es_n0_min_db=3000.0, es_n0_max_db=3001.0, points=2), "-200 to 200 dB"),
+    (dict(es_n0_min_db=290.0, es_n0_max_db=300.0, points=2), "-200 to 200 dB"),
+    (dict(es_n0_min_db=-200.0, es_n0_max_db=np.nextafter(200.0, np.inf), points=2), "-200 to 200 dB"),
+    # three points that save_mi_csv writes as 19, 19 and 19
+    (dict(es_n0_min_db=19.0, es_n0_max_db=19.00001, points=3),
+     "3 points from 19.0 to 19.00001 dB do not stay increasing at the 6 digits the MI table's CSV"
+     " keeps"),
 ], ids=["negative", "numpy-negative", "float", "bool", "inf-max", "nan-min", "-inf-min",
         "float-points", "bool-points", "numpy-one-point", "float-samples", "bool-samples",
         "numpy-few-samples", "huge-samples", "samples-bytes", "samples-one-past",
-        "huge-points", "numpy-points-bytes", "zero-linear-min", "noise-overflow-min"])
+        "huge-points", "numpy-points-bytes", "zero-linear-min", "noise-overflow-min",
+        "noise-rounded-away", "above-range", "one-ulp-above", "csv-collapses"])
 def test_build_checks_seed_and_bounds_before_drawing(kwargs, message, monkeypatch):
     def no_draw(*args):
         raise AssertionError("allocated or drew samples")
@@ -200,6 +222,20 @@ def test_build_checks_seed_and_bounds_before_drawing(kwargs, message, monkeypatc
     monkeypatch.setattr(mi, "_mc_mi_per_bit", no_draw)
     with pytest.raises(ConfigError, match=message):
         build_mi_table(**{"points": 3, **kwargs})
+
+
+@pytest.mark.parametrize("lo_db, hi_db, expected", [(199.0, 200.0, 1.0), (-200.0, -199.0, 0.0)])
+def test_a_build_reaches_either_end_of_the_es_n0_range(lo_db, hi_db, expected, tmp_path):
+    table = build_mi_table(lo_db, hi_db, 2, 10_000, 1)
+    assert table.es_n0_linear.tolist() == db_to_linear([lo_db, hi_db]).tolist()
+    assert np.abs(table.mi_per_bit - expected).max() < 1e-6
+    path = tmp_path / "mi.csv"
+    save_mi_csv(table, path)
+    back = parse_mi_csv(path.read_text())
+    assert back.es_n0_linear.tolist() == table.es_n0_linear.tolist()
+    assert np.abs(back.mi_per_bit - expected).max() < 1e-6
+    if expected == 1.0:
+        assert back.mi_per_bit.tolist() == [1.0, 1.0]  # 0.999999 at 250 dB
 
 
 def test_build_takes_numpy_integer_seeds():
